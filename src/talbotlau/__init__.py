@@ -61,6 +61,7 @@ from .propagation import (
     propagate_paraxial,
     required_dx,
     sampling_check,
+    sampling_report,
 )
 from .sensing import (
     CradleSpec,

@@ -19,6 +19,7 @@ from .config import (
     build_cradle,
     build_field_region,
     default_config,
+    override,
     parse_config,
 )
 from .interferometer import contrast, leg_sampling_reports, scan_fringe, sweep_energy
@@ -177,24 +178,21 @@ _DISPATCH = {
 }
 
 
+# (flag, section, key): each flag sets one configuration key
+_OVERRIDES = (
+    ("seed", "run", "seed"),
+    ("sources", "beamline", "n_sources"),
+    ("grid", "beamline", "grid_points"),
+    ("propagator", "beamline", "propagator"),
+)
+
+
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    beamline = cfg.beamline
-    if args.sources is not None:
-        if args.sources < 1:
-            raise ConfigError("--sources must be at least 1")
-        beamline = dataclasses.replace(beamline, n_sources=args.sources)
-    if args.grid is not None:
-        if args.grid != 0 and args.grid < 16:
-            raise ConfigError("--grid must be 0 (automatic) or at least 16")
-        beamline = dataclasses.replace(beamline, grid_points=args.grid)
-    if args.propagator is not None:
-        beamline = dataclasses.replace(beamline, propagator=args.propagator)
-    run = cfg.run
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
-        run = dataclasses.replace(run, seed=args.seed)
-    return dataclasses.replace(cfg, beamline=beamline, run=run)
+    for flag, section, key in _OVERRIDES:
+        value = getattr(args, flag)
+        if value is not None:
+            cfg = override(cfg, section, key, value, f"--{flag}")
+    return cfg
 
 
 def _build_parser() -> argparse.ArgumentParser:

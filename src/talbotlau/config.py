@@ -1,18 +1,20 @@
 """Run configuration: flat ``key = value`` files with ``[section]`` headers.
 
-Unknown sections or keys, malformed numbers and out-of-range values are
-rejected with the offending key and line named. Omitted keys take the
-documented defaults. ``serialize_config`` emits a canonical file that
-parses back to an equal configuration.
+Defaults and range checks belong to the domain types: a key is valid when
+the beamline, cradle and field region still build with that one key
+changed from the defaults. Unknown sections or keys, malformed numbers and
+out-of-range values are rejected with the offending key and line named.
+``serialize_config`` emits a canonical file that parses back to an equal
+configuration.
 """
 
 import dataclasses
 import math
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .elements import ApertureSpec, GratingSpec, PhaseModel
-from .interferometer import BeamlineConfig
+from .interferometer import GUN_ENERGY_RANGE_EV, BeamlineConfig
 from .kinematics import BeamEnergy
 from .sensing import CradleSpec, FieldRegion
 
@@ -22,6 +24,7 @@ __all__ = [
     "parse_config",
     "serialize_config",
     "default_config",
+    "override",
     "build_beamline",
     "build_cradle",
     "build_field_region",
@@ -32,41 +35,41 @@ class ConfigError(ValueError):
     """Invalid configuration text."""
 
 
+_BEAMLINE = BeamlineConfig()
+_G1, _G2, _G3 = _BEAMLINE.gratings
+_PHASE = _BEAMLINE.phase_model
+
+
 @dataclass(frozen=True)
 class BeamlineSettings:
-    energy_ev: float = 1e4
-    source_slit_width: float = 5e-6
-    source_slit_center: float = 0.0
-    second_slit_width: float = 30e-6
-    second_slit_center: float = 0.0
-    slit_separation: float = 0.24
-    slit2_to_g1: float = 0.05
-    grating_gap: float = 3.06e-3
-    grating_period: float = 1e-7
-    open_fraction: float = 0.35
-    grating_extent: float = math.inf
-    g1_offset: float = 0.0
-    g2_offset: float = 0.0
-    g3_offset: float = 0.0
-    image_charge_strength: float = 0.0
-    image_charge_range: float = 2e-8
-    random_phase_max: float = 0.0
-    n_sources: int = 32
-    propagator: str = "paraxial"
-    grid_points: int = 0
-    window_factor: float = 1.5
+    """Flat view of ``BeamlineConfig``; the three gratings share one comb."""
 
-
-@dataclass(frozen=True)
-class CradleSettings:
-    edge_length: float = 0.054
-    current: float = 0.071
-    efficiency: float = 1.0
+    energy_ev: float = _BEAMLINE.energy.kinetic_energy_ev
+    source_slit_width: float = _BEAMLINE.source_slit.width
+    source_slit_center: float = _BEAMLINE.source_slit.center
+    second_slit_width: float = _BEAMLINE.second_slit.width
+    second_slit_center: float = _BEAMLINE.second_slit.center
+    slit_separation: float = _BEAMLINE.slit_separation
+    slit2_to_g1: float = _BEAMLINE.slit2_to_g1
+    grating_gap: float = _BEAMLINE.grating_gap
+    grating_period: float = _G1.period
+    open_fraction: float = _G1.open_fraction
+    grating_extent: float = _G1.extent
+    g1_offset: float = _G1.offset
+    g2_offset: float = _G2.offset
+    g3_offset: float = _G3.offset
+    image_charge_strength: float = _PHASE.image_charge_strength
+    image_charge_range: float = _PHASE.image_charge_range
+    random_phase_max: float = _PHASE.random_phase_max
+    n_sources: int = _BEAMLINE.n_sources
+    propagator: str = _BEAMLINE.propagator
+    grid_points: int = 0  # 0 = automatic step
+    window_factor: float = _BEAMLINE.window_factor
 
 
 @dataclass(frozen=True)
 class FieldSettings:
-    region_length: float = 6.12e-3
+    region_length: float = FieldRegion.length
 
 
 @dataclass(frozen=True)
@@ -78,16 +81,34 @@ class SensingSettings:
     seconds: int = 40
     block_seconds: int = 10
 
+    def __post_init__(self):
+        if not 0.0 <= self.fringe_contrast < 1.0:
+            raise ValueError("fringe_contrast must lie in [0, 1)")
+        if not self.count_rate > 0.0:
+            raise ValueError("count_rate must be positive")
+        if self.seconds < 1 or self.block_seconds < 1:
+            raise ValueError("seconds and block_seconds must be at least 1")
+
 
 @dataclass(frozen=True)
 class SweepSettings:
-    energy_min_ev: float = 4500.0
-    energy_max_ev: float = 10000.0
+    energy_min_ev: float = GUN_ENERGY_RANGE_EV[0]
+    energy_max_ev: float = GUN_ENERGY_RANGE_EV[1]
     energy_points: int = 23
     current_min: float = -0.15
     current_max: float = 0.15
     current_points: int = 61
     n_offsets: int = 16
+
+    def __post_init__(self):
+        if not (self.energy_min_ev > 0.0 and self.energy_max_ev > 0.0):
+            raise ValueError("sweep energies must be positive")
+        if self.energy_points < 1:
+            raise ValueError("energy_points must be at least 1")
+        if self.current_points < 2:
+            raise ValueError("current_points must be at least 2")
+        if self.n_offsets < 8:
+            raise ValueError("n_offsets must be at least 8")
 
 
 @dataclass(frozen=True)
@@ -96,6 +117,11 @@ class ScaleSettings:
     length_ratio: float = 10.0 / 3.0
     concentrator_gain: float = 20.0
     area_ratio: float = 1e4
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if not getattr(self, f.name) > 0.0:
+                raise ValueError(f"{f.name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -106,7 +132,7 @@ class RunSettings:
 @dataclass(frozen=True)
 class RunConfig:
     beamline: BeamlineSettings = BeamlineSettings()
-    cradle: CradleSettings = CradleSettings()
+    cradle: CradleSpec = CradleSpec(current=0.071)
     field: FieldSettings = FieldSettings()
     sensing: SensingSettings = SensingSettings()
     sweep: SweepSettings = SweepSettings()
@@ -114,82 +140,58 @@ class RunConfig:
     run: RunSettings = RunSettings()
 
 
-_SECTIONS = {
-    "beamline": BeamlineSettings,
-    "cradle": CradleSettings,
-    "field": FieldSettings,
-    "sensing": SensingSettings,
-    "sweep": SweepSettings,
-    "scale": ScaleSettings,
-    "run": RunSettings,
-}
-
-# (section, key) -> (predicate, requirement description)
-_CHECKS = {
-    ("beamline", "energy_ev"): (lambda v: v > 0, "must be positive"),
-    ("beamline", "source_slit_width"): (lambda v: v > 0, "must be positive"),
-    ("beamline", "second_slit_width"): (lambda v: v > 0, "must be positive"),
-    ("beamline", "slit_separation"): (lambda v: v > 0, "must be positive"),
-    ("beamline", "slit2_to_g1"): (lambda v: v > 0, "must be positive"),
-    ("beamline", "grating_gap"): (lambda v: v > 0, "must be positive"),
-    ("beamline", "grating_period"): (lambda v: v > 0, "must be positive"),
-    ("beamline", "open_fraction"): (lambda v: 0 < v < 1, "must lie strictly between 0 and 1"),
-    ("beamline", "grating_extent"): (lambda v: v > 0, "must be positive"),
-    ("beamline", "image_charge_strength"): (lambda v: v >= 0, "must be nonnegative"),
-    ("beamline", "image_charge_range"): (lambda v: v > 0, "must be positive"),
-    ("beamline", "random_phase_max"): (lambda v: v >= 0, "must be nonnegative"),
-    ("beamline", "n_sources"): (lambda v: v >= 1, "must be at least 1"),
-    ("beamline", "propagator"): (lambda v: v in ("direct", "paraxial"), "must be 'direct' or 'paraxial'"),
-    ("beamline", "grid_points"): (lambda v: v == 0 or v >= 16, "must be 0 (automatic) or at least 16"),
-    ("beamline", "window_factor"): (lambda v: v >= 1, "must be at least 1"),
-    ("cradle", "edge_length"): (lambda v: v > 0, "must be positive"),
-    ("cradle", "efficiency"): (lambda v: v > 0, "must be positive"),
-    ("field", "region_length"): (lambda v: v > 0, "must be positive"),
-    ("sensing", "fringe_contrast"): (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
-    ("sensing", "count_rate"): (lambda v: v > 0, "must be positive"),
-    ("sensing", "seconds"): (lambda v: v >= 1, "must be at least 1"),
-    ("sensing", "block_seconds"): (lambda v: v >= 1, "must be at least 1"),
-    ("sweep", "energy_min_ev"): (lambda v: v > 0, "must be positive"),
-    ("sweep", "energy_max_ev"): (lambda v: v > 0, "must be positive"),
-    ("sweep", "energy_points"): (lambda v: v >= 1, "must be at least 1"),
-    ("sweep", "current_points"): (lambda v: v >= 2, "must be at least 2"),
-    ("sweep", "n_offsets"): (lambda v: v >= 8, "must be at least 8"),
-    ("scale", "base_sensitivity"): (lambda v: v > 0, "must be positive"),
-    ("scale", "length_ratio"): (lambda v: v > 0, "must be positive"),
-    ("scale", "concentrator_gain"): (lambda v: v > 0, "must be positive"),
-    ("scale", "area_ratio"): (lambda v: v > 0, "must be positive"),
-    ("run", "seed"): (lambda v: v >= 0, "must be nonnegative"),
-}
+_DEFAULTS = RunConfig()
+_SECTIONS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
-def _field_types(cls):
+def _field_types(section):
     return {
         f.name: f.type if isinstance(f.type, str) else f.type.__name__
-        for f in dataclasses.fields(cls)
+        for f in dataclasses.fields(getattr(_DEFAULTS, section))
     }
 
 
-def _convert(raw, type_name, key, lineno):
+def _convert(raw, type_name, where):
     if type_name == "float":
         try:
             value = float(raw)
         except ValueError:
-            raise ConfigError(f"line {lineno}: key '{key}': malformed number {raw!r}") from None
+            raise ConfigError(f"{where}: malformed number {raw!r}") from None
         if math.isnan(value):
-            raise ConfigError(f"line {lineno}: key '{key}': NaN is not a valid value")
+            raise ConfigError(f"{where}: NaN is not a valid value")
         return value
     if type_name == "int":
         try:
             return int(raw)
         except ValueError:
-            raise ConfigError(f"line {lineno}: key '{key}': malformed integer {raw!r}") from None
+            raise ConfigError(f"{where}: malformed integer {raw!r}") from None
     return raw
+
+
+def _with(cfg: RunConfig, section: str, key: str, value) -> RunConfig:
+    return replace(cfg, **{section: replace(getattr(cfg, section), **{key: value})})
+
+
+def override(cfg: RunConfig, section: str, key: str, value, where: str) -> RunConfig:
+    """``cfg`` with one key set, after checking that key alone on the defaults.
+
+    The check builds the section and every domain object from the defaults
+    plus this key; a ``ValueError`` from any of them becomes a
+    ``ConfigError`` prefixed with ``where``.
+    """
+    try:
+        trial = _with(_DEFAULTS, section, key, value)
+        build_beamline(trial)
+        build_field_region(trial)
+        return _with(cfg, section, key, value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc} (got {value})") from None
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse configuration text, applying defaults for omitted keys."""
-    values = {name: {} for name in _SECTIONS}
-    lines = {name: {} for name in _SECTIONS}
+    cfg = _DEFAULTS
+    lines = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -207,37 +209,27 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        raw_value = raw_value.strip()
         if section is None:
             raise ConfigError(f"line {lineno}: key '{key}' appears before any [section] header")
-        types = _field_types(_SECTIONS[section])
+        types = _field_types(section)
         if key not in types:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in section [{section}]")
-        value = _convert(raw_value, types[key], key, lineno)
-        check = _CHECKS.get((section, key))
-        if check is not None and not check[0](value):
-            raise ConfigError(f"line {lineno}: key '{key}' {check[1]} (got {raw_value})")
-        values[section][key] = value
-        lines[section][key] = lineno
-    _cross_checks(values, lines)
-    parts = {name: cls(**values[name]) for name, cls in _SECTIONS.items()}
-    return RunConfig(**parts)
+        where = f"line {lineno}: key '{key}'"
+        cfg = override(cfg, section, key, _convert(raw_value.strip(), types[key], where), where)
+        lines[section, key] = lineno
+    _cross_checks(cfg.sweep, lines)
+    return cfg
 
 
-def _cross_checks(values, lines):
-    sweep = values["sweep"]
-    emin = sweep.get("energy_min_ev", SweepSettings.energy_min_ev)
-    emax = sweep.get("energy_max_ev", SweepSettings.energy_max_ev)
-    if emin > emax:
-        lineno = lines["sweep"].get("energy_max_ev") or lines["sweep"].get("energy_min_ev")
-        where = f"line {lineno}: " if lineno else ""
-        raise ConfigError(f"{where}key 'energy_max_ev' must be >= energy_min_ev")
-    cmin = sweep.get("current_min", SweepSettings.current_min)
-    cmax = sweep.get("current_max", SweepSettings.current_max)
-    if cmin >= cmax:
-        lineno = lines["sweep"].get("current_max") or lines["sweep"].get("current_min")
-        where = f"line {lineno}: " if lineno else ""
-        raise ConfigError(f"{where}key 'current_max' must be greater than current_min")
+def _cross_checks(sweep: SweepSettings, lines):
+    # run once the whole file is read: each bound may arrive in either order
+    for lo, hi, ok, requirement in (
+        ("energy_min_ev", "energy_max_ev", sweep.energy_min_ev <= sweep.energy_max_ev, ">="),
+        ("current_min", "current_max", sweep.current_min < sweep.current_max, "greater than"),
+    ):
+        if not ok:
+            lineno = lines.get(("sweep", hi)) or lines[("sweep", lo)]
+            raise ConfigError(f"line {lineno}: key '{hi}' must be {requirement} {lo}")
 
 
 def _format_value(value) -> str:
@@ -261,7 +253,7 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def default_config() -> RunConfig:
-    return RunConfig()
+    return _DEFAULTS
 
 
 def build_beamline(cfg: RunConfig) -> BeamlineConfig:
@@ -272,9 +264,7 @@ def build_beamline(cfg: RunConfig) -> BeamlineConfig:
         open_fraction=b.open_fraction,
         extent=b.grating_extent,
     )
-    gratings = tuple(
-        dataclasses.replace(base, offset=off) for off in (b.g1_offset, b.g2_offset, b.g3_offset)
-    )
+    gratings = tuple(replace(base, offset=off) for off in (b.g1_offset, b.g2_offset, b.g3_offset))
     phase = PhaseModel(
         image_charge_strength=b.image_charge_strength,
         image_charge_range=b.image_charge_range,
@@ -298,8 +288,7 @@ def build_beamline(cfg: RunConfig) -> BeamlineConfig:
 
 
 def build_cradle(cfg: RunConfig) -> CradleSpec:
-    c = cfg.cradle
-    return CradleSpec(edge_length=c.edge_length, current=c.current, efficiency=c.efficiency)
+    return cfg.cradle
 
 
 def build_field_region(cfg: RunConfig, field: float = 0.0) -> FieldRegion:

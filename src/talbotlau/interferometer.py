@@ -25,8 +25,9 @@ from .propagation import (
     SamplingError,
     SamplingReport,
     WaveField,
-    required_dx,
     propagate,
+    required_dx,
+    sampling_report,
 )
 
 __all__ = [
@@ -45,7 +46,7 @@ __all__ = [
 # energy reach of the thermionic gun the defaults are modeled on
 GUN_ENERGY_RANGE_EV = (4500.0, 10000.0)
 
-_DEFAULT_GRATING = GratingSpec(period=1e-7, open_fraction=0.35)
+_DEFAULT_GRATING = GratingSpec(period=1e-7)
 
 
 @dataclass(frozen=True)
@@ -155,37 +156,25 @@ def beamline_grid(cfg: BeamlineConfig) -> GridSpec:
     return GridSpec(x_start=x_start, dx=dx, count=count)
 
 
-def _legs(cfg: BeamlineConfig):
-    return (
-        ("slit2_to_g1", cfg.slit2_to_g1),
-        ("g1_to_g2", cfg.grating_gap),
-        ("g2_to_g3", cfg.grating_gap),
-    )
-
-
 def leg_sampling_reports(cfg: BeamlineConfig) -> list[tuple[str, SamplingReport]]:
     """Sampling criterion for every propagation leg on the shared grid."""
-    grid = beamline_grid(cfg)
+    return _leg_reports(cfg, beamline_grid(cfg))
+
+
+def _leg_reports(cfg: BeamlineConfig, grid: GridSpec) -> list[tuple[str, SamplingReport]]:
     lam = _wavelength(cfg)
     half = 0.5 * grid.span
-    out = [
-        (
-            "source_to_slit2",
-            _leg_report(lam, cfg.slit_separation, 0.0, half, grid.dx),
-        )
-    ]
-    for name, dz in _legs(cfg):
-        out.append((name, _leg_report(lam, dz, half, half, grid.dx)))
-    return out
+    legs = (
+        ("source_to_slit2", cfg.slit_separation, 0.0),
+        ("slit2_to_g1", cfg.slit2_to_g1, half),
+        ("g1_to_g2", cfg.grating_gap, half),
+        ("g2_to_g3", cfg.grating_gap, half),
+    )
+    return [(name, sampling_report(lam, dz, grid.dx, src_half, half)) for name, dz, src_half in legs]
 
 
-def _leg_report(lam, dz, half_src, half_tgt, dx) -> SamplingReport:
-    need = required_dx(lam, dz, half_src, half_tgt)
-    return SamplingReport(ok=dx <= need, dx=dx, required_dx=need)
-
-
-def _require_sampling(cfg: BeamlineConfig):
-    for name, report in leg_sampling_reports(cfg):
+def _require_sampling(cfg: BeamlineConfig, grid: GridSpec):
+    for name, report in _leg_reports(cfg, grid):
         if not report.ok:
             raise SamplingError(
                 f"leg {name}: grid step {report.dx:.4e} m too coarse; "
@@ -208,32 +197,35 @@ def _point_source_field(x_source, distance, grid: GridSpec, wavelength, z) -> Wa
 
 def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
     """Mean throughput over point sources at each third-grating offset."""
-    _require_sampling(cfg)
     grid = beamline_grid(cfg)
+    _require_sampling(cfg, grid)
     lam = _wavelength(cfg)
     plan = lambda dz: PropagationPlan(delta_z=dz, target_grid=grid, method=cfg.propagator)
     g1, g2, g3 = cfg.gratings
     phase = cfg.phase_model
     randomized = phase.random_phase_max > 0.0
-    masks = [grating_amplitude(grid.x, translate_grating(g3, off)) for off in offsets]
-    totals = np.zeros(len(offsets))
+    # the plane transmissions do not depend on the source: build them once
+    unit = WaveField(np.ones(grid.count, dtype=complex), grid.x_start, grid.dx, 0.0, lam)
+    slit2 = apply_plane(unit, cfg.second_slit).amplitudes
+    t1 = apply_plane(unit, g1, phase, plane_index=1, random_phase=randomized).amplitudes
+    t2 = apply_plane(unit, g2, phase, plane_index=2, random_phase=randomized).amplitudes
+    # sources add incoherently, each normalized to the flux it brings to G1
+    intensity = np.zeros(grid.count)
     for x_s in _source_positions(cfg):
         psi = _point_source_field(x_s, cfg.slit_separation, grid, lam, cfg.slit_separation)
-        psi = apply_plane(psi, cfg.second_slit)
+        psi = replace(psi, amplitudes=psi.amplitudes * slit2)
         if psi.total_probability <= 0.0:
             raise ValueError("no flux passes the second collimation slit; check geometry")
         psi = propagate(psi, plan(cfg.slit2_to_g1))
         p_in = psi.total_probability
         if p_in <= 0.0:
             raise ValueError("no flux reaches the first grating; check geometry")
-        psi = apply_plane(psi, g1, phase, plane_index=1, random_phase=randomized)
-        psi = propagate(psi, plan(cfg.grating_gap))
-        psi = apply_plane(psi, g2, phase, plane_index=2, random_phase=randomized)
-        psi = propagate(psi, plan(cfg.grating_gap))
-        intensity = np.abs(psi.amplitudes) ** 2 * grid.dx
-        for j, mask in enumerate(masks):
-            totals[j] += float(np.sum(intensity * mask)) / p_in
-    return totals / cfg.n_sources
+        psi = propagate(replace(psi, amplitudes=psi.amplitudes * t1), plan(cfg.grating_gap))
+        psi = propagate(replace(psi, amplitudes=psi.amplitudes * t2), plan(cfg.grating_gap))
+        intensity += np.abs(psi.amplitudes) ** 2 * (grid.dx / p_in)
+    x = grid.x
+    totals = [float(np.sum(intensity * grating_amplitude(x, translate_grating(g3, off)))) for off in offsets]
+    return np.array(totals) / cfg.n_sources
 
 
 def simulate_throughput(cfg: BeamlineConfig, g3_offset: float) -> float:

@@ -28,6 +28,7 @@ __all__ = [
     "PropagationPlan",
     "SamplingReport",
     "required_dx",
+    "sampling_report",
     "sampling_check",
     "propagate",
     "propagate_direct",
@@ -37,6 +38,10 @@ __all__ = [
 DIRECT = "direct"
 PARAXIAL = "paraxial"
 _METHODS = (DIRECT, PARAXIAL)
+
+# zero-padding of the paraxial FFT buffer; padding below 4x leaves
+# percent-level wrap-around from hard-edged masks
+_PAD_FACTOR = 4.0
 
 
 class SamplingError(ValueError):
@@ -152,6 +157,12 @@ def required_dx(wavelength, delta_z, source_halfspan, target_halfspan):
     return wavelength * delta_z / (2.0 * reach)
 
 
+def sampling_report(wavelength, delta_z, dx, source_halfspan, target_halfspan) -> SamplingReport:
+    """Compare a grid step ``dx`` with ``required_dx`` for one leg."""
+    need = required_dx(wavelength, delta_z, source_halfspan, target_halfspan)
+    return SamplingReport(ok=dx <= need, dx=dx, required_dx=need)
+
+
 def sampling_check(field: WaveField, delta_z: float, target_span: float) -> SamplingReport:
     """Check a field's grid step against ``required_dx`` for one leg.
 
@@ -161,8 +172,7 @@ def sampling_check(field: WaveField, delta_z: float, target_span: float) -> Samp
         raise ValueError("delta_z must be positive")
     if target_span < 0.0:
         raise ValueError("target_span must be nonnegative")
-    need = required_dx(field.wavelength, delta_z, 0.5 * field.span, 0.5 * target_span)
-    return SamplingReport(ok=field.dx <= need, dx=field.dx, required_dx=need)
+    return sampling_report(field.wavelength, delta_z, field.dx, 0.5 * field.span, 0.5 * target_span)
 
 
 def _matched_flux(raw: np.ndarray, dx: float, p_in: float) -> np.ndarray:
@@ -209,12 +219,11 @@ def propagate_direct(
 
 
 @lru_cache(maxsize=8)
-def _transfer(m, dx, wavelength, delta_z, include_axial_phase):
+def _transfer(m, dx, wavelength, delta_z):
     # a fringe scan reuses the same legs for every source, so cache the spectrum
     freq = _fft.fftfreq(m, d=dx)
     h = np.exp(-1j * math.pi * wavelength * delta_z * freq**2)
-    if include_axial_phase:
-        h *= np.exp(2j * math.pi * delta_z / wavelength)
+    h *= np.exp(2j * math.pi * delta_z / wavelength)
     h.flags.writeable = False
     return h
 
@@ -232,36 +241,32 @@ def propagate_paraxial(
     field: WaveField,
     plan: PropagationPlan,
     renormalize: bool = True,
-    pad_factor: float = 4.0,
-    include_axial_phase: bool = True,
 ) -> WaveField:
     """Fast quadratic-phase convolution on a shared uniform grid.
 
-    The kernel spectrum exp(-i pi lambda dz f^2) is applied on a grid
-    zero-padded to at least ``pad_factor`` times the input length, so the
-    cyclic convolution is wrap-free for content that stays inside the
-    window; with |H| = 1 the padded transform is exactly unitary. Padding
-    below 4x leaves percent-level wrap-around from hard-edged masks.
+    The kernel spectrum exp(-i pi lambda dz f^2), times the axial phase
+    exp(i 2 pi dz / lambda), is applied on a grid zero-padded to at least
+    four times the input length, so the cyclic convolution is wrap-free
+    for content that stays inside the window; with |H| = 1 the padded
+    transform is exactly unitary.
     """
     if plan.method != PARAXIAL:
         raise ValueError(f"plan method is {plan.method!r}, expected {PARAXIAL!r}")
     if not _same_grid(field, plan.target_grid):
         raise ValueError("paraxial propagation requires identical source and target grids")
-    if pad_factor < 2.0:
-        raise ValueError("pad_factor must be at least 2")
     n = field.n
-    m = _fft.next_fast_len(int(math.ceil(pad_factor * n)))
+    m = _fft.next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
     buf = np.zeros(m, dtype=complex)
     buf[:n] = field.amplitudes
-    transfer = _transfer(m, field.dx, field.wavelength, plan.delta_z, include_axial_phase)
+    transfer = _transfer(m, field.dx, field.wavelength, plan.delta_z)
     out = _fft.ifft(_fft.fft(buf) * transfer)[:n]
     if renormalize:
         out = _matched_flux(out, field.dx, field.total_probability)
     return WaveField(out, field.x_start, field.dx, field.z + plan.delta_z, field.wavelength)
 
 
-def propagate(field: WaveField, plan: PropagationPlan, **kwargs) -> WaveField:
+def propagate(field: WaveField, plan: PropagationPlan, renormalize: bool = True) -> WaveField:
     """Dispatch on ``plan.method``."""
     if plan.method == DIRECT:
-        return propagate_direct(field, plan, **kwargs)
-    return propagate_paraxial(field, plan, **kwargs)
+        return propagate_direct(field, plan, renormalize)
+    return propagate_paraxial(field, plan, renormalize)

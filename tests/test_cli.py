@@ -226,3 +226,10 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
 def test_missing_config_file_exits_nonzero(capsys):
     assert run_cli(["kinematics", "--config", "/nonexistent/path.cfg"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--grid", "5"), ("--sources", "0"), ("--seed", "-1")])
+def test_out_of_range_flag_exits_nonzero_naming_it(flag, value, capsys):
+    # kinematics builds no beamline, so only the override check can catch these
+    assert run_cli(["kinematics", flag, value]) == 1
+    assert flag in capsys.readouterr().err

@@ -1,9 +1,15 @@
 import math
+import pathlib
+import re
 
 import pytest
 
+from dataclasses import replace
+
 from talbotlau import (
+    BeamlineConfig,
     ConfigError,
+    PhaseModel,
     build_beamline,
     build_cradle,
     build_field_region,
@@ -168,3 +174,20 @@ def test_malformed_section_header():
 def test_bare_line_rejected():
     with pytest.raises(ConfigError):
         parse_config("[beamline]\njust some words\n")
+
+
+def test_sweep_bounds_checked_after_the_whole_file():
+    # each bound alone contradicts the other's default; together they are valid
+    cfg = parse_config("[sweep]\nenergy_max_ev = 4000\nenergy_min_ev = 3000\n")
+    assert (cfg.sweep.energy_min_ev, cfg.sweep.energy_max_ev) == (3000.0, 4000.0)
+
+
+def test_default_beamline_is_the_domain_default():
+    expected = replace(BeamlineConfig(), phase_model=replace(PhaseModel(), rng_seed=12345))
+    assert build_beamline(default_config()) == expected
+
+
+def test_readme_configuration_block_is_the_default():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+    assert parse_config(block) == default_config()
