@@ -49,13 +49,12 @@ from .kinematics import (
 )
 from .propagation import (
     DIRECT,
+    METHODS,
     PARAXIAL,
     GridSpec,
-    PropagationPlan,
     SamplingError,
     SamplingReport,
     WaveField,
-    grid_of,
     propagate,
     propagate_direct,
     propagate_paraxial,

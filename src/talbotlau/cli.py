@@ -24,7 +24,7 @@ from .config import (
 )
 from .interferometer import contrast, leg_sampling_reports, scan_fringe, sweep_energy
 from .kinematics import BeamEnergy, de_broglie_wavelength, resonant_energies, talbot_length
-from .propagation import SamplingError
+from .propagation import METHODS, SamplingError
 from .sensing import (
     cradle_field,
     predict_throughput,
@@ -35,18 +35,6 @@ from .sensing import (
 )
 
 __all__ = ["main"]
-
-_COMMANDS = (
-    "kinematics",
-    "sweep-energy",
-    "sweep-field",
-    "fringe",
-    "step",
-    "sensitivity",
-    "scale",
-    "validate",
-)
-
 
 def _format_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
@@ -206,9 +194,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="override [run] seed")
     common.add_argument("--sources", type=int, help="override [beamline] n_sources")
     common.add_argument("--grid", type=int, help="override [beamline] grid_points (0 = automatic)")
-    common.add_argument("--propagator", choices=("direct", "paraxial"), help="override [beamline] propagator")
+    common.add_argument("--propagator", choices=METHODS, help="override [beamline] propagator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _DISPATCH:
         sub.add_parser(name, parents=[common], help=f"run the {name} command")
     return parser
 

@@ -97,22 +97,22 @@ def aperture_amplitude(x, aperture: ApertureSpec):
 
 
 def _comb_coordinates(x, grating: GratingSpec):
-    """Slit index and signed distance from the nearest slit center."""
-    u = (np.asarray(x, dtype=float) - grating.offset) / grating.period
-    n = np.floor(u + 0.5)
-    v = (u - n) * grating.period
-    return n.astype(int), v
-
-
-def grating_amplitude(x, grating: GratingSpec):
-    """Comb transmission: 1 inside an open slit, 0 on a bar.
+    """Slit index, signed distance from the nearest slit center, open mask.
 
     Slit n spans n*d + offset +- f*d/2; boundary points are open.
     """
-    xs = np.asarray(x, dtype=float)
-    _, v = _comb_coordinates(xs, grating)
+    u = (np.asarray(x, dtype=float) - grating.offset) / grating.period
+    n = np.floor(u + 0.5)
+    v = (u - n) * grating.period
     # pad by a relative ulp so edge inclusion cannot flip with grid rounding
-    mask = np.abs(v) <= 0.5 * grating.open_fraction * grating.period * (1.0 + 1e-12)
+    open_pts = np.abs(v) <= 0.5 * grating.open_fraction * grating.period * (1.0 + 1e-12)
+    return n.astype(int), v, open_pts
+
+
+def grating_amplitude(x, grating: GratingSpec):
+    """Comb transmission: 1 inside an open slit, 0 on a bar."""
+    xs = np.asarray(x, dtype=float)
+    _, _, mask = _comb_coordinates(xs, grating)
     if math.isfinite(grating.extent):
         mask &= np.abs(xs) <= 0.5 * grating.extent
     out = mask.astype(float)
@@ -137,9 +137,8 @@ def _slit_random_phase(seed: int, plane_index: int, slit_index: int, limit: floa
 def _grating_phase(x, grating, phase, plane_index, random_phase):
     """Phase profile on open points; zero elsewhere."""
     xs = np.asarray(x, dtype=float)
-    slit_idx, v = _comb_coordinates(xs, grating)
+    slit_idx, v, open_pts = _comb_coordinates(xs, grating)
     phi = np.zeros(xs.shape)
-    open_pts = np.abs(v) <= 0.5 * grating.open_fraction * grating.period
     if not np.any(open_pts):
         return phi
     if phase.image_charge_strength > 0.0:

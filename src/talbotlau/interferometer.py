@@ -20,8 +20,9 @@ import numpy as np
 from .elements import ApertureSpec, GratingSpec, PhaseModel, apply_plane, grating_amplitude, translate_grating
 from .kinematics import ELECTRON, BeamEnergy, ParticleSpec, de_broglie_wavelength
 from .propagation import (
+    METHODS,
+    PARAXIAL,
     GridSpec,
-    PropagationPlan,
     SamplingError,
     SamplingReport,
     WaveField,
@@ -75,9 +76,10 @@ class BeamlineConfig:
 
     Distances in meters: the two collimation slits sit ``slit_separation``
     apart, the first grating ``slit2_to_g1`` behind the second slit, and
-    the three gratings ``grating_gap`` apart. ``grid_step``/``grid_points``
-    pin the shared transverse grid; when both are None the step is chosen
-    automatically from the sampling criterion (at most 1 nm).
+    the three gratings ``grating_gap`` apart. ``grid_step`` or
+    ``grid_points`` (at most one) pins the shared transverse grid; when
+    both are None the step is chosen automatically from the sampling
+    criterion (at most 1 nm).
     """
 
     source_slit: ApertureSpec = ApertureSpec(width=5e-6)
@@ -90,7 +92,7 @@ class BeamlineConfig:
     energy: BeamEnergy = BeamEnergy(1e4)
     particle: ParticleSpec = ELECTRON
     n_sources: int = 32
-    propagator: str = "paraxial"
+    propagator: str = PARAXIAL
     grid_step: float | None = None
     grid_points: int | None = None
     window_factor: float = 1.5
@@ -103,8 +105,10 @@ class BeamlineConfig:
             raise ValueError("exactly three gratings are required")
         if self.n_sources < 1:
             raise ValueError("n_sources must be at least 1")
-        if self.propagator not in ("direct", "paraxial"):
+        if self.propagator not in METHODS:
             raise ValueError(f"unknown propagator {self.propagator!r}")
+        if self.grid_step is not None and self.grid_points is not None:
+            raise ValueError("set grid_step or grid_points, not both")
         if self.grid_step is not None and not self.grid_step > 0.0:
             raise ValueError("grid_step must be positive")
         if self.grid_points is not None and self.grid_points < 16:
@@ -200,7 +204,6 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
     grid = beamline_grid(cfg)
     _require_sampling(cfg, grid)
     lam = _wavelength(cfg)
-    plan = lambda dz: PropagationPlan(delta_z=dz, target_grid=grid, method=cfg.propagator)
     g1, g2, g3 = cfg.gratings
     phase = cfg.phase_model
     randomized = phase.random_phase_max > 0.0
@@ -216,12 +219,12 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
         psi = replace(psi, amplitudes=psi.amplitudes * slit2)
         if psi.total_probability <= 0.0:
             raise ValueError("no flux passes the second collimation slit; check geometry")
-        psi = propagate(psi, plan(cfg.slit2_to_g1))
+        psi = propagate(psi, cfg.slit2_to_g1, cfg.propagator)
         p_in = psi.total_probability
         if p_in <= 0.0:
             raise ValueError("no flux reaches the first grating; check geometry")
-        psi = propagate(replace(psi, amplitudes=psi.amplitudes * t1), plan(cfg.grating_gap))
-        psi = propagate(replace(psi, amplitudes=psi.amplitudes * t2), plan(cfg.grating_gap))
+        psi = propagate(replace(psi, amplitudes=psi.amplitudes * t1), cfg.grating_gap, cfg.propagator)
+        psi = propagate(replace(psi, amplitudes=psi.amplitudes * t2), cfg.grating_gap, cfg.propagator)
         intensity += np.abs(psi.amplitudes) ** 2 * (grid.dx / p_in)
     x = grid.x
     totals = [float(np.sum(intensity * grating_amplitude(x, translate_grating(g3, off)))) for off in offsets]

@@ -5,10 +5,10 @@ quadrature of exp(i 2 pi r / lambda) over every source sample, with
 r the exact point-to-point path length. ``propagate_paraxial`` is the fast
 variant: convolution with the quadratic-phase kernel
 exp(i pi (x - x')^2 / (lambda dz)), evaluated as a padded cyclic FFT
-convolution on a shared uniform grid. Both drop the Huygens amplitude
-prefactor and instead rescale the output so total probability matches the
-input; every downstream observable is a flux ratio, so the overall scale
-is immaterial.
+convolution on a shared uniform grid. ``propagate`` picks one by its name
+in ``METHODS``. Both drop the Huygens amplitude prefactor and instead
+rescale the output so total probability matches the input; every
+downstream observable is a flux ratio, so the overall scale is immaterial.
 """
 
 from dataclasses import dataclass
@@ -22,10 +22,10 @@ from scipy import fft as _fft
 __all__ = [
     "DIRECT",
     "PARAXIAL",
+    "METHODS",
     "SamplingError",
     "WaveField",
     "GridSpec",
-    "PropagationPlan",
     "SamplingReport",
     "required_dx",
     "sampling_report",
@@ -37,7 +37,7 @@ __all__ = [
 
 DIRECT = "direct"
 PARAXIAL = "paraxial"
-_METHODS = (DIRECT, PARAXIAL)
+METHODS = (DIRECT, PARAXIAL)
 
 # zero-padding of the paraxial FFT buffer; padding below 4x leaves
 # percent-level wrap-around from hard-edged masks
@@ -115,26 +115,6 @@ class GridSpec:
         return (self.count - 1) * self.dx
 
 
-def grid_of(field: WaveField) -> GridSpec:
-    """The grid a field is sampled on."""
-    return GridSpec(field.x_start, field.dx, field.n)
-
-
-@dataclass(frozen=True)
-class PropagationPlan:
-    """One free-space leg: distance, output grid and kernel choice."""
-
-    delta_z: float
-    target_grid: GridSpec
-    method: str = PARAXIAL
-
-    def __post_init__(self):
-        if not self.delta_z > 0.0:
-            raise ValueError("propagation distance delta_z must be positive")
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown propagation method {self.method!r}")
-
-
 @dataclass(frozen=True)
 class SamplingReport:
     """Outcome of the kernel-oscillation sampling criterion."""
@@ -184,23 +164,23 @@ def _matched_flux(raw: np.ndarray, dx: float, p_in: float) -> np.ndarray:
 
 def propagate_direct(
     field: WaveField,
-    plan: PropagationPlan,
+    delta_z: float,
+    target: GridSpec | None = None,
     renormalize: bool = True,
     override_sampling: bool = False,
 ) -> WaveField:
-    """Quadrature of the exact path-length phase onto the target grid.
+    """Quadrature of the exact path-length phase onto ``target``.
 
-    O(N_src * N_tgt); use it as the oracle on small grids. Refuses to run
-    when the sampling criterion fails unless ``override_sampling`` is set.
+    ``target`` defaults to the field's own grid. O(N_src * N_tgt); use it
+    as the oracle on small grids. Refuses to run when the sampling
+    criterion fails unless ``override_sampling`` is set.
     """
-    if plan.method != DIRECT:
-        raise ValueError(f"plan method is {plan.method!r}, expected {DIRECT!r}")
-    tgt = plan.target_grid
-    report = sampling_check(field, plan.delta_z, tgt.span)
+    tgt = target if target is not None else GridSpec(field.x_start, field.dx, field.n)
+    report = sampling_check(field, delta_z, tgt.span)
     if not report.ok and not override_sampling:
         raise SamplingError(
             f"grid step {report.dx:.4e} m too coarse for a direct propagation "
-            f"over {plan.delta_z:.4e} m; required dx <= {report.required_dx:.4e} m"
+            f"over {delta_z:.4e} m; required dx <= {report.required_dx:.4e} m"
         )
     k = 2.0 * math.pi / field.wavelength
     x_src = field.x
@@ -210,12 +190,12 @@ def propagate_direct(
     block = max(1, 4_000_000 // field.n)
     for i0 in range(0, tgt.count, block):
         rows = slice(i0, min(i0 + block, tgt.count))
-        r = np.hypot(x_tgt[rows, None] - x_src[None, :], plan.delta_z)
+        r = np.hypot(x_tgt[rows, None] - x_src[None, :], delta_z)
         out[rows] = np.exp(1j * k * r) @ field.amplitudes
     out *= field.dx
     if renormalize:
         out = _matched_flux(out, tgt.dx, field.total_probability)
-    return WaveField(out, tgt.x_start, tgt.dx, field.z + plan.delta_z, field.wavelength)
+    return WaveField(out, tgt.x_start, tgt.dx, field.z + delta_z, field.wavelength)
 
 
 @lru_cache(maxsize=8)
@@ -228,21 +208,8 @@ def _transfer(m, dx, wavelength, delta_z):
     return h
 
 
-def _same_grid(field: WaveField, grid: GridSpec) -> bool:
-    tol = 1e-9 * field.dx
-    return (
-        grid.count == field.n
-        and abs(grid.x_start - field.x_start) <= tol
-        and abs(grid.dx - field.dx) <= tol
-    )
-
-
-def propagate_paraxial(
-    field: WaveField,
-    plan: PropagationPlan,
-    renormalize: bool = True,
-) -> WaveField:
-    """Fast quadratic-phase convolution on a shared uniform grid.
+def propagate_paraxial(field: WaveField, delta_z: float, renormalize: bool = True) -> WaveField:
+    """Fast quadratic-phase convolution; the output keeps the input grid.
 
     The kernel spectrum exp(-i pi lambda dz f^2), times the axial phase
     exp(i 2 pi dz / lambda), is applied on a grid zero-padded to at least
@@ -250,23 +217,23 @@ def propagate_paraxial(
     for content that stays inside the window; with |H| = 1 the padded
     transform is exactly unitary.
     """
-    if plan.method != PARAXIAL:
-        raise ValueError(f"plan method is {plan.method!r}, expected {PARAXIAL!r}")
-    if not _same_grid(field, plan.target_grid):
-        raise ValueError("paraxial propagation requires identical source and target grids")
+    if not delta_z > 0.0:
+        raise ValueError("delta_z must be positive")
     n = field.n
     m = _fft.next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
     buf = np.zeros(m, dtype=complex)
     buf[:n] = field.amplitudes
-    transfer = _transfer(m, field.dx, field.wavelength, plan.delta_z)
+    transfer = _transfer(m, field.dx, field.wavelength, delta_z)
     out = _fft.ifft(_fft.fft(buf) * transfer)[:n]
     if renormalize:
         out = _matched_flux(out, field.dx, field.total_probability)
-    return WaveField(out, field.x_start, field.dx, field.z + plan.delta_z, field.wavelength)
+    return WaveField(out, field.x_start, field.dx, field.z + delta_z, field.wavelength)
 
 
-def propagate(field: WaveField, plan: PropagationPlan, renormalize: bool = True) -> WaveField:
-    """Dispatch on ``plan.method``."""
-    if plan.method == DIRECT:
-        return propagate_direct(field, plan, renormalize)
-    return propagate_paraxial(field, plan, renormalize)
+def propagate(field: WaveField, delta_z: float, method: str = PARAXIAL, renormalize: bool = True) -> WaveField:
+    """Carry ``field`` ``delta_z`` downstream on its own grid with the named kernel."""
+    if method == DIRECT:
+        return propagate_direct(field, delta_z, renormalize=renormalize)
+    if method == PARAXIAL:
+        return propagate_paraxial(field, delta_z, renormalize)
+    raise ValueError(f"unknown propagation method {method!r}")

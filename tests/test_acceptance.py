@@ -17,9 +17,10 @@ from talbotlau import (
     BeamEnergy,
     BeamlineConfig,
     CradleSpec,
+    DIRECT,
     FieldRegion,
     GridSpec,
-    PropagationPlan,
+    PARAXIAL,
     WaveField,
     contrast,
     cradle_field,
@@ -27,6 +28,7 @@ from talbotlau import (
     field_for_deflection,
     misalignment_factor,
     propagate,
+    propagate_direct,
     resonant_energies,
     sampling_check,
     scaled_sensitivity,
@@ -80,8 +82,8 @@ def test_criterion_3_propagator_equivalence():
     x = grid.x
     slits = (np.abs(x - 0.75e-6) <= 0.3e-6) | (np.abs(x + 0.75e-6) <= 0.3e-6)
     field = WaveField(slits.astype(complex), grid.x_start, dx, 0.0, lam)
-    direct = propagate(field, PropagationPlan(GAP, grid, "direct"))
-    paraxial = propagate(field, PropagationPlan(GAP, grid, "paraxial"))
+    direct = propagate(field, GAP, DIRECT)
+    paraxial = propagate(field, GAP, PARAXIAL)
     i_d = np.abs(direct.amplitudes) ** 2
     i_p = np.abs(paraxial.amplitudes) ** 2
     l2 = float(np.linalg.norm(i_p - i_d) / np.linalg.norm(i_d))
@@ -95,7 +97,7 @@ def test_criterion_3_propagator_equivalence():
     pointy = WaveField(two.astype(complex), src.x_start, src.dx, 0.0, lam)
     target = GridSpec(-60e-6, 30e-9, 4001)
     assert sampling_check(pointy, dz, target.span).ok
-    out = propagate(pointy, PropagationPlan(dz, target, "direct"))
+    out = propagate_direct(pointy, dz, target)
     intensity = np.abs(out.amplitudes) ** 2
     peaks = [
         i

@@ -187,7 +187,20 @@ def test_default_beamline_is_the_domain_default():
     assert build_beamline(default_config()) == expected
 
 
+def _section_keys(text):
+    keys, section = [], None
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line[1:-1]
+        elif "=" in line:
+            keys.append((section, line.partition("=")[0].strip()))
+    return keys
+
+
 def test_readme_configuration_block_is_the_default():
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
     assert parse_config(block) == default_config()
+    # the block lists every key, not just the ones whose omission is noticed
+    assert sorted(_section_keys(block)) == sorted(_section_keys(serialize_config(default_config())))

@@ -185,6 +185,16 @@ def test_image_charge_phase_profile():
     assert np.angle(out.amplitudes[center_idx]) == pytest.approx(expected_center, rel=0.05)
 
 
+def test_open_edge_pad_carries_the_slit_phase():
+    # a sample a few ulp past the slit wall counts as open, so it gets the
+    # wall's image-charge phase (strength/range = 0.15 rad) and the slit's draw
+    field = WaveField(np.ones(4, dtype=complex), 0.5 * 0.35 * D * (1 + 3e-13), 1e-9, 0.0, 1e-11)
+    phase = PhaseModel(image_charge_strength=3e-9, image_charge_range=2e-8, random_phase_max=1.0, rng_seed=3)
+    out = apply_plane(field, GratingSpec(D), phase, plane_index=1, random_phase=True)
+    assert abs(out.amplitudes[0]) == pytest.approx(1.0)
+    assert np.angle(out.amplitudes[0]) >= 0.15
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         GratingSpec(period=0.0, open_fraction=0.35)

@@ -65,6 +65,20 @@ def test_nearly_open_gratings_pass_beam():
     assert simulate_throughput(cfg, 0.0) >= 0.99
 
 
+def test_direct_kernel_scan_tracks_paraxial():
+    # dispatch guard: a scan with propagator="direct" runs the direct kernel on
+    # every leg and lands near the paraxial fringe; the gap between the two
+    # kernels on long legs is a separate convergence question
+    cfg = BeamlineConfig(
+        source_slit=ApertureSpec(1e-6), second_slit=ApertureSpec(1e-6), n_sources=2, grid_points=2049
+    )
+    paraxial = scan_fringe(cfg, 8)
+    direct = scan_fringe(replace(cfg, propagator="direct"), 8)
+    mean = paraxial.throughput.mean()
+    assert np.max(np.abs(direct.throughput - paraxial.throughput)) <= 0.02 * mean
+    assert abs(contrast(direct) - contrast(paraxial)) <= 0.01
+
+
 def test_single_centered_source_bounded_by_open_fraction():
     cfg = fast_config(n_sources=1)
     for off in (0.0, 0.25 * D, 0.5 * D):
@@ -205,6 +219,8 @@ def test_beamline_validation():
         BeamlineConfig(propagator="angular")
     with pytest.raises(ValueError):
         BeamlineConfig(window_factor=0.5)
+    with pytest.raises(ValueError):
+        BeamlineConfig(second_slit=ApertureSpec(2e-6), grid_step=2.5e-10, grid_points=4097)
 
 
 def test_fringe_curve_validation():

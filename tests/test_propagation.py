@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from talbotlau import (
+    DIRECT,
+    PARAXIAL,
     GridSpec,
-    PropagationPlan,
     SamplingError,
     WaveField,
     propagate,
@@ -31,7 +32,7 @@ def test_point_source_gives_flat_magnitude():
     amp[200] = 1.0
     field = WaveField(amp, -256e-9, 1e-9, 0.0, LAM)
     target = centered_grid(512, 8e-9)
-    out = propagate(field, PropagationPlan(1e-3, target, "direct"))
+    out = propagate_direct(field, 1e-3, target)
     mag = np.abs(out.amplitudes)
     assert (mag.max() - mag.min()) / mag.mean() < 1e-12
 
@@ -43,7 +44,7 @@ def test_double_slit_far_field_period_matches_analytic():
     field = double_slit_field(src, 0.3e-6, separation)
     target = GridSpec(-60e-6, 30e-9, 4001)
     assert sampling_check(field, dz, target.span).ok
-    out = propagate(field, PropagationPlan(dz, target, "direct"))
+    out = propagate_direct(field, dz, target)
     intensity = np.abs(out.amplitudes) ** 2
     peaks = [
         i
@@ -60,7 +61,7 @@ def test_double_slit_far_field_period_matches_analytic():
 def test_plane_wave_central_region_stays_flat():
     grid = centered_grid(4096, 2e-9)
     field = WaveField(np.ones(4096, dtype=complex), grid.x_start, grid.dx, 0.0, LAM)
-    out = propagate(field, PropagationPlan(1e-4, grid, "paraxial"))
+    out = propagate(field, 1e-4, PARAXIAL)
     center = np.abs(out.amplitudes[1548:2548]) ** 2
     assert center.max() / center.min() - 1 < 0.01
 
@@ -69,8 +70,8 @@ def test_paraxial_matches_direct_on_2048_point_double_slit():
     grid = centered_grid(2048, 4.2e-6 / 2048)
     field = double_slit_field(grid, 0.6e-6, 1.5e-6)
     dz = 3.06e-3
-    direct = propagate(field, PropagationPlan(dz, grid, "direct"))
-    paraxial = propagate(field, PropagationPlan(dz, grid, "paraxial"))
+    direct = propagate(field, dz, DIRECT)
+    paraxial = propagate(field, dz, PARAXIAL)
     i_d = np.abs(direct.amplitudes) ** 2
     i_p = np.abs(paraxial.amplitudes) ** 2
     err = np.linalg.norm(i_p - i_d) / np.linalg.norm(i_d)
@@ -83,9 +84,8 @@ def test_paraxial_is_linear_before_renormalization():
     a1 = rng.normal(size=2048) + 1j * rng.normal(size=2048)
     a2 = rng.normal(size=2048) + 1j * rng.normal(size=2048)
     ca, cb = 0.7 - 0.2j, -1.3 + 0.5j
-    plan = PropagationPlan(1e-3, grid, "paraxial")
     f = lambda amp: propagate(
-        WaveField(amp, grid.x_start, grid.dx, 0.0, LAM), plan, renormalize=False
+        WaveField(amp, grid.x_start, grid.dx, 0.0, LAM), 1e-3, PARAXIAL, renormalize=False
     ).amplitudes
     combined = f(ca * a1 + cb * a2)
     superposed = ca * f(a1) + cb * f(a2)
@@ -96,10 +96,9 @@ def test_flux_conservation():
     grid = centered_grid(4096, 2e-9)
     gauss = np.exp(-((grid.x / 1.5e-6) ** 2)).astype(complex)
     field = WaveField(gauss, grid.x_start, grid.dx, 0.0, LAM)
-    plan = PropagationPlan(3.06e-3, grid, "paraxial")
-    renorm = propagate(field, plan)
+    renorm = propagate(field, 3.06e-3, PARAXIAL)
     assert renorm.total_probability == pytest.approx(field.total_probability, rel=1e-12)
-    raw = propagate(field, plan, renormalize=False)
+    raw = propagate(field, 3.06e-3, PARAXIAL, renormalize=False)
     drift = abs(raw.total_probability - field.total_probability) / field.total_probability
     assert drift < 1e-6
 
@@ -129,46 +128,30 @@ def test_direct_refuses_coarse_grid_and_names_required_dx():
     field = WaveField(np.ones(2001, dtype=complex), -10e-6, 10e-9, 0.0, LAM)
     target = GridSpec(-10e-6, 10e-9, 2001)
     with pytest.raises(SamplingError) as err:
-        propagate_direct(field, PropagationPlan(3.06e-3, target, "direct"))
+        propagate_direct(field, 3.06e-3, target)
     assert "required dx" in str(err.value)
-    out = propagate_direct(field, PropagationPlan(3.06e-3, target, "direct"), override_sampling=True)
+    out = propagate_direct(field, 3.06e-3, target, override_sampling=True)
     assert out.n == 2001
 
 
 def test_reciprocity_under_reflection():
     grid = centered_grid(4096, 2e-9)
     sym = np.exp(-((grid.x / 1e-6) ** 2)) * (1 + 0.3 * np.cos(2 * np.pi * grid.x / 5e-7))
-    plan = PropagationPlan(2e-3, grid, "paraxial")
     field = WaveField(sym.astype(complex), grid.x_start, grid.dx, 0.0, LAM)
-    forward = propagate(field, plan, renormalize=False).amplitudes
+    forward = propagate_paraxial(field, 2e-3, renormalize=False).amplitudes
     mirrored = WaveField(field.amplitudes[::-1], grid.x_start, grid.dx, 0.0, LAM)
-    swapped = propagate(mirrored, plan, renormalize=False).amplitudes
+    swapped = propagate_paraxial(mirrored, 2e-3, renormalize=False).amplitudes
     assert np.linalg.norm(forward[::-1] - swapped) / np.linalg.norm(forward) < 1e-10
 
 
-def test_paraxial_requires_matching_grids():
-    grid = centered_grid(256, 1e-9)
-    other = GridSpec(grid.x_start, 2e-9, 256)
-    field = WaveField(np.ones(256, dtype=complex), grid.x_start, grid.dx, 0.0, LAM)
-    with pytest.raises(ValueError):
-        propagate_paraxial(field, PropagationPlan(1e-3, other, "paraxial"))
-
-
-def test_method_mismatch_rejected():
+def test_propagate_validation():
     grid = centered_grid(256, 1e-9)
     field = WaveField(np.ones(256, dtype=complex), grid.x_start, grid.dx, 0.0, LAM)
+    for method in (DIRECT, PARAXIAL):
+        with pytest.raises(ValueError):
+            propagate(field, 0.0, method)
     with pytest.raises(ValueError):
-        propagate_direct(field, PropagationPlan(1e-3, grid, "paraxial"))
-    with pytest.raises(ValueError):
-        propagate_paraxial(field, PropagationPlan(1e-3, grid, "direct"))
-
-
-def test_plan_validation():
-    grid = centered_grid(256, 1e-9)
-    with pytest.raises(ValueError):
-        PropagationPlan(0.0, grid, "direct")
-    with pytest.raises(ValueError):
-        PropagationPlan(1e-3, grid, "magic")
+        propagate(field, 1e-3, "magic")
     with pytest.raises(ValueError):
         GridSpec(0.0, 1e-9, 1)
 
