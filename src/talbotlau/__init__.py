@@ -12,7 +12,6 @@ from .config import (
     ConfigError,
     RunConfig,
     build_beamline,
-    build_cradle,
     build_field_region,
     default_config,
     parse_config,

@@ -16,7 +16,6 @@ from .config import (
     ConfigError,
     RunConfig,
     build_beamline,
-    build_cradle,
     build_field_region,
     default_config,
     override,
@@ -85,10 +84,9 @@ def _cmd_sweep_field(cfg: RunConfig):
     beamline = build_beamline(cfg)
     curve = scan_fringe(beamline, s.n_offsets)
     region = build_field_region(cfg)
-    cradle = build_cradle(cfg)
     rows = []
     for current in np.linspace(s.current_min, s.current_max, s.current_points):
-        field = cradle_field(dataclasses.replace(cradle, current=current))
+        field = cradle_field(dataclasses.replace(cfg.cradle, current=current))
         thr = predict_throughput(curve, field, region, beamline.energy, beamline.particle)
         rows.append((current, field, thr))
     return ("current_A", "B_T", "throughput"), rows

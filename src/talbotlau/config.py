@@ -26,7 +26,6 @@ __all__ = [
     "default_config",
     "override",
     "build_beamline",
-    "build_cradle",
     "build_field_region",
 ]
 
@@ -285,10 +284,6 @@ def build_beamline(cfg: RunConfig) -> BeamlineConfig:
         grid_points=b.grid_points if b.grid_points else None,
         window_factor=b.window_factor,
     )
-
-
-def build_cradle(cfg: RunConfig) -> CradleSpec:
-    return cfg.cradle
 
 
 def build_field_region(cfg: RunConfig, field: float = 0.0) -> FieldRegion:

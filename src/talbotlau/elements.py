@@ -134,7 +134,7 @@ def _slit_random_phase(seed: int, plane_index: int, slit_index: int, limit: floa
     return float(np.random.default_rng(ss).uniform(0.0, limit))
 
 
-def _grating_phase(x, grating, phase, plane_index, random_phase):
+def _grating_phase(x, grating, phase, plane_index):
     """Phase profile on open points; zero elsewhere."""
     xs = np.asarray(x, dtype=float)
     slit_idx, v, open_pts = _comb_coordinates(xs, grating)
@@ -148,7 +148,7 @@ def _grating_phase(x, grating, phase, plane_index, random_phase):
             / phase.image_charge_range
             * np.exp(-wall_distance / phase.image_charge_range)
         )
-    if random_phase and phase.random_phase_max > 0.0:
+    if phase.random_phase_max > 0.0:
         draws = {
             n: _slit_random_phase(phase.rng_seed, plane_index, n, phase.random_phase_max)
             for n in np.unique(slit_idx[open_pts])
@@ -162,17 +162,16 @@ def apply_plane(
     element,
     phase: PhaseModel | None = None,
     plane_index: int = 0,
-    random_phase: bool = False,
 ) -> WaveField:
     """Multiply a field by a plane element's A(x) exp(i phi(x)).
 
-    ``plane_index`` keys the per-slit random phase stream; set
-    ``random_phase`` only on the planes where the random potential acts.
+    ``plane_index`` keys the per-slit random phase stream, which acts on
+    every grating whose ``phase`` has ``random_phase_max > 0``.
     Raises if the element does not geometrically overlap the grid.
     """
     if plane_index < 0:
         raise ValueError("plane_index must be nonnegative")
-    x = field.x
+    x = field.grid.x
     lo, hi = x[0], x[-1]
     if isinstance(element, ApertureSpec):
         if element.center + 0.5 * element.width < lo or element.center - 0.5 * element.width > hi:
@@ -184,10 +183,8 @@ def apply_plane(
             raise ValueError("grating extent does not overlap the field grid")
         amp = grating_amplitude(x, element)
         out = field.amplitudes * amp
-        if phase is not None and (
-            phase.image_charge_strength > 0.0 or (random_phase and phase.random_phase_max > 0.0)
-        ):
-            out = out * np.exp(1j * _grating_phase(x, element, phase, plane_index, random_phase))
+        if phase is not None and (phase.image_charge_strength > 0.0 or phase.random_phase_max > 0.0):
+            out = out * np.exp(1j * _grating_phase(x, element, phase, plane_index))
     else:
         raise TypeError(f"unsupported plane element {type(element).__name__}")
-    return WaveField(out, field.x_start, field.dx, field.z, field.wavelength)
+    return WaveField(out, field.grid, field.wavelength)

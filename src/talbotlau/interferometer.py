@@ -52,10 +52,15 @@ _DEFAULT_GRATING = GratingSpec(period=1e-7)
 
 @dataclass(frozen=True)
 class FringeCurve:
-    """Throughput sampled at increasing third-grating offsets."""
+    """Throughput sampled at increasing third-grating offsets.
+
+    The fringe repeats every ``period`` [m]; the offsets lie within one
+    period of the first.
+    """
 
     offsets: np.ndarray
     throughput: np.ndarray
+    period: float
 
     def __post_init__(self):
         off = np.asarray(self.offsets, dtype=float)
@@ -66,6 +71,10 @@ class FringeCurve:
             raise ValueError("offsets must be strictly increasing")
         if not np.all(np.isfinite(thr)) or np.any(thr < 0.0):
             raise ValueError("throughput must be finite and nonnegative")
+        if not 0.0 < self.period < math.inf:
+            raise ValueError("period must be positive and finite")
+        if not off[-1] < off[0] + self.period:
+            raise ValueError("offsets must lie within one period of the first")
         object.__setattr__(self, "offsets", off)
         object.__setattr__(self, "throughput", thr)
 
@@ -193,10 +202,10 @@ def _source_positions(cfg: BeamlineConfig) -> np.ndarray:
     return cfg.source_slit.center - 0.5 * w + (k + 0.5) * (w / cfg.n_sources)
 
 
-def _point_source_field(x_source, distance, grid: GridSpec, wavelength, z) -> WaveField:
+def _point_source_field(x_source, distance, grid: GridSpec, wavelength) -> WaveField:
     # single-term direct kernel: unit-amplitude spherical wave from one point
     r = np.hypot(grid.x - x_source, distance)
-    return WaveField(np.exp(2j * np.pi * r / wavelength), grid.x_start, grid.dx, z, wavelength)
+    return WaveField(np.exp(2j * np.pi * r / wavelength), grid, wavelength)
 
 
 def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
@@ -206,16 +215,15 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
     lam = _wavelength(cfg)
     g1, g2, g3 = cfg.gratings
     phase = cfg.phase_model
-    randomized = phase.random_phase_max > 0.0
     # the plane transmissions do not depend on the source: build them once
-    unit = WaveField(np.ones(grid.count, dtype=complex), grid.x_start, grid.dx, 0.0, lam)
+    unit = WaveField(np.ones(grid.count, dtype=complex), grid, lam)
     slit2 = apply_plane(unit, cfg.second_slit).amplitudes
-    t1 = apply_plane(unit, g1, phase, plane_index=1, random_phase=randomized).amplitudes
-    t2 = apply_plane(unit, g2, phase, plane_index=2, random_phase=randomized).amplitudes
+    t1 = apply_plane(unit, g1, phase, plane_index=1).amplitudes
+    t2 = apply_plane(unit, g2, phase, plane_index=2).amplitudes
     # sources add incoherently, each normalized to the flux it brings to G1
     intensity = np.zeros(grid.count)
     for x_s in _source_positions(cfg):
-        psi = _point_source_field(x_s, cfg.slit_separation, grid, lam, cfg.slit_separation)
+        psi = _point_source_field(x_s, cfg.slit_separation, grid, lam)
         psi = replace(psi, amplitudes=psi.amplitudes * slit2)
         if psi.total_probability <= 0.0:
             raise ValueError("no flux passes the second collimation slit; check geometry")
@@ -246,7 +254,7 @@ def scan_fringe(cfg: BeamlineConfig, n_offsets: int = 16) -> FringeCurve:
         raise ValueError("n_offsets must be at least 8")
     d = cfg.gratings[2].period
     offsets = np.arange(n_offsets) * (d / n_offsets)
-    return FringeCurve(offsets=offsets, throughput=_fringe_totals(cfg, offsets))
+    return FringeCurve(offsets=offsets, throughput=_fringe_totals(cfg, offsets), period=d)
 
 
 def contrast(curve: FringeCurve) -> float:

@@ -49,52 +49,8 @@ class SamplingError(ValueError):
 
 
 @dataclass(frozen=True)
-class WaveField:
-    """Complex amplitude sampled on a uniform transverse grid.
-
-    ``x_start`` is the coordinate of the first sample, ``dx`` the grid
-    step, ``z`` the plane position along the beam axis; all meters.
-    """
-
-    amplitudes: np.ndarray
-    x_start: float
-    dx: float
-    z: float
-    wavelength: float
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.ndim != 1 or amp.size < 2:
-            raise ValueError("amplitudes must be a 1-D array with at least 2 samples")
-        if not np.all(np.isfinite(amp)):
-            raise ValueError("amplitudes must be finite")
-        if not self.dx > 0.0:
-            raise ValueError("grid step dx must be positive")
-        if not self.wavelength > 0.0:
-            raise ValueError("wavelength must be positive")
-        object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def n(self) -> int:
-        return self.amplitudes.size
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.x_start + self.dx * np.arange(self.n)
-
-    @property
-    def span(self) -> float:
-        """Distance between the first and last sample."""
-        return (self.n - 1) * self.dx
-
-    @property
-    def total_probability(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.dx)
-
-
-@dataclass(frozen=True)
 class GridSpec:
-    """Uniform target grid: first sample, step, number of samples."""
+    """Uniform transverse grid: first sample, step, number of samples."""
 
     x_start: float
     dx: float
@@ -112,7 +68,34 @@ class GridSpec:
 
     @property
     def span(self) -> float:
+        """Distance between the first and last sample."""
         return (self.count - 1) * self.dx
+
+
+@dataclass(frozen=True)
+class WaveField:
+    """Complex amplitude sampled on a uniform transverse grid.
+
+    ``amplitudes[i]`` is the amplitude at ``grid.x[i]``; lengths in meters.
+    """
+
+    amplitudes: np.ndarray
+    grid: GridSpec
+    wavelength: float
+
+    def __post_init__(self):
+        amp = np.asarray(self.amplitudes, dtype=complex)
+        if amp.ndim != 1 or amp.size != self.grid.count:
+            raise ValueError("amplitudes must be a 1-D array with one sample per grid point")
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("amplitudes must be finite")
+        if not self.wavelength > 0.0:
+            raise ValueError("wavelength must be positive")
+        object.__setattr__(self, "amplitudes", amp)
+
+    @property
+    def total_probability(self) -> float:
+        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx)
 
 
 @dataclass(frozen=True)
@@ -152,7 +135,7 @@ def sampling_check(field: WaveField, delta_z: float, target_span: float) -> Samp
         raise ValueError("delta_z must be positive")
     if target_span < 0.0:
         raise ValueError("target_span must be nonnegative")
-    return sampling_report(field.wavelength, delta_z, field.dx, 0.5 * field.span, 0.5 * target_span)
+    return sampling_report(field.wavelength, delta_z, field.grid.dx, 0.5 * field.grid.span, 0.5 * target_span)
 
 
 def _matched_flux(raw: np.ndarray, dx: float, p_in: float) -> np.ndarray:
@@ -167,35 +150,35 @@ def propagate_direct(
     delta_z: float,
     target: GridSpec | None = None,
     renormalize: bool = True,
-    override_sampling: bool = False,
 ) -> WaveField:
     """Quadrature of the exact path-length phase onto ``target``.
 
     ``target`` defaults to the field's own grid. O(N_src * N_tgt); use it
     as the oracle on small grids. Refuses to run when the sampling
-    criterion fails unless ``override_sampling`` is set.
+    criterion fails.
     """
-    tgt = target if target is not None else GridSpec(field.x_start, field.dx, field.n)
+    src = field.grid
+    tgt = target or src
     report = sampling_check(field, delta_z, tgt.span)
-    if not report.ok and not override_sampling:
+    if not report.ok:
         raise SamplingError(
             f"grid step {report.dx:.4e} m too coarse for a direct propagation "
             f"over {delta_z:.4e} m; required dx <= {report.required_dx:.4e} m"
         )
     k = 2.0 * math.pi / field.wavelength
-    x_src = field.x
+    x_src = src.x
     x_tgt = tgt.x
     out = np.empty(tgt.count, dtype=complex)
     # evaluate the (targets x sources) kernel in row blocks to bound memory
-    block = max(1, 4_000_000 // field.n)
+    block = max(1, 4_000_000 // src.count)
     for i0 in range(0, tgt.count, block):
         rows = slice(i0, min(i0 + block, tgt.count))
         r = np.hypot(x_tgt[rows, None] - x_src[None, :], delta_z)
         out[rows] = np.exp(1j * k * r) @ field.amplitudes
-    out *= field.dx
+    out *= src.dx
     if renormalize:
         out = _matched_flux(out, tgt.dx, field.total_probability)
-    return WaveField(out, tgt.x_start, tgt.dx, field.z + delta_z, field.wavelength)
+    return WaveField(out, tgt, field.wavelength)
 
 
 @lru_cache(maxsize=8)
@@ -219,15 +202,16 @@ def propagate_paraxial(field: WaveField, delta_z: float, renormalize: bool = Tru
     """
     if not delta_z > 0.0:
         raise ValueError("delta_z must be positive")
-    n = field.n
+    grid = field.grid
+    n = grid.count
     m = _fft.next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
     buf = np.zeros(m, dtype=complex)
     buf[:n] = field.amplitudes
-    transfer = _transfer(m, field.dx, field.wavelength, delta_z)
+    transfer = _transfer(m, grid.dx, field.wavelength, delta_z)
     out = _fft.ifft(_fft.fft(buf) * transfer)[:n]
     if renormalize:
-        out = _matched_flux(out, field.dx, field.total_probability)
-    return WaveField(out, field.x_start, field.dx, field.z + delta_z, field.wavelength)
+        out = _matched_flux(out, grid.dx, field.total_probability)
+    return WaveField(out, grid, field.wavelength)
 
 
 def propagate(field: WaveField, delta_z: float, method: str = PARAXIAL, renormalize: bool = True) -> WaveField:

@@ -130,21 +130,10 @@ def ab_phase(field: float, region_length: float, wavelength: float, period: floa
     return particle.charge / const.HBAR * field * region_length**2 * (wavelength / period)
 
 
-def _curve_period(curve: FringeCurve, period=None) -> float:
-    if period is not None:
-        if not period > 0.0:
-            raise ValueError("period must be positive")
-        return float(period)
-    if curve.offsets.size < 2:
-        raise ValueError("cannot infer the period of a single-point curve")
-    # a scan covers [0, d) in equal steps, so one step past the end closes the period
-    step = curve.offsets[1] - curve.offsets[0]
-    return float(curve.offsets[-1] - curve.offsets[0] + step)
-
-
-def _interp_periodic(curve: FringeCurve, x, period: float):
+def _interp_periodic(curve: FringeCurve, x):
     xs = curve.offsets
     ys = curve.throughput
+    period = curve.period
     u = np.mod(np.asarray(x, dtype=float) - xs[0], period) + xs[0]
     xs_wrap = np.append(xs, xs[0] + period)
     ys_wrap = np.append(ys, ys[0])
@@ -157,23 +146,19 @@ def predict_throughput(
     region: FieldRegion,
     energy: BeamEnergy,
     particle: ParticleSpec = ELECTRON,
-    period: float | None = None,
 ) -> float:
     """Fringe-curve readout at the offset a field deflects the beam by.
 
-    Linear interpolation with periodic wrap-around; ``period`` defaults to
-    the span the curve's uniform scan covers.
+    Linear interpolation with wrap-around at the curve's period.
     """
-    d = _curve_period(curve, period)
     s = classical_deflection(replace(region, field=field), energy, particle)
-    return float(_interp_periodic(curve, s, d))
+    return float(_interp_periodic(curve, s))
 
 
-def fringe_slope(curve: FringeCurve, offset: float, period: float | None = None) -> float:
+def fringe_slope(curve: FringeCurve, offset: float) -> float:
     """d(throughput)/d(offset) [1/m] by central difference on the interpolant."""
-    d = _curve_period(curve, period)
-    h = d / 1024.0
-    lo, hi = _interp_periodic(curve, [offset - h, offset + h], d)
+    h = curve.period / 1024.0
+    lo, hi = _interp_periodic(curve, [offset - h, offset + h])
     return float((hi - lo) / (2.0 * h))
 
 
@@ -193,7 +178,6 @@ def sensor_report(
     region: FieldRegion,
     energy: BeamEnergy,
     particle: ParticleSpec = ELECTRON,
-    period: float | None = None,
 ) -> SensorReport:
     """Count rate, field slope and shot-noise sensitivity at a bias point.
 
@@ -201,10 +185,9 @@ def sensor_report(
     """
     if not rate_scale > 0.0:
         raise ValueError("rate_scale must be positive")
-    d = _curve_period(curve, period)
-    rate = rate_scale * float(_interp_periodic(curve, bias_offset, d))
+    rate = rate_scale * float(_interp_periodic(curve, bias_offset))
     dx_per_field = deflection_per_field(region.length, energy, particle)
-    slope = rate_scale * fringe_slope(curve, bias_offset, d) * dx_per_field
+    slope = rate_scale * fringe_slope(curve, bias_offset) * dx_per_field
     return SensorReport(
         slope=slope,
         count_rate=rate,
@@ -217,7 +200,7 @@ def sinusoid_fringe(period: float, contrast: float, mean: float = 1.0, n: int = 
     if not 0.0 <= contrast < 1.0:
         raise ValueError("contrast must lie in [0, 1)")
     offsets = np.arange(n) * (period / n)
-    return FringeCurve(offsets, mean * (1.0 + contrast * np.cos(2.0 * np.pi * offsets / period)))
+    return FringeCurve(offsets, mean * (1.0 + contrast * np.cos(2.0 * np.pi * offsets / period)), period)
 
 
 def simulate_step_response(
@@ -230,7 +213,6 @@ def simulate_step_response(
     region: FieldRegion = FieldRegion(),
     energy: BeamEnergy = BeamEnergy(1e4),
     particle: ParticleSpec = ELECTRON,
-    period: float | None = None,
     block_seconds: int = 10,
 ) -> np.ndarray:
     """Per-second Poisson counts while a field step toggles on and off.
@@ -241,12 +223,11 @@ def simulate_step_response(
     """
     if seconds < 1 or block_seconds < 1:
         raise ValueError("seconds and block_seconds must be at least 1")
-    d = _curve_period(curve, period)
     shift = classical_deflection(replace(region, field=field_step), energy, particle)
     t = np.arange(seconds)
     on = (t // block_seconds) % 2 == 0
     offsets = bias_offset + np.where(on, shift, 0.0)
-    rates = rate_scale * _interp_periodic(curve, offsets, d)
+    rates = rate_scale * _interp_periodic(curve, offsets)
     rng = np.random.default_rng(seed)
     return rng.poisson(rates)
 

@@ -81,7 +81,7 @@ def test_criterion_3_propagator_equivalence():
     grid = GridSpec(-(n - 1) / 2 * dx, dx, n)
     x = grid.x
     slits = (np.abs(x - 0.75e-6) <= 0.3e-6) | (np.abs(x + 0.75e-6) <= 0.3e-6)
-    field = WaveField(slits.astype(complex), grid.x_start, dx, 0.0, lam)
+    field = WaveField(slits.astype(complex), grid, lam)
     direct = propagate(field, GAP, DIRECT)
     paraxial = propagate(field, GAP, PARAXIAL)
     i_d = np.abs(direct.amplitudes) ** 2
@@ -94,7 +94,7 @@ def test_criterion_3_propagator_equivalence():
     src = GridSpec(-2e-6, 1e-9, 4001)
     xs = src.x
     two = (np.abs(xs - separation / 2) <= 0.15e-6) | (np.abs(xs + separation / 2) <= 0.15e-6)
-    pointy = WaveField(two.astype(complex), src.x_start, src.dx, 0.0, lam)
+    pointy = WaveField(two.astype(complex), src, lam)
     target = GridSpec(-60e-6, 30e-9, 4001)
     assert sampling_check(pointy, dz, target.span).ok
     out = propagate_direct(pointy, dz, target)

@@ -11,7 +11,6 @@ from talbotlau import (
     ConfigError,
     PhaseModel,
     build_beamline,
-    build_cradle,
     build_field_region,
     default_config,
     parse_config,
@@ -159,8 +158,7 @@ def test_build_beamline_auto_grid_when_zero():
 
 def test_build_cradle_and_region():
     cfg = parse_config("[cradle]\ncurrent = 0.0025\n[field]\nregion_length = 3.06e-3\n")
-    cradle = build_cradle(cfg)
-    assert cradle.current == 0.0025
+    assert cfg.cradle.current == 0.0025
     region = build_field_region(cfg, field=1e-6)
     assert region.length == 3.06e-3
     assert region.field == 1e-6

@@ -4,6 +4,7 @@ import pytest
 from talbotlau import (
     ApertureSpec,
     GratingSpec,
+    GridSpec,
     PhaseModel,
     WaveField,
     aperture_amplitude,
@@ -16,7 +17,7 @@ D = 1e-7
 
 
 def uniform_field(n=4096, dx=1e-9, wavelength=13e-12):
-    return WaveField(np.ones(n, dtype=complex), -(n - 1) / 2 * dx, dx, 0.0, wavelength)
+    return WaveField(np.ones(n, dtype=complex), GridSpec(-(n - 1) / 2 * dx, dx, n), wavelength)
 
 
 def test_grating_amplitude_slit_center_open():
@@ -87,7 +88,7 @@ def test_apply_plane_pure_mask_is_exact():
     field = uniform_field()
     g = GratingSpec(period=D, open_fraction=0.35)
     out = apply_plane(field, g, PhaseModel())
-    assert np.array_equal(out.amplitudes, grating_amplitude(field.x, g) * field.amplitudes)
+    assert np.array_equal(out.amplitudes, grating_amplitude(field.grid.x, g) * field.amplitudes)
 
 
 def test_apply_plane_nearly_open_grating_keeps_flux():
@@ -101,13 +102,13 @@ def test_apply_plane_never_increases_probability():
     rng = np.random.default_rng(11)
     n = 2048
     amp = rng.normal(size=n) + 1j * rng.normal(size=n)
-    field = WaveField(amp, -n / 2 * 1e-9, 1e-9, 0.0, 13e-12)
+    field = WaveField(amp, GridSpec(-n / 2 * 1e-9, 1e-9, n), 13e-12)
     phase = PhaseModel(image_charge_strength=2e-9, random_phase_max=0.7, rng_seed=5)
     for element in (
         ApertureSpec(width=0.4e-6),
         GratingSpec(period=D, open_fraction=0.35),
     ):
-        out = apply_plane(field, element, phase, plane_index=1, random_phase=True)
+        out = apply_plane(field, element, phase, plane_index=1)
         assert out.total_probability <= field.total_probability * (1 + 1e-12)
 
 
@@ -116,7 +117,7 @@ def test_transmission_fraction_matches_open_fraction():
     g = GratingSpec(period=D, open_fraction=0.35)
     out = apply_plane(field, g)
     measured = out.total_probability / field.total_probability
-    cell_per_period = field.dx / D  # quantization: one grid cell per period
+    cell_per_period = field.grid.dx / D  # quantization: one grid cell per period
     assert measured == pytest.approx(0.35, abs=cell_per_period + 1e-6)
 
 
@@ -132,7 +133,7 @@ def test_apply_plane_requires_overlap():
     with pytest.raises(ValueError):
         apply_plane(field, ApertureSpec(width=1e-7, center=1.0))
     # off-axis grid entirely outside the (axis-centered) grating extent
-    off_axis = WaveField(np.ones(256, dtype=complex), 1.0, 1e-9, 0.0, 13e-12)
+    off_axis = WaveField(np.ones(256, dtype=complex), GridSpec(1.0, 1e-9, 256), 13e-12)
     with pytest.raises(ValueError):
         apply_plane(off_axis, GratingSpec(period=D, open_fraction=0.35, extent=1e-6), phase=None)
 
@@ -141,8 +142,8 @@ def test_random_phase_deterministic_and_order_free():
     field = uniform_field()
     g = GratingSpec(period=D, open_fraction=0.35)
     phase = PhaseModel(random_phase_max=1.3, rng_seed=77)
-    a = apply_plane(field, g, phase, plane_index=1, random_phase=True)
-    b = apply_plane(field, g, phase, plane_index=1, random_phase=True)
+    a = apply_plane(field, g, phase, plane_index=1)
+    b = apply_plane(field, g, phase, plane_index=1)
     assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
@@ -150,9 +151,9 @@ def test_random_phase_varies_with_plane_and_seed():
     field = uniform_field()
     g = GratingSpec(period=D, open_fraction=0.35)
     phase = PhaseModel(random_phase_max=1.3, rng_seed=77)
-    p1 = apply_plane(field, g, phase, plane_index=1, random_phase=True)
-    p2 = apply_plane(field, g, phase, plane_index=2, random_phase=True)
-    other = apply_plane(field, g, PhaseModel(random_phase_max=1.3, rng_seed=78), plane_index=1, random_phase=True)
+    p1 = apply_plane(field, g, phase, plane_index=1)
+    p2 = apply_plane(field, g, phase, plane_index=2)
+    other = apply_plane(field, g, PhaseModel(random_phase_max=1.3, rng_seed=78), plane_index=1)
     assert not np.array_equal(p1.amplitudes, p2.amplitudes)
     assert not np.array_equal(p1.amplitudes, other.amplitudes)
 
@@ -161,8 +162,8 @@ def test_random_phase_constant_within_slit():
     field = uniform_field()
     g = GratingSpec(period=D, open_fraction=0.35)
     phase = PhaseModel(random_phase_max=1.0, rng_seed=9)
-    out = apply_plane(field, g, phase, plane_index=1, random_phase=True)
-    x = field.x
+    out = apply_plane(field, g, phase, plane_index=1)
+    x = field.grid.x
     in_slit0 = np.abs(x) <= 0.5 * 0.35 * D
     angles = np.angle(out.amplitudes[in_slit0])
     assert np.ptp(angles) < 1e-12
@@ -175,7 +176,7 @@ def test_image_charge_phase_profile():
     strength, rng_len = 3e-9, 2e-8
     phase = PhaseModel(image_charge_strength=strength, image_charge_range=rng_len)
     out = apply_plane(field, g, phase)
-    x = field.x
+    x = field.grid.x
     wall = 0.5 * 0.35 * D
     # at the slit wall the phase is strength/range; at the center it has decayed
     edge_idx = np.argmin(np.abs(x - wall))
@@ -188,9 +189,9 @@ def test_image_charge_phase_profile():
 def test_open_edge_pad_carries_the_slit_phase():
     # a sample a few ulp past the slit wall counts as open, so it gets the
     # wall's image-charge phase (strength/range = 0.15 rad) and the slit's draw
-    field = WaveField(np.ones(4, dtype=complex), 0.5 * 0.35 * D * (1 + 3e-13), 1e-9, 0.0, 1e-11)
+    field = WaveField(np.ones(4, dtype=complex), GridSpec(0.5 * 0.35 * D * (1 + 3e-13), 1e-9, 4), 1e-11)
     phase = PhaseModel(image_charge_strength=3e-9, image_charge_range=2e-8, random_phase_max=1.0, rng_seed=3)
-    out = apply_plane(field, GratingSpec(D), phase, plane_index=1, random_phase=True)
+    out = apply_plane(field, GratingSpec(D), phase, plane_index=1)
     assert abs(out.amplitudes[0]) == pytest.approx(1.0)
     assert np.angle(out.amplitudes[0]) >= 0.15
 

@@ -91,6 +91,7 @@ def test_scan_offsets_cover_one_period():
     curve = scan_fringe(cfg, 8)
     assert np.allclose(curve.offsets, np.arange(8) * D / 8)
     assert curve.offsets[-1] == pytest.approx(D * 7 / 8)
+    assert curve.period == D
 
 
 def test_scan_needs_at_least_8_offsets():
@@ -149,22 +150,22 @@ def test_source_count_convergence():
 
 
 def test_contrast_basics():
-    const = FringeCurve(np.arange(8) * D / 8, np.full(8, 2.0))
+    const = FringeCurve(np.arange(8) * D / 8, np.full(8, 2.0), D)
     assert contrast(const) == 0.0
-    zero_min = FringeCurve(np.arange(8) * D / 8, np.array([0.0, 1, 2, 3, 3, 2, 1, 0.5]))
+    zero_min = FringeCurve(np.arange(8) * D / 8, np.array([0.0, 1, 2, 3, 3, 2, 1, 0.5]), D)
     assert contrast(zero_min) == 1.0
     phases = np.arange(64) * D / 64
-    sinus = FringeCurve(phases, 5.0 * (1 + 0.3 * np.cos(2 * np.pi * phases / D)))
+    sinus = FringeCurve(phases, 5.0 * (1 + 0.3 * np.cos(2 * np.pi * phases / D)), D)
     assert contrast(sinus) == pytest.approx(0.3, abs=1e-3)
     with pytest.raises(ValueError):
-        contrast(FringeCurve(np.arange(8) * D / 8, np.zeros(8)))
+        contrast(FringeCurve(np.arange(8) * D / 8, np.zeros(8), D))
 
 
 def test_contrast_scale_invariance():
     phases = np.arange(16) * D / 16
     t = 1.0 + 0.4 * np.cos(2 * np.pi * phases / D)
-    a = contrast(FringeCurve(phases, t))
-    b = contrast(FringeCurve(phases, 7.3 * t))
+    a = contrast(FringeCurve(phases, t, D))
+    b = contrast(FringeCurve(phases, 7.3 * t, D))
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -225,8 +226,14 @@ def test_beamline_validation():
 
 def test_fringe_curve_validation():
     with pytest.raises(ValueError):
-        FringeCurve(np.array([0.0, 1e-8]), np.array([1.0]))
+        FringeCurve(np.array([0.0, 1e-8]), np.array([1.0]), D)
     with pytest.raises(ValueError):
-        FringeCurve(np.array([1e-8, 0.0]), np.array([1.0, 1.0]))
+        FringeCurve(np.array([1e-8, 0.0]), np.array([1.0, 1.0]), D)
     with pytest.raises(ValueError):
-        FringeCurve(np.array([0.0, 1e-8]), np.array([1.0, -1.0]))
+        FringeCurve(np.array([0.0, 1e-8]), np.array([1.0, -1.0]), D)
+    for period in (0.0, -D, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            FringeCurve(np.array([0.0, 1e-8]), np.array([1.0, 1.0]), period)
+    # the offsets must fit inside one period
+    with pytest.raises(ValueError):
+        FringeCurve(np.array([0.0, D]), np.array([1.0, 1.0]), D)

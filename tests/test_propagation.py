@@ -24,13 +24,13 @@ def centered_grid(count, dx):
 def double_slit_field(grid, slit_width, separation, wavelength=LAM):
     x = grid.x
     amp = (np.abs(x - separation / 2) <= slit_width / 2) | (np.abs(x + separation / 2) <= slit_width / 2)
-    return WaveField(amp.astype(complex), grid.x_start, grid.dx, 0.0, wavelength)
+    return WaveField(amp.astype(complex), grid, wavelength)
 
 
 def test_point_source_gives_flat_magnitude():
     amp = np.zeros(512, dtype=complex)
     amp[200] = 1.0
-    field = WaveField(amp, -256e-9, 1e-9, 0.0, LAM)
+    field = WaveField(amp, GridSpec(-256e-9, 1e-9, 512), LAM)
     target = centered_grid(512, 8e-9)
     out = propagate_direct(field, 1e-3, target)
     mag = np.abs(out.amplitudes)
@@ -60,7 +60,7 @@ def test_double_slit_far_field_period_matches_analytic():
 
 def test_plane_wave_central_region_stays_flat():
     grid = centered_grid(4096, 2e-9)
-    field = WaveField(np.ones(4096, dtype=complex), grid.x_start, grid.dx, 0.0, LAM)
+    field = WaveField(np.ones(4096, dtype=complex), grid, LAM)
     out = propagate(field, 1e-4, PARAXIAL)
     center = np.abs(out.amplitudes[1548:2548]) ** 2
     assert center.max() / center.min() - 1 < 0.01
@@ -85,7 +85,7 @@ def test_paraxial_is_linear_before_renormalization():
     a2 = rng.normal(size=2048) + 1j * rng.normal(size=2048)
     ca, cb = 0.7 - 0.2j, -1.3 + 0.5j
     f = lambda amp: propagate(
-        WaveField(amp, grid.x_start, grid.dx, 0.0, LAM), 1e-3, PARAXIAL, renormalize=False
+        WaveField(amp, grid, LAM), 1e-3, PARAXIAL, renormalize=False
     ).amplitudes
     combined = f(ca * a1 + cb * a2)
     superposed = ca * f(a1) + cb * f(a2)
@@ -95,7 +95,7 @@ def test_paraxial_is_linear_before_renormalization():
 def test_flux_conservation():
     grid = centered_grid(4096, 2e-9)
     gauss = np.exp(-((grid.x / 1.5e-6) ** 2)).astype(complex)
-    field = WaveField(gauss, grid.x_start, grid.dx, 0.0, LAM)
+    field = WaveField(gauss, grid, LAM)
     renorm = propagate(field, 3.06e-3, PARAXIAL)
     assert renorm.total_probability == pytest.approx(field.total_probability, rel=1e-12)
     raw = propagate(field, 3.06e-3, PARAXIAL, renormalize=False)
@@ -105,7 +105,7 @@ def test_flux_conservation():
 
 def test_sampling_check_reference_point():
     # 13.1 pm over 3.06 mm with 10 um + 10 um half-spans needs about 1.0 nm
-    field = WaveField(np.ones(2001, dtype=complex), -10e-6, 10e-9, 0.0, LAM)
+    field = WaveField(np.ones(2001, dtype=complex), GridSpec(-10e-6, 10e-9, 2001), LAM)
     report = sampling_check(field, 3.06e-3, 20e-6)
     assert report.required_dx == pytest.approx(1.0e-9, rel=0.01)
     assert not report.ok
@@ -118,35 +118,33 @@ def test_sampling_bound_linear_in_distance():
 
 
 def test_sampling_check_passes_fine_grid():
-    field = WaveField(np.ones(2001, dtype=complex), -1e-6, 1e-9, 0.0, LAM)
+    field = WaveField(np.ones(2001, dtype=complex), GridSpec(-1e-6, 1e-9, 2001), LAM)
     report = sampling_check(field, 3.06e-3, 2e-6)
     assert report.ok
-    assert field.dx <= report.required_dx
+    assert field.grid.dx <= report.required_dx
 
 
 def test_direct_refuses_coarse_grid_and_names_required_dx():
-    field = WaveField(np.ones(2001, dtype=complex), -10e-6, 10e-9, 0.0, LAM)
+    field = WaveField(np.ones(2001, dtype=complex), GridSpec(-10e-6, 10e-9, 2001), LAM)
     target = GridSpec(-10e-6, 10e-9, 2001)
     with pytest.raises(SamplingError) as err:
         propagate_direct(field, 3.06e-3, target)
     assert "required dx" in str(err.value)
-    out = propagate_direct(field, 3.06e-3, target, override_sampling=True)
-    assert out.n == 2001
 
 
 def test_reciprocity_under_reflection():
     grid = centered_grid(4096, 2e-9)
     sym = np.exp(-((grid.x / 1e-6) ** 2)) * (1 + 0.3 * np.cos(2 * np.pi * grid.x / 5e-7))
-    field = WaveField(sym.astype(complex), grid.x_start, grid.dx, 0.0, LAM)
+    field = WaveField(sym.astype(complex), grid, LAM)
     forward = propagate_paraxial(field, 2e-3, renormalize=False).amplitudes
-    mirrored = WaveField(field.amplitudes[::-1], grid.x_start, grid.dx, 0.0, LAM)
+    mirrored = WaveField(field.amplitudes[::-1], grid, LAM)
     swapped = propagate_paraxial(mirrored, 2e-3, renormalize=False).amplitudes
     assert np.linalg.norm(forward[::-1] - swapped) / np.linalg.norm(forward) < 1e-10
 
 
 def test_propagate_validation():
     grid = centered_grid(256, 1e-9)
-    field = WaveField(np.ones(256, dtype=complex), grid.x_start, grid.dx, 0.0, LAM)
+    field = WaveField(np.ones(256, dtype=complex), grid, LAM)
     for method in (DIRECT, PARAXIAL):
         with pytest.raises(ValueError):
             propagate(field, 0.0, method)
@@ -158,10 +156,15 @@ def test_propagate_validation():
 
 def test_wavefield_validation():
     with pytest.raises(ValueError):
-        WaveField(np.array([1.0 + 0j]), 0.0, 1e-9, 0.0, LAM)
+        WaveField(np.array([1.0 + 0j]), GridSpec(0.0, 1e-9, 1), LAM)
     with pytest.raises(ValueError):
-        WaveField(np.array([1.0, np.inf]), 0.0, 1e-9, 0.0, LAM)
+        WaveField(np.array([1.0, np.inf]), GridSpec(0.0, 1e-9, 2), LAM)
     with pytest.raises(ValueError):
-        WaveField(np.ones(4), 0.0, -1e-9, 0.0, LAM)
+        WaveField(np.ones(4), GridSpec(0.0, -1e-9, 4), LAM)
     with pytest.raises(ValueError):
-        WaveField(np.ones(4), 0.0, 1e-9, 0.0, 0.0)
+        WaveField(np.ones(4), GridSpec(0.0, 1e-9, 4), 0.0)
+    # one amplitude per grid sample, in a flat array
+    with pytest.raises(ValueError):
+        WaveField(np.ones(3), GridSpec(0.0, 1e-9, 4), LAM)
+    with pytest.raises(ValueError):
+        WaveField(np.ones((2, 2)), GridSpec(0.0, 1e-9, 4), LAM)

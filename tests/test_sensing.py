@@ -210,9 +210,12 @@ def test_region_validation():
         FieldRegion(length=0.0)
 
 
-def test_predict_throughput_with_explicit_period():
-    offsets = np.arange(16) * D / 16
-    curve = FringeCurve(offsets, 1.0 + 0.2 * np.sin(2 * np.pi * offsets / D))
-    implicit = predict_throughput(curve, 3e-7, REGION, E10)
-    explicit = predict_throughput(curve, 3e-7, REGION, E10, period=D)
-    assert implicit == pytest.approx(explicit, rel=1e-12)
+def test_predict_throughput_periodic_with_uneven_offsets():
+    # the first step (D/20) is not the spacing that closes the period, so a
+    # period guessed from it (0.95 D) reads 1.2853 here instead of 1.3
+    offsets = D * np.array([0.0, 0.05, 0.2, 0.35, 0.5, 0.6, 0.75, 0.9])
+    curve = FringeCurve(offsets, 1.0 + 0.3 * np.cos(2 * np.pi * offsets / D), D)
+    b_period = field_for_deflection(D, REGION.length, E10)
+    v0 = predict_throughput(curve, 0.0, REGION, E10)
+    assert v0 == pytest.approx(1.3, rel=1e-12)
+    assert predict_throughput(curve, b_period, REGION, E10) == pytest.approx(v0, rel=1e-12)
