@@ -202,9 +202,10 @@ def _source_positions(cfg: BeamlineConfig) -> np.ndarray:
     return cfg.source_slit.center - 0.5 * w + (k + 0.5) * (w / cfg.n_sources)
 
 
-def _point_source_field(x_source, distance, grid: GridSpec, wavelength) -> WaveField:
-    # single-term direct kernel: unit-amplitude spherical wave from one point
-    r = np.hypot(grid.x - x_source, distance)
+def _point_source_field(x_source, distance, x: np.ndarray, grid: GridSpec, wavelength) -> WaveField:
+    # single-term direct kernel: unit-amplitude spherical wave from one point;
+    # x is grid.x, computed once per scan by the caller
+    r = np.hypot(x - x_source, distance)
     return WaveField(np.exp(2j * np.pi * r / wavelength), grid, wavelength)
 
 
@@ -212,6 +213,7 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
     """Mean throughput over point sources at each third-grating offset."""
     grid = beamline_grid(cfg)
     _require_sampling(cfg, grid)
+    x = grid.x
     lam = _wavelength(cfg)
     g1, g2, g3 = cfg.gratings
     phase = cfg.phase_model
@@ -223,7 +225,7 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
     # sources add incoherently, each normalized to the flux it brings to G1
     intensity = np.zeros(grid.count)
     for x_s in _source_positions(cfg):
-        psi = _point_source_field(x_s, cfg.slit_separation, grid, lam)
+        psi = _point_source_field(x_s, cfg.slit_separation, x, grid, lam)
         psi = replace(psi, amplitudes=psi.amplitudes * slit2)
         if psi.total_probability <= 0.0:
             raise ValueError("no flux passes the second collimation slit; check geometry")
@@ -234,7 +236,6 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
         psi = propagate(replace(psi, amplitudes=psi.amplitudes * t1), cfg.grating_gap, cfg.propagator)
         psi = propagate(replace(psi, amplitudes=psi.amplitudes * t2), cfg.grating_gap, cfg.propagator)
         intensity += np.abs(psi.amplitudes) ** 2 * (grid.dx / p_in)
-    x = grid.x
     totals = [float(np.sum(intensity * grating_amplitude(x, translate_grating(g3, off)))) for off in offsets]
     return np.array(totals) / cfg.n_sources
 

@@ -5,8 +5,12 @@ quadrature of exp(i 2 pi r / lambda) over every source sample, with
 r the exact point-to-point path length. ``propagate_paraxial`` is the fast
 variant: convolution with the quadratic-phase kernel
 exp(i pi (x - x')^2 / (lambda dz)), evaluated as a padded cyclic FFT
-convolution on a shared uniform grid. ``propagate`` picks one by its name
-in ``METHODS``. Both drop the Huygens amplitude prefactor and instead
+convolution on a shared uniform grid. The operator is defined on a buffer
+padded to ``_PAD_FACTOR`` times the grid, but n samples in and n kept
+samples out touch only the 2n - 1 central taps of that padded kernel, so
+each leg runs on an FFT of length ``next_fast_len(2n - 1)``, about half
+the padded length, with the same taps. ``propagate`` picks a kernel by
+its name in ``METHODS``. Both drop the Huygens amplitude prefactor and instead
 rescale the output so total probability matches the input; every
 downstream observable is a flux ratio, so the overall scale is immaterial.
 """
@@ -39,8 +43,10 @@ DIRECT = "direct"
 PARAXIAL = "paraxial"
 METHODS = (DIRECT, PARAXIAL)
 
-# zero-padding of the paraxial FFT buffer; padding below 4x leaves
-# percent-level wrap-around from hard-edged masks
+# zero-padding that defines the paraxial operator: its kernel is the
+# inverse FFT of the transfer function sampled on this many times the grid
+# length; padding below 4x leaves percent-level wrap-around from hard-edged
+# masks. Only the kernel's 2n - 1 live taps are carried to each leg.
 _PAD_FACTOR = 4.0
 
 
@@ -182,33 +188,52 @@ def propagate_direct(
 
 
 @lru_cache(maxsize=8)
-def _transfer(m, dx, wavelength, delta_z):
-    # a fringe scan reuses the same legs for every source, so cache the spectrum
-    freq = _fft.fftfreq(m, d=dx)
-    h = np.exp(-1j * math.pi * wavelength * delta_z * freq**2)
+def _transfer(n, dx, wavelength, delta_z):
+    """Spectrum of the padded kernel's live taps on the short FFT length.
+
+    The kernel is ``ifft(H)`` on the padded length m, with H the transfer
+    function exp(-i pi lambda dz f^2) times the axial phase
+    exp(i 2 pi dz / lambda). Output j of a grid of n samples reads input i
+    through tap (j - i) mod m, so only taps 0..n-1 and m-n+1..m-1 are
+    used. Placed at the same signed offsets in a buffer of length
+    M >= 2n - 1, they give the same sums without wrap-around.
+    """
+    # a fringe scan reuses the same legs for every source, so cache the
+    # spectrum; the padded-length arrays are the largest a scan allocates,
+    # so they are built in place
+    m = _fft.next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
+    h = -1j * math.pi * wavelength * delta_z * _fft.fftfreq(m, d=dx) ** 2
+    np.exp(h, out=h)
     h *= np.exp(2j * math.pi * delta_z / wavelength)
-    h.flags.writeable = False
-    return h
+    taps = _fft.ifft(h, overwrite_x=True)
+    live = np.zeros(_fft.next_fast_len(2 * n - 1), dtype=complex)
+    live[:n] = taps[:n]
+    live[live.size - (n - 1) :] = taps[m - (n - 1) :]
+    spectrum = _fft.fft(live, overwrite_x=True)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def propagate_paraxial(field: WaveField, delta_z: float, renormalize: bool = True) -> WaveField:
     """Fast quadratic-phase convolution; the output keeps the input grid.
 
-    The kernel spectrum exp(-i pi lambda dz f^2), times the axial phase
-    exp(i 2 pi dz / lambda), is applied on a grid zero-padded to at least
-    four times the input length, so the cyclic convolution is wrap-free
-    for content that stays inside the window; with |H| = 1 the padded
-    transform is exactly unitary.
+    The operator is the cyclic convolution with the kernel spectrum
+    exp(-i pi lambda dz f^2), times the axial phase exp(i 2 pi dz / lambda),
+    on a grid zero-padded to at least four times the input length, so it
+    is wrap-free for content that stays inside the window. It is computed
+    from the 2n - 1 kernel taps that n inputs and n outputs touch, on an
+    FFT of length ``next_fast_len(2n - 1)`` (see ``_transfer``).
     """
     if not delta_z > 0.0:
         raise ValueError("delta_z must be positive")
     grid = field.grid
     n = grid.count
-    m = _fft.next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
-    buf = np.zeros(m, dtype=complex)
+    transfer = _transfer(n, grid.dx, field.wavelength, delta_z)
+    buf = np.zeros(transfer.size, dtype=complex)
     buf[:n] = field.amplitudes
-    transfer = _transfer(m, grid.dx, field.wavelength, delta_z)
-    out = _fft.ifft(_fft.fft(buf) * transfer)[:n]
+    spectrum = _fft.fft(buf, overwrite_x=True)
+    spectrum *= transfer
+    out = _fft.ifft(spectrum, overwrite_x=True)[:n]
     if renormalize:
         out = _matched_flux(out, grid.dx, field.total_probability)
     return WaveField(out, grid, field.wavelength)

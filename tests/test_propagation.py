@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import fft
 
 from talbotlau import (
     DIRECT,
@@ -13,6 +16,7 @@ from talbotlau import (
     required_dx,
     sampling_check,
 )
+from talbotlau.propagation import _transfer
 
 LAM = 13.1e-12
 
@@ -90,6 +94,34 @@ def test_paraxial_is_linear_before_renormalization():
     combined = f(ca * a1 + cb * a2)
     superposed = ca * f(a1) + cb * f(a2)
     assert np.linalg.norm(combined - superposed) / np.linalg.norm(combined) < 1e-12
+
+
+def padded_cyclic_convolution(field, dz):
+    # the paraxial operator by definition: zero-pad to 4x, multiply the
+    # spectrum by the transfer function and keep the first n samples
+    n, dx = field.grid.count, field.grid.dx
+    m = fft.next_fast_len(math.ceil(4.0 * n))
+    freq = fft.fftfreq(m, d=dx)
+    h = np.exp(-1j * math.pi * LAM * dz * freq**2) * np.exp(2j * math.pi * dz / LAM)
+    return fft.ifft(fft.fft(np.pad(field.amplitudes, (0, m - n))) * h)[:n]
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize("dz", [1e-4, 0.05])
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 1000, 1001])
+def test_paraxial_equals_the_padded_cyclic_convolution(n, dz, renormalize):
+    grid = centered_grid(n, 0.26e-9)
+    rng = np.random.default_rng(n)
+    # support reaches both window edges, so the extreme taps +-(n - 1) are used
+    amp = rng.normal(size=n) + 1j * rng.normal(size=n)
+    amp[[0, -1]] = [1.0 + 0.5j, -0.7 + 1.0j]
+    field = WaveField(amp, grid, LAM)
+    expected = padded_cyclic_convolution(field, dz)
+    if renormalize:
+        expected *= math.sqrt(field.total_probability / (np.sum(np.abs(expected) ** 2) * grid.dx))
+    out = propagate_paraxial(field, dz, renormalize=renormalize).amplitudes
+    assert np.max(np.abs(out - expected)) / np.max(np.abs(expected)) <= 1e-12
+    assert _transfer(n, grid.dx, LAM, dz).size == fft.next_fast_len(2 * n - 1)
 
 
 def test_flux_conservation():
