@@ -23,6 +23,7 @@ from .elements import (
     PhaseModel,
     aperture_amplitude,
     apply_plane,
+    comb_throughput,
     grating_amplitude,
     translate_grating,
 )

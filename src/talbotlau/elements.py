@@ -21,6 +21,7 @@ __all__ = [
     "PhaseModel",
     "aperture_amplitude",
     "grating_amplitude",
+    "comb_throughput",
     "translate_grating",
     "apply_plane",
 ]
@@ -104,9 +105,13 @@ def _comb_coordinates(x, grating: GratingSpec):
     u = (np.asarray(x, dtype=float) - grating.offset) / grating.period
     n = np.floor(u + 0.5)
     v = (u - n) * grating.period
-    # pad by a relative ulp so edge inclusion cannot flip with grid rounding
-    open_pts = np.abs(v) <= 0.5 * grating.open_fraction * grating.period * (1.0 + 1e-12)
+    open_pts = np.abs(v) <= _open_half_width(grating)
     return n.astype(int), v, open_pts
+
+
+def _open_half_width(grating: GratingSpec) -> float:
+    # pad by a relative ulp so edge inclusion cannot flip with grid rounding
+    return 0.5 * grating.open_fraction * grating.period * (1.0 + 1e-12)
 
 
 def grating_amplitude(x, grating: GratingSpec):
@@ -117,6 +122,39 @@ def grating_amplitude(x, grating: GratingSpec):
         mask &= np.abs(xs) <= 0.5 * grating.extent
     out = mask.astype(float)
     return out if xs.ndim else float(out)
+
+
+def comb_throughput(x, intensity, grating: GratingSpec, offsets) -> np.ndarray:
+    """Intensity summed over the open points of the comb at each lateral offset.
+
+    Entry k equals ``np.sum(intensity * grating_amplitude(x,
+    translate_grating(grating, offsets[k])))`` up to summation order, but
+    the comb is folded once: the points are sorted by their phase
+    (x - offset) mod d, so every offset reads its open slit as one window
+    of a prefix sum, found by binary search.
+    """
+    xs = np.asarray(x, dtype=float)
+    weights = np.asarray(intensity, dtype=float)
+    if math.isfinite(grating.extent):
+        inside = np.abs(xs) <= 0.5 * grating.extent
+        xs, weights = xs[inside], weights[inside]
+    d = grating.period
+    # np.mod can round a tiny negative remainder up to d itself; such a
+    # point has phase 0 and the shifted windows below still count it
+    phase = np.mod(xs - grating.offset, d)
+    order = np.argsort(phase)
+    phase = phase[order]
+    cumulative = np.concatenate(([0.0], np.cumsum(weights[order])))
+    half = _open_half_width(grating)
+    center = np.mod(np.asarray(offsets, dtype=float), d)
+    totals = np.zeros(center.shape)
+    # the open slit around the center, and its images one period either
+    # side for a window that crosses 0 or d
+    for shift in (-d, 0.0, d):
+        lo = np.searchsorted(phase, center - half + shift, side="left")
+        hi = np.searchsorted(phase, center + half + shift, side="right")
+        totals += cumulative[hi] - cumulative[lo]
+    return totals
 
 
 def translate_grating(grating: GratingSpec, delta: float) -> GratingSpec:

@@ -23,10 +23,22 @@ def _load_layers():
 
 LAYERS = _load_layers()
 
+# _fringe_totals reads G3 with comb_throughput and builds no per-offset
+# mask, so the tracer's G3 mask target is gone on purpose and its metrics
+# read zero calls
+RETIRED = {("talbotlau.interferometer", "grating_amplitude")}
+TRACED = [(m, a) for m, a, _ in LAYERS.TARGETS]
 
-@pytest.mark.parametrize(("module_name", "attr"), [(m, a) for m, a, _ in LAYERS.TARGETS])
+
+@pytest.mark.parametrize(("module_name", "attr"), [t for t in TRACED if t not in RETIRED])
 def test_trace_target_is_callable(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr, None))
+
+
+@pytest.mark.parametrize(("module_name", "attr"), sorted(RETIRED))
+def test_retired_trace_target_is_absent(module_name, attr):
+    assert (module_name, attr) in TRACED
+    assert not hasattr(importlib.import_module(module_name), attr)
 
 
 def test_transfer_cache_reports_its_hits():

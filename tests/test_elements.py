@@ -9,6 +9,7 @@ from talbotlau import (
     WaveField,
     aperture_amplitude,
     apply_plane,
+    comb_throughput,
     grating_amplitude,
     translate_grating,
 )
@@ -82,6 +83,30 @@ def test_translate_shift_definition():
     shifted = translate_grating(g, 0.25 * D)
     probe = np.linspace(-2 * D, 2 * D, 1001)
     assert np.array_equal(grating_amplitude(probe, shifted), grating_amplitude(probe - 0.25 * D, g))
+
+
+@pytest.mark.parametrize(
+    "grating",
+    [
+        GratingSpec(period=D),
+        GratingSpec(period=D, offset=0.25 * D),
+        GratingSpec(period=D, offset=-0.3 * D, extent=3e-6),
+        GratingSpec(period=D, open_fraction=0.5),
+    ],
+    ids=["plain", "offset", "extent", "half-open"],
+)
+@pytest.mark.parametrize("period_per_step", [40, 41, 80, 383.4, 555.5])
+def test_comb_throughput_matches_the_offset_masks(period_per_step, grating):
+    # at 40 and 80 steps per period the slit edges of many offsets fall
+    # exactly on samples, where the edge pad decides
+    n = 40_001
+    dx = D / period_per_step
+    x = GridSpec(-(n - 1) / 2 * dx, dx, n).x
+    intensity = np.random.default_rng(7).uniform(0.1, 1.0, n)
+    offsets = np.concatenate((np.arange(16) * D / 16, [-0.3 * D, 1.7 * D], np.arange(-3, 4) * dx))
+    masked = np.array([np.sum(intensity * grating_amplitude(x, translate_grating(grating, off))) for off in offsets])
+    folded = comb_throughput(x, intensity, grating, offsets)
+    assert np.max(np.abs(folded - masked) / masked) <= 1e-12
 
 
 def test_apply_plane_pure_mask_is_exact():

@@ -94,6 +94,13 @@ def test_scan_offsets_cover_one_period():
     assert curve.period == D
 
 
+def test_single_offset_throughput_is_its_scan_point():
+    cfg = fast_config(n_sources=2)
+    curve = scan_fringe(cfg, 8)
+    for k in (0, 3, 7):
+        assert simulate_throughput(cfg, curve.offsets[k]) == curve.throughput[k]
+
+
 def test_scan_needs_at_least_8_offsets():
     with pytest.raises(ValueError):
         scan_fringe(fast_config(), 4)

@@ -121,7 +121,7 @@ def test_paraxial_equals_the_padded_cyclic_convolution(n, dz, renormalize):
         expected *= math.sqrt(field.total_probability / (np.sum(np.abs(expected) ** 2) * grid.dx))
     out = propagate_paraxial(field, dz, renormalize=renormalize).amplitudes
     assert np.max(np.abs(out - expected)) / np.max(np.abs(expected)) <= 1e-12
-    assert _transfer(n, grid.dx, LAM, dz).size == fft.next_fast_len(2 * n - 1)
+    assert _transfer(n, grid.dx, LAM, dz).size == fft.next_fast_len(2 * n - 1, real=True)
 
 
 def test_flux_conservation():
