@@ -205,11 +205,20 @@ def _source_positions(cfg: BeamlineConfig) -> np.ndarray:
     return cfg.source_slit.center - 0.5 * w + (k + 0.5) * (w / cfg.n_sources)
 
 
-def _point_source_field(x_source, distance, x: np.ndarray, grid: GridSpec, wavelength) -> WaveField:
-    # single-term direct kernel: unit-amplitude spherical wave from one point;
-    # x is grid.x, computed once per scan by the caller
-    r = np.hypot(x - x_source, distance)
-    return WaveField(np.exp(2j * np.pi * r / wavelength), grid, wavelength)
+def _plane_transmissions(cfg: BeamlineConfig, grid: GridSpec, lam: float):
+    """Slit 2's open samples [lo, hi) and the G1 and G2 transmissions.
+
+    They do not depend on the source, so a scan builds them once; the unit
+    field and slit 2's mask die on return, before the source loop that
+    sets the scan's peak memory.
+    """
+    unit = WaveField(np.ones(grid.count, dtype=complex), grid, lam)
+    open_idx = np.flatnonzero(apply_plane(unit, cfg.second_slit).amplitudes)
+    t1 = apply_plane(unit, cfg.gratings[0], cfg.phase_model, plane_index=1).amplitudes
+    t2 = apply_plane(unit, cfg.gratings[1], cfg.phase_model, plane_index=2).amplitudes
+    if open_idx.size == 0:
+        raise ValueError("no flux passes the second collimation slit; check geometry")
+    return int(open_idx[0]), int(open_idx[-1]) + 1, t1, t2
 
 
 def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
@@ -218,28 +227,31 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
     _require_sampling(cfg, grid)
     x = grid.x
     lam = _wavelength(cfg)
-    g1, g2, g3 = cfg.gratings
-    phase = cfg.phase_model
-    # the plane transmissions do not depend on the source: build them once
-    unit = WaveField(np.ones(grid.count, dtype=complex), grid, lam)
-    slit2 = apply_plane(unit, cfg.second_slit).amplitudes
-    t1 = apply_plane(unit, g1, phase, plane_index=1).amplitudes
-    t2 = apply_plane(unit, g2, phase, plane_index=2).amplitudes
+    # each source's field is nonzero only where slit 2 is open, a contiguous
+    # run [lo, hi) of the grid on which slit 2 transmits exactly 1, so it is
+    # built and carried to G1 from that run alone; the phases come from the
+    # scan's x, so they equal those of the full grid. GridSpec needs two
+    # samples, so a lone open sample gets a zero neighbour
+    lo, hi, t1, t2 = _plane_transmissions(cfg, grid, lam)
+    sub_lo = min(lo, grid.count - 2)
+    sub_hi = max(hi, sub_lo + 2)
+    sub = GridSpec(x[sub_lo], grid.dx, sub_hi - sub_lo)
+    x_sub = x[sub_lo:sub_hi]
     # sources add incoherently, each normalized to the flux it brings to G1
     intensity = np.zeros(grid.count)
     for x_s in _source_positions(cfg):
-        psi = _point_source_field(x_s, cfg.slit_separation, x, grid, lam)
-        psi = replace(psi, amplitudes=psi.amplitudes * slit2)
-        if psi.total_probability <= 0.0:
-            raise ValueError("no flux passes the second collimation slit; check geometry")
-        psi = propagate(psi, cfg.slit2_to_g1, cfg.propagator)
+        # single-term direct kernel: unit-amplitude spherical wave from one point
+        amp = np.exp(2j * np.pi * np.hypot(x_sub - x_s, cfg.slit_separation) / lam)
+        amp[: lo - sub_lo] = 0.0
+        amp[hi - sub_lo :] = 0.0
+        psi = propagate(WaveField(amp, sub, lam), cfg.slit2_to_g1, cfg.propagator, target=grid)
         p_in = psi.total_probability
         if p_in <= 0.0:
             raise ValueError("no flux reaches the first grating; check geometry")
         psi = propagate(replace(psi, amplitudes=psi.amplitudes * t1), cfg.grating_gap, cfg.propagator)
         psi = propagate(replace(psi, amplitudes=psi.amplitudes * t2), cfg.grating_gap, cfg.propagator)
         intensity += np.abs(psi.amplitudes) ** 2 * (grid.dx / p_in)
-    return comb_throughput(x, intensity, g3, offsets) / cfg.n_sources
+    return comb_throughput(x, intensity, cfg.gratings[2], offsets) / cfg.n_sources
 
 
 def simulate_throughput(cfg: BeamlineConfig, g3_offset: float) -> float:

@@ -10,7 +10,10 @@ padded to ``_PAD_FACTOR`` times the grid, but n samples in and n kept
 samples out touch only the 2n - 1 central taps of that padded kernel, so
 each leg runs on an FFT of the 5-smooth length
 ``next_fast_len(2n - 1, real=True)``, about half the padded length, with
-the same taps. ``propagate`` picks a kernel by its name in ``METHODS``.
+the same taps. A field that lives on a contiguous run of s samples of its
+n-sample target grid touches only n + s - 1 taps, and its FFT shrinks to
+``next_fast_len(n + s - 1, real=True)``. ``propagate`` picks a kernel by
+its name in ``METHODS``.
 Both drop the Huygens amplitude prefactor and instead rescale the output
 so total probability matches the input; every downstream observable is a
 flux ratio, so the overall scale is immaterial.
@@ -189,15 +192,17 @@ def propagate_direct(
 
 
 @lru_cache(maxsize=8)
-def _transfer(n, dx, wavelength, delta_z):
+def _transfer(n, dx, wavelength, delta_z, lo, s):
     """Spectrum of the padded kernel's live taps on the short FFT length.
 
     The kernel is ``ifft(H)`` on the padded length m, with H the transfer
     function exp(-i pi lambda dz f^2) times the axial phase
-    exp(i 2 pi dz / lambda). Output j of a grid of n samples reads input i
-    through tap (j - i) mod m, so only taps 0..n-1 and m-n+1..m-1 are
-    used. Placed at the same signed offsets in a buffer of length
-    M >= 2n - 1, they give the same sums without wrap-around.
+    exp(i 2 pi dz / lambda); m depends only on the target count n. Output
+    j of the target grid reads input k of a sub-grid starting at target
+    sample ``lo`` through tap (j - lo - k) mod m, so an input of s
+    samples uses only the n + s - 1 taps at signed offsets
+    -(lo + s - 1) .. n - 1 - lo. Placed at offset + lo modulo a buffer of
+    length M >= n + s - 1, they give the same sums without wrap-around.
     """
     # a fringe scan reuses the same legs for every source, so cache the
     # spectrum; the padded-length arrays are the largest a scan allocates,
@@ -211,43 +216,80 @@ def _transfer(n, dx, wavelength, delta_z):
     # passes are slow. On the default grid the 96 legs of a fringe scan
     # took 3.95 s at the complex-optimal 439,230 = 2*3*5*11^4 and 3.09 s
     # at 442,368 = 2^14*3^3 (2 vCPUs)
-    live = np.zeros(_fft.next_fast_len(2 * n - 1, real=True), dtype=complex)
-    live[:n] = taps[:n]
-    live[live.size - (n - 1) :] = taps[m - (n - 1) :]
+    live = np.zeros(_fft.next_fast_len(n + s - 1, real=True), dtype=complex)
+    live[lo:n] = taps[: n - lo]
+    live[:lo] = taps[m - lo :]
+    live[live.size - (s - 1) :] = taps[m - lo - (s - 1) : m - lo]
     spectrum = _fft.fft(live, overwrite_x=True)
     spectrum.flags.writeable = False
     return spectrum
 
 
-def propagate_paraxial(field: WaveField, delta_z: float, renormalize: bool = True) -> WaveField:
-    """Fast quadratic-phase convolution; the output keeps the input grid.
+def _offset_in(grid: GridSpec, target: GridSpec) -> int:
+    """Index of ``grid``'s first sample on ``target``'s lattice."""
+    if grid.dx != target.dx:
+        raise ValueError("field and target grids must share the step dx")
+    offset = (grid.x_start - target.x_start) / target.dx
+    lo = round(offset)
+    if abs(offset - lo) > 1e-6:
+        raise ValueError("field grid is not on the target grid's lattice")
+    if lo < 0 or lo + grid.count > target.count:
+        raise ValueError("field grid runs past the target grid")
+    return lo
 
-    The operator is the cyclic convolution with the kernel spectrum
-    exp(-i pi lambda dz f^2), times the axial phase exp(i 2 pi dz / lambda),
-    on a grid zero-padded to at least four times the input length, so it
-    is wrap-free for content that stays inside the window. It is computed
-    from the 2n - 1 kernel taps that n inputs and n outputs touch, on an
-    FFT of length ``next_fast_len(2n - 1, real=True)`` (see ``_transfer``).
+
+def propagate_paraxial(
+    field: WaveField,
+    delta_z: float,
+    target: GridSpec | None = None,
+    renormalize: bool = True,
+) -> WaveField:
+    """Fast quadratic-phase convolution onto ``target``.
+
+    ``target`` defaults to the field's own grid; otherwise the field's grid
+    must be a contiguous run of the target's samples (same dx, on its
+    lattice, inside it), and the result is the propagation of the field
+    zero-filled to the target. The operator is the cyclic convolution with
+    the kernel spectrum exp(-i pi lambda dz f^2), times the axial phase
+    exp(i 2 pi dz / lambda), on the target grid zero-padded to at least
+    four times its length, so it is wrap-free for content that stays
+    inside the window. It is computed from the n + s - 1 kernel taps that
+    s inputs and n target outputs touch, on an FFT of length
+    ``next_fast_len(n + s - 1, real=True)`` (see ``_transfer``).
     """
     if not delta_z > 0.0:
         raise ValueError("delta_z must be positive")
     grid = field.grid
-    n = grid.count
-    transfer = _transfer(n, grid.dx, field.wavelength, delta_z)
+    tgt = target or grid
+    lo = _offset_in(grid, tgt)
+    n, s = tgt.count, grid.count
+    transfer = _transfer(n, tgt.dx, field.wavelength, delta_z, lo, s)
     buf = np.zeros(transfer.size, dtype=complex)
-    buf[:n] = field.amplitudes
+    buf[:s] = field.amplitudes
     spectrum = _fft.fft(buf, overwrite_x=True)
     spectrum *= transfer
     out = _fft.ifft(spectrum, overwrite_x=True)[:n]
     if renormalize:
-        out = _matched_flux(out, grid.dx, field.total_probability)
-    return WaveField(out, grid, field.wavelength)
+        out = _matched_flux(out, tgt.dx, field.total_probability)
+    return WaveField(out, tgt, field.wavelength)
 
 
-def propagate(field: WaveField, delta_z: float, method: str = PARAXIAL, renormalize: bool = True) -> WaveField:
-    """Carry ``field`` ``delta_z`` downstream on its own grid with the named kernel."""
+def propagate(
+    field: WaveField,
+    delta_z: float,
+    method: str = PARAXIAL,
+    target: GridSpec | None = None,
+    renormalize: bool = True,
+) -> WaveField:
+    """Carry ``field`` ``delta_z`` downstream onto ``target`` with the named kernel.
+
+    ``target`` defaults to the field's own grid. The paraxial kernel needs
+    the field's grid to be a contiguous run of the target's samples; a
+    sub-grid of s samples then costs an FFT of n + s - 1 live taps
+    instead of 2n - 1.
+    """
     if method == DIRECT:
-        return propagate_direct(field, delta_z, renormalize=renormalize)
+        return propagate_direct(field, delta_z, target, renormalize)
     if method == PARAXIAL:
-        return propagate_paraxial(field, delta_z, renormalize)
+        return propagate_paraxial(field, delta_z, target, renormalize)
     raise ValueError(f"unknown propagation method {method!r}")

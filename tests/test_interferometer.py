@@ -9,17 +9,25 @@ from talbotlau import (
     BeamlineConfig,
     FringeCurve,
     GratingSpec,
+    GridSpec,
     PhaseModel,
     SamplingError,
+    WaveField,
+    apply_plane,
     beamline_grid,
+    comb_throughput,
     contrast,
+    de_broglie_wavelength,
     leg_sampling_reports,
     misalignment_factor,
+    propagate,
     scan_fringe,
     simulate_throughput,
     sweep_energy,
     translate_grating,
 )
+from talbotlau import interferometer
+from talbotlau.interferometer import _fringe_totals, _source_positions
 
 D = 1e-7
 
@@ -77,6 +85,98 @@ def test_direct_kernel_scan_tracks_paraxial():
     mean = paraxial.throughput.mean()
     assert np.max(np.abs(direct.throughput - paraxial.throughput)) <= 0.02 * mean
     assert abs(contrast(direct) - contrast(paraxial)) <= 0.01
+
+
+def full_grid_totals(cfg, offsets, grid):
+    # the scan as a loop over the whole grid: every source's field is built
+    # on all samples, slit 2 is applied as a 0/1 mask, and each leg
+    # propagates on the grid it was given
+    x = grid.x
+    lam = de_broglie_wavelength(cfg.energy, cfg.particle)
+    g1, g2, g3 = cfg.gratings
+    unit = WaveField(np.ones(grid.count, dtype=complex), grid, lam)
+    slit2 = apply_plane(unit, cfg.second_slit).amplitudes
+    t1 = apply_plane(unit, g1, cfg.phase_model, plane_index=1).amplitudes
+    t2 = apply_plane(unit, g2, cfg.phase_model, plane_index=2).amplitudes
+    intensity = np.zeros(grid.count)
+    for x_s in _source_positions(cfg):
+        amp = np.exp(2j * np.pi * np.hypot(x - x_s, cfg.slit_separation) / lam) * slit2
+        psi = propagate(WaveField(amp, grid, lam), cfg.slit2_to_g1, cfg.propagator)
+        p_in = psi.total_probability
+        psi = propagate(WaveField(psi.amplitudes * t1, grid, lam), cfg.grating_gap, cfg.propagator)
+        psi = propagate(WaveField(psi.amplitudes * t2, grid, lam), cfg.grating_gap, cfg.propagator)
+        intensity += np.abs(psi.amplitudes) ** 2 * (grid.dx / p_in)
+    return comb_throughput(x, intensity, g3, offsets) / cfg.n_sources
+
+
+def clipped_grid(cfg, last_x):
+    # the scan's grid cut short so that its last sample sits at last_x
+    grid = beamline_grid(cfg)
+    return GridSpec(grid.x_start, grid.dx, int(round((last_x - grid.x_start) / grid.dx)) + 1)
+
+
+def assert_scan_matches_full_grid_loop(cfg, grid):
+    offsets = np.arange(8) * (D / 8)
+    expected = full_grid_totals(cfg, offsets, grid)
+    got = _fringe_totals(cfg, offsets)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(expected)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(
+            n_sources=4,
+            phase_model=PhaseModel(image_charge_strength=1e-9, random_phase_max=0.5, rng_seed=3),
+        ),
+        # the direct kernel carries the sub-grid onto the whole grid as well
+        dict(
+            source_slit=ApertureSpec(1e-6),
+            second_slit=ApertureSpec(1e-6),
+            n_sources=1,
+            grid_points=2049,
+            propagator="direct",
+        ),
+    ],
+    ids=["paraxial", "direct"],
+)
+def test_scan_from_the_slit2_opening_matches_the_full_grid_loop(overrides):
+    cfg = fast_config(**overrides)
+    assert_scan_matches_full_grid_loop(cfg, beamline_grid(cfg))
+
+
+def test_slit2_opening_one_sample_matches_the_full_grid_loop():
+    # the fast config's grid has a sample at x = 0 and a 1 nm step
+    cfg = fast_config(second_slit=ApertureSpec(0.5e-9), n_sources=4)
+    grid = beamline_grid(cfg)
+    assert np.count_nonzero(np.abs(grid.x) <= 0.25e-9) == 1
+    assert_scan_matches_full_grid_loop(cfg, grid)
+
+
+@pytest.mark.parametrize("width", [0.5e-9, 2e-6], ids=["last-sample", "half-open"])
+def test_slit2_clipped_by_the_window_edge_matches_the_full_grid_loop(monkeypatch, width):
+    # slit 2 is centered on the last sample of the window, so the window
+    # edge cuts it: it opens that one sample, or the half of it inside
+    cfg = fast_config(n_sources=4)
+    grid = clipped_grid(cfg, 0.3e-6)
+    cfg = replace(cfg, second_slit=ApertureSpec(width, center=float(grid.x[-1])))
+    monkeypatch.setattr(interferometer, "beamline_grid", lambda _: grid)
+    assert_scan_matches_full_grid_loop(cfg, grid)
+
+
+def test_slit2_off_the_window_is_refused(monkeypatch):
+    cfg = fast_config(n_sources=2)
+    grid = clipped_grid(cfg, -1.5e-6)
+    monkeypatch.setattr(interferometer, "beamline_grid", lambda _: grid)
+    with pytest.raises(ValueError, match="aperture does not overlap the field grid"):
+        simulate_throughput(cfg, 0.0)
+
+
+def test_slit2_between_two_samples_is_refused():
+    # the 0.5 nm slit sits halfway between the samples at 0 and 1 nm
+    cfg = fast_config(second_slit=ApertureSpec(0.5e-9, center=0.5e-9), n_sources=2)
+    with pytest.raises(ValueError, match="no flux passes the second collimation slit"):
+        simulate_throughput(cfg, 0.0)
 
 
 def test_single_centered_source_bounded_by_open_fraction():

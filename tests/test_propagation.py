@@ -106,22 +106,76 @@ def padded_cyclic_convolution(field, dz):
     return fft.ifft(fft.fft(np.pad(field.amplitudes, (0, m - n))) * h)[:n]
 
 
+def sub_grid_cases(n):
+    # (first sample, sample count) of sub-grids of an n-sample grid: the
+    # whole grid, a pair near the start, a middle run and the last samples
+    cases = {(0, n), (3, 2), (n // 3, n // 2), (n - 5, 5)}
+    return sorted((lo, s) for lo, s in cases if s >= 2 and lo >= 0 and lo + s <= n)
+
+
+def sub_grid_field(grid, lo, s, rng):
+    # support reaches both ends of the sub-grid, so the extreme taps
+    # -(lo + s - 1) and n - 1 - lo are used
+    amp = rng.normal(size=s) + 1j * rng.normal(size=s)
+    amp[[0, -1]] = [1.0 + 0.5j, -0.7 + 1.0j]
+    sub = WaveField(amp, GridSpec(grid.x[lo], grid.dx, s), LAM)
+    zero_filled = WaveField(np.pad(amp, (lo, grid.count - lo - s)), grid, LAM)
+    return sub, zero_filled
+
+
 @pytest.mark.parametrize("renormalize", [False, True])
 @pytest.mark.parametrize("dz", [1e-4, 0.05])
 @pytest.mark.parametrize("n", [2, 3, 16, 17, 1000, 1001])
 def test_paraxial_equals_the_padded_cyclic_convolution(n, dz, renormalize):
     grid = centered_grid(n, 0.26e-9)
     rng = np.random.default_rng(n)
-    # support reaches both window edges, so the extreme taps +-(n - 1) are used
-    amp = rng.normal(size=n) + 1j * rng.normal(size=n)
-    amp[[0, -1]] = [1.0 + 0.5j, -0.7 + 1.0j]
-    field = WaveField(amp, grid, LAM)
-    expected = padded_cyclic_convolution(field, dz)
-    if renormalize:
-        expected *= math.sqrt(field.total_probability / (np.sum(np.abs(expected) ** 2) * grid.dx))
-    out = propagate_paraxial(field, dz, renormalize=renormalize).amplitudes
-    assert np.max(np.abs(out - expected)) / np.max(np.abs(expected)) <= 1e-12
-    assert _transfer(n, grid.dx, LAM, dz).size == fft.next_fast_len(2 * n - 1, real=True)
+    for lo, s in sub_grid_cases(n):
+        sub, zero_filled = sub_grid_field(grid, lo, s, rng)
+        expected = padded_cyclic_convolution(zero_filled, dz)
+        if renormalize:
+            expected *= math.sqrt(sub.total_probability / (np.sum(np.abs(expected) ** 2) * grid.dx))
+        out = propagate_paraxial(sub, dz, grid, renormalize=renormalize)
+        assert out.grid == grid
+        assert np.max(np.abs(out.amplitudes - expected)) / np.max(np.abs(expected)) <= 1e-12
+        assert _transfer(n, grid.dx, LAM, dz, lo, s).size == fft.next_fast_len(n + s - 1, real=True)
+
+
+@pytest.mark.parametrize("dz", [1e-4, 0.05])
+def test_direct_from_a_sub_grid_equals_the_zero_filled_field(dz):
+    grid = centered_grid(301, 0.26e-9)
+    rng = np.random.default_rng(5)
+    for lo, s in sub_grid_cases(grid.count):
+        sub, zero_filled = sub_grid_field(grid, lo, s, rng)
+        for renormalize in (False, True):
+            expected = propagate_direct(zero_filled, dz, grid, renormalize).amplitudes
+            out = propagate_direct(sub, dz, grid, renormalize)
+            assert out.grid == grid
+            assert np.max(np.abs(out.amplitudes - expected)) / np.max(np.abs(expected)) <= 1e-12
+
+
+def test_paraxial_target_needs_the_same_step():
+    grid = centered_grid(64, 1e-9)
+    sub = WaveField(np.ones(8, dtype=complex), GridSpec(grid.x[10], 1.01e-9, 8), LAM)
+    with pytest.raises(ValueError, match="step"):
+        propagate_paraxial(sub, 1e-3, grid)
+
+
+def test_paraxial_target_needs_a_sub_grid_on_its_lattice():
+    grid = centered_grid(64, 1e-9)
+    sub = WaveField(np.ones(8, dtype=complex), GridSpec(grid.x[10] + 0.3e-9, 1e-9, 8), LAM)
+    with pytest.raises(ValueError, match="lattice"):
+        propagate_paraxial(sub, 1e-3, grid)
+    # rounding of x_start well inside the 1e-6 sample tolerance is accepted
+    on_lattice = WaveField(np.ones(8, dtype=complex), GridSpec(grid.x[10] + 1e-20, 1e-9, 8), LAM)
+    assert propagate_paraxial(on_lattice, 1e-3, grid).grid == grid
+
+
+@pytest.mark.parametrize("first", [-1, 57])
+def test_paraxial_target_must_contain_the_sub_grid(first):
+    grid = centered_grid(64, 1e-9)
+    sub = WaveField(np.ones(8, dtype=complex), GridSpec(grid.x_start + first * 1e-9, 1e-9, 8), LAM)
+    with pytest.raises(ValueError, match="runs past"):
+        propagate_paraxial(sub, 1e-3, grid)
 
 
 def test_flux_conservation():
@@ -182,6 +236,12 @@ def test_propagate_validation():
             propagate(field, 0.0, method)
     with pytest.raises(ValueError):
         propagate(field, 1e-3, "magic")
+    # both kernels carry a sub-grid onto the target they are given
+    sub = WaveField(np.ones(8, dtype=complex), GridSpec(grid.x[100], grid.dx, 8), LAM)
+    for method in (DIRECT, PARAXIAL):
+        assert propagate(sub, 1e-3, method, target=grid).grid == grid
+    with pytest.raises(ValueError):
+        propagate(sub, 1e-3, PARAXIAL, target=GridSpec(grid.x[101], grid.dx, 64))
     with pytest.raises(ValueError):
         GridSpec(0.0, 1e-9, 1)
 
