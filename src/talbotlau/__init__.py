@@ -1,10 +1,11 @@
 """Desk-scale three-grating near-field interferometer simulator.
 
-A scalar 1-D wavefield is carried plane to plane by a path-summation
-kernel (direct reference quadrature or fast paraxial FFT convolution),
-modulated by slits and absorption gratings, and incoherently averaged over
-point sources to produce throughput fringes, contrast-vs-energy curves and
-a magnetometry analysis layer (field generation, deflection, shot-noise
+A scalar 1-D wavefield is carried plane to plane by one path-summation
+kernel, ``propagate`` (a fast paraxial FFT convolution; tests check it
+against the direct reference quadrature ``propagate_direct``), modulated
+by slits and absorption gratings, and incoherently averaged over point
+sources to produce throughput fringes, contrast-vs-energy curves and a
+magnetometry analysis layer (field generation, deflection, shot-noise
 sensitivity, device scaling).
 """
 
@@ -48,16 +49,12 @@ from .kinematics import (
     talbot_length,
 )
 from .propagation import (
-    DIRECT,
-    METHODS,
-    PARAXIAL,
     GridSpec,
     SamplingError,
     SamplingReport,
     WaveField,
     propagate,
     propagate_direct,
-    propagate_paraxial,
     required_dx,
     sampling_check,
     sampling_report,

@@ -7,7 +7,6 @@ Identical (config, seed, command) triples produce byte-identical output.
 """
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -23,7 +22,7 @@ from .config import (
 )
 from .interferometer import contrast, leg_sampling_reports, scan_fringe, sweep_energy
 from .kinematics import BeamEnergy, de_broglie_wavelength, resonant_energies, talbot_length
-from .propagation import METHODS, SamplingError
+from .propagation import SamplingError
 from .sensing import (
     cradle_field,
     predict_throughput,
@@ -86,7 +85,7 @@ def _cmd_sweep_field(cfg: RunConfig):
     region = build_field_region(cfg)
     rows = []
     for current in np.linspace(s.current_min, s.current_max, s.current_points):
-        field = cradle_field(dataclasses.replace(cfg.cradle, current=current))
+        field = cradle_field(cfg.cradle, current)
         thr = predict_throughput(curve, field, region, beamline.energy, beamline.particle)
         rows.append((current, field, thr))
     return ("current_A", "B_T", "throughput"), rows
@@ -169,7 +168,6 @@ _OVERRIDES = (
     ("seed", "run", "seed"),
     ("sources", "beamline", "n_sources"),
     ("grid", "beamline", "grid_points"),
-    ("propagator", "beamline", "propagator"),
 )
 
 
@@ -192,7 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="override [run] seed")
     common.add_argument("--sources", type=int, help="override [beamline] n_sources")
     common.add_argument("--grid", type=int, help="override [beamline] grid_points (0 = automatic)")
-    common.add_argument("--propagator", choices=METHODS, help="override [beamline] propagator")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _DISPATCH:
         sub.add_parser(name, parents=[common], help=f"run the {name} command")

@@ -61,7 +61,6 @@ class BeamlineSettings:
     image_charge_range: float = _PHASE.image_charge_range
     random_phase_max: float = _PHASE.random_phase_max
     n_sources: int = _BEAMLINE.n_sources
-    propagator: str = _BEAMLINE.propagator
     grid_points: int = 0  # 0 = automatic step
     window_factor: float = _BEAMLINE.window_factor
 
@@ -131,7 +130,7 @@ class RunSettings:
 @dataclass(frozen=True)
 class RunConfig:
     beamline: BeamlineSettings = BeamlineSettings()
-    cradle: CradleSpec = CradleSpec(current=0.071)
+    cradle: CradleSpec = CradleSpec()
     field: FieldSettings = FieldSettings()
     sensing: SensingSettings = SensingSettings()
     sweep: SweepSettings = SweepSettings()
@@ -280,7 +279,6 @@ def build_beamline(cfg: RunConfig) -> BeamlineConfig:
         phase_model=phase,
         energy=BeamEnergy(b.energy_ev),
         n_sources=b.n_sources,
-        propagator=b.propagator,
         grid_points=b.grid_points if b.grid_points else None,
         window_factor=b.window_factor,
     )

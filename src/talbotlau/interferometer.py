@@ -23,8 +23,6 @@ import numpy as np
 from .elements import ApertureSpec, GratingSpec, PhaseModel, apply_plane, comb_throughput
 from .kinematics import ELECTRON, BeamEnergy, ParticleSpec, de_broglie_wavelength
 from .propagation import (
-    METHODS,
-    PARAXIAL,
     GridSpec,
     SamplingError,
     SamplingReport,
@@ -104,7 +102,6 @@ class BeamlineConfig:
     energy: BeamEnergy = BeamEnergy(1e4)
     particle: ParticleSpec = ELECTRON
     n_sources: int = 32
-    propagator: str = PARAXIAL
     grid_step: float | None = None
     grid_points: int | None = None
     window_factor: float = 1.5
@@ -117,8 +114,6 @@ class BeamlineConfig:
             raise ValueError("exactly three gratings are required")
         if self.n_sources < 1:
             raise ValueError("n_sources must be at least 1")
-        if self.propagator not in METHODS:
-            raise ValueError(f"unknown propagator {self.propagator!r}")
         if self.grid_step is not None and self.grid_points is not None:
             raise ValueError("set grid_step or grid_points, not both")
         if self.grid_step is not None and not self.grid_step > 0.0:
@@ -244,12 +239,12 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
         amp = np.exp(2j * np.pi * np.hypot(x_sub - x_s, cfg.slit_separation) / lam)
         amp[: lo - sub_lo] = 0.0
         amp[hi - sub_lo :] = 0.0
-        psi = propagate(WaveField(amp, sub, lam), cfg.slit2_to_g1, cfg.propagator, target=grid)
+        psi = propagate(WaveField(amp, sub, lam), cfg.slit2_to_g1, target=grid)
         p_in = psi.total_probability
         if p_in <= 0.0:
             raise ValueError("no flux reaches the first grating; check geometry")
-        psi = propagate(replace(psi, amplitudes=psi.amplitudes * t1), cfg.grating_gap, cfg.propagator)
-        psi = propagate(replace(psi, amplitudes=psi.amplitudes * t2), cfg.grating_gap, cfg.propagator)
+        psi = propagate(replace(psi, amplitudes=psi.amplitudes * t1), cfg.grating_gap)
+        psi = propagate(replace(psi, amplitudes=psi.amplitudes * t2), cfg.grating_gap)
         intensity += np.abs(psi.amplitudes) ** 2 * (grid.dx / p_in)
     return comb_throughput(x, intensity, cfg.gratings[2], offsets) / cfg.n_sources
 

@@ -1,19 +1,18 @@
 """Plane-to-plane propagation of a 1-D scalar complex wavefield.
 
-Two kernels are provided. ``propagate_direct`` is the reference: a full
-quadrature of exp(i 2 pi r / lambda) over every source sample, with
-r the exact point-to-point path length. ``propagate_paraxial`` is the fast
-variant: convolution with the quadratic-phase kernel
-exp(i pi (x - x')^2 / (lambda dz)), evaluated as a padded cyclic FFT
-convolution on a shared uniform grid. The operator is defined on a buffer
-padded to ``_PAD_FACTOR`` times the grid, but n samples in and n kept
-samples out touch only the 2n - 1 central taps of that padded kernel, so
-each leg runs on an FFT of the 5-smooth length
+``propagate`` is the beamline kernel: convolution with the quadratic-phase
+kernel exp(i pi (x - x')^2 / (lambda dz)), evaluated as a padded cyclic
+FFT convolution on a shared uniform grid. The operator is defined on a
+buffer padded to ``_PAD_FACTOR`` times the grid, but n samples in and n
+kept samples out touch only the 2n - 1 central taps of that padded kernel,
+so each leg runs on an FFT of the 5-smooth length
 ``next_fast_len(2n - 1, real=True)``, about half the padded length, with
 the same taps. A field that lives on a contiguous run of s samples of its
 n-sample target grid touches only n + s - 1 taps, and its FFT shrinks to
-``next_fast_len(n + s - 1, real=True)``. ``propagate`` picks a kernel by
-its name in ``METHODS``.
+``next_fast_len(n + s - 1, real=True)``. ``propagate_direct`` is the
+reference that tests compare against: a full quadrature of
+exp(i 2 pi r / lambda) over every source sample, with r the exact
+point-to-point path length, O(N_src * N_tgt).
 Both drop the Huygens amplitude prefactor and instead rescale the output
 so total probability matches the input; every downstream observable is a
 flux ratio, so the overall scale is immaterial.
@@ -28,9 +27,6 @@ import numpy as np
 from scipy import fft as _fft
 
 __all__ = [
-    "DIRECT",
-    "PARAXIAL",
-    "METHODS",
     "SamplingError",
     "WaveField",
     "GridSpec",
@@ -40,12 +36,7 @@ __all__ = [
     "sampling_check",
     "propagate",
     "propagate_direct",
-    "propagate_paraxial",
 ]
-
-DIRECT = "direct"
-PARAXIAL = "paraxial"
-METHODS = (DIRECT, PARAXIAL)
 
 # zero-padding that defines the paraxial operator: its kernel is the
 # inverse FFT of the transfer function sampled on this many times the grid
@@ -238,7 +229,7 @@ def _offset_in(grid: GridSpec, target: GridSpec) -> int:
     return lo
 
 
-def propagate_paraxial(
+def propagate(
     field: WaveField,
     delta_z: float,
     target: GridSpec | None = None,
@@ -272,24 +263,3 @@ def propagate_paraxial(
     if renormalize:
         out = _matched_flux(out, tgt.dx, field.total_probability)
     return WaveField(out, tgt, field.wavelength)
-
-
-def propagate(
-    field: WaveField,
-    delta_z: float,
-    method: str = PARAXIAL,
-    target: GridSpec | None = None,
-    renormalize: bool = True,
-) -> WaveField:
-    """Carry ``field`` ``delta_z`` downstream onto ``target`` with the named kernel.
-
-    ``target`` defaults to the field's own grid. The paraxial kernel needs
-    the field's grid to be a contiguous run of the target's samples; a
-    sub-grid of s samples then costs an FFT of n + s - 1 live taps
-    instead of 2n - 1.
-    """
-    if method == DIRECT:
-        return propagate_direct(field, delta_z, target, renormalize)
-    if method == PARAXIAL:
-        return propagate_paraxial(field, delta_z, target, renormalize)
-    raise ValueError(f"unknown propagation method {method!r}")

@@ -44,7 +44,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CradleSpec:
-    """Cube-edge wire arrangement: edge length [m], current [A].
+    """Cube-edge wire arrangement: edge length [m].
 
     ``efficiency`` rescales the nominal center field to absorb geometric
     imperfections (off-center placement, non-cubic winding). Values above 1
@@ -53,7 +53,6 @@ class CradleSpec:
     """
 
     edge_length: float = 0.054
-    current: float = 0.0
     efficiency: float = 1.0
 
     def __post_init__(self):
@@ -84,9 +83,9 @@ class SensorReport:
     sensitivity: float
 
 
-def cradle_field(cradle: CradleSpec) -> float:
-    """Center field of the cube-edge coil: (4/sqrt(3)) mu0 I / (pi w) [T]."""
-    nominal = (4.0 / math.sqrt(3.0)) * const.MU_0 * cradle.current / (math.pi * cradle.edge_length)
+def cradle_field(cradle: CradleSpec, current: float) -> float:
+    """Center field of the cube-edge coil at ``current`` [A]: (4/sqrt(3)) mu0 I / (pi w) [T]."""
+    nominal = (4.0 / math.sqrt(3.0)) * const.MU_0 * current / (math.pi * cradle.edge_length)
     return cradle.efficiency * nominal
 
 

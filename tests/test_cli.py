@@ -228,6 +228,15 @@ def test_missing_config_file_exits_nonzero(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_retired_propagator_flag_exits_nonzero(capsys):
+    # the beamline has one kernel, so no flag chooses it; argparse stops
+    # before any beamline is built
+    with pytest.raises(SystemExit) as exc:
+        main(["fringe", "--propagator", "direct"])
+    assert exc.value.code != 0
+    assert "--propagator" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--grid", "5"), ("--sources", "0"), ("--seed", "-1")])
 def test_out_of_range_flag_exits_nonzero_naming_it(flag, value, capsys):
     # kinematics builds no beamline, so only the override check can catch these

@@ -44,7 +44,7 @@ second_slit_width = 2e-6
 n_sources = 12
 grid_points = 4096
 [cradle]
-current = 0.0025
+edge_length = 0.06
 efficiency = 1.482
 [sweep]
 energy_points = 5
@@ -66,6 +66,17 @@ def test_unknown_key_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config("[beamline]\nslit_gap = 1\n")
     assert "slit_gap" in str(err.value)
+    # retired keys: the beamline has one kernel, and sweep-field sets the
+    # coil current on every row
+    for text, message in (
+        (
+            "[beamline]\nenergy_ev = 8800\npropagator = direct\n",
+            "line 3: unknown key 'propagator' in section [beamline]",
+        ),
+        ("[cradle]\ncurrent = 0.071\n", "line 2: unknown key 'current' in section [cradle]"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
 
 
 def test_unknown_section_rejected():
@@ -76,8 +87,8 @@ def test_unknown_section_rejected():
 
 def test_nan_rejected():
     with pytest.raises(ConfigError) as err:
-        parse_config("[cradle]\ncurrent = nan\n")
-    assert "current" in str(err.value)
+        parse_config("[cradle]\nedge_length = nan\n")
+    assert "edge_length" in str(err.value)
 
 
 def test_malformed_number_rejected():
@@ -102,13 +113,6 @@ def test_comments_and_blank_lines_ignored():
     text = "# run setup\n\n[beamline]\nenergy_ev = 5600  # resonance\n"
     cfg = parse_config(text)
     assert cfg.beamline.energy_ev == 5600
-
-
-def test_propagator_choice_validated():
-    with pytest.raises(ConfigError):
-        parse_config("[beamline]\npropagator = fourier\n")
-    cfg = parse_config("[beamline]\npropagator = direct\n")
-    assert cfg.beamline.propagator == "direct"
 
 
 def test_open_fraction_range_validated():
@@ -157,8 +161,8 @@ def test_build_beamline_auto_grid_when_zero():
 
 
 def test_build_cradle_and_region():
-    cfg = parse_config("[cradle]\ncurrent = 0.0025\n[field]\nregion_length = 3.06e-3\n")
-    assert cfg.cradle.current == 0.0025
+    cfg = parse_config("[cradle]\nedge_length = 0.06\n[field]\nregion_length = 3.06e-3\n")
+    assert cfg.cradle.edge_length == 0.06
     region = build_field_region(cfg, field=1e-6)
     assert region.length == 3.06e-3
     assert region.field == 1e-6

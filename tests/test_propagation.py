@@ -5,14 +5,11 @@ import pytest
 from scipy import fft
 
 from talbotlau import (
-    DIRECT,
-    PARAXIAL,
     GridSpec,
     SamplingError,
     WaveField,
     propagate,
     propagate_direct,
-    propagate_paraxial,
     required_dx,
     sampling_check,
 )
@@ -65,7 +62,7 @@ def test_double_slit_far_field_period_matches_analytic():
 def test_plane_wave_central_region_stays_flat():
     grid = centered_grid(4096, 2e-9)
     field = WaveField(np.ones(4096, dtype=complex), grid, LAM)
-    out = propagate(field, 1e-4, PARAXIAL)
+    out = propagate(field, 1e-4)
     center = np.abs(out.amplitudes[1548:2548]) ** 2
     assert center.max() / center.min() - 1 < 0.01
 
@@ -74,8 +71,8 @@ def test_paraxial_matches_direct_on_2048_point_double_slit():
     grid = centered_grid(2048, 4.2e-6 / 2048)
     field = double_slit_field(grid, 0.6e-6, 1.5e-6)
     dz = 3.06e-3
-    direct = propagate(field, dz, DIRECT)
-    paraxial = propagate(field, dz, PARAXIAL)
+    direct = propagate_direct(field, dz)
+    paraxial = propagate(field, dz)
     i_d = np.abs(direct.amplitudes) ** 2
     i_p = np.abs(paraxial.amplitudes) ** 2
     err = np.linalg.norm(i_p - i_d) / np.linalg.norm(i_d)
@@ -89,7 +86,7 @@ def test_paraxial_is_linear_before_renormalization():
     a2 = rng.normal(size=2048) + 1j * rng.normal(size=2048)
     ca, cb = 0.7 - 0.2j, -1.3 + 0.5j
     f = lambda amp: propagate(
-        WaveField(amp, grid, LAM), 1e-3, PARAXIAL, renormalize=False
+        WaveField(amp, grid, LAM), 1e-3, renormalize=False
     ).amplitudes
     combined = f(ca * a1 + cb * a2)
     superposed = ca * f(a1) + cb * f(a2)
@@ -134,7 +131,7 @@ def test_paraxial_equals_the_padded_cyclic_convolution(n, dz, renormalize):
         expected = padded_cyclic_convolution(zero_filled, dz)
         if renormalize:
             expected *= math.sqrt(sub.total_probability / (np.sum(np.abs(expected) ** 2) * grid.dx))
-        out = propagate_paraxial(sub, dz, grid, renormalize=renormalize)
+        out = propagate(sub, dz, grid, renormalize=renormalize)
         assert out.grid == grid
         assert np.max(np.abs(out.amplitudes - expected)) / np.max(np.abs(expected)) <= 1e-12
         assert _transfer(n, grid.dx, LAM, dz, lo, s).size == fft.next_fast_len(n + s - 1, real=True)
@@ -157,17 +154,17 @@ def test_paraxial_target_needs_the_same_step():
     grid = centered_grid(64, 1e-9)
     sub = WaveField(np.ones(8, dtype=complex), GridSpec(grid.x[10], 1.01e-9, 8), LAM)
     with pytest.raises(ValueError, match="step"):
-        propagate_paraxial(sub, 1e-3, grid)
+        propagate(sub, 1e-3, grid)
 
 
 def test_paraxial_target_needs_a_sub_grid_on_its_lattice():
     grid = centered_grid(64, 1e-9)
     sub = WaveField(np.ones(8, dtype=complex), GridSpec(grid.x[10] + 0.3e-9, 1e-9, 8), LAM)
     with pytest.raises(ValueError, match="lattice"):
-        propagate_paraxial(sub, 1e-3, grid)
+        propagate(sub, 1e-3, grid)
     # rounding of x_start well inside the 1e-6 sample tolerance is accepted
     on_lattice = WaveField(np.ones(8, dtype=complex), GridSpec(grid.x[10] + 1e-20, 1e-9, 8), LAM)
-    assert propagate_paraxial(on_lattice, 1e-3, grid).grid == grid
+    assert propagate(on_lattice, 1e-3, grid).grid == grid
 
 
 @pytest.mark.parametrize("first", [-1, 57])
@@ -175,16 +172,16 @@ def test_paraxial_target_must_contain_the_sub_grid(first):
     grid = centered_grid(64, 1e-9)
     sub = WaveField(np.ones(8, dtype=complex), GridSpec(grid.x_start + first * 1e-9, 1e-9, 8), LAM)
     with pytest.raises(ValueError, match="runs past"):
-        propagate_paraxial(sub, 1e-3, grid)
+        propagate(sub, 1e-3, grid)
 
 
 def test_flux_conservation():
     grid = centered_grid(4096, 2e-9)
     gauss = np.exp(-((grid.x / 1.5e-6) ** 2)).astype(complex)
     field = WaveField(gauss, grid, LAM)
-    renorm = propagate(field, 3.06e-3, PARAXIAL)
+    renorm = propagate(field, 3.06e-3)
     assert renorm.total_probability == pytest.approx(field.total_probability, rel=1e-12)
-    raw = propagate(field, 3.06e-3, PARAXIAL, renormalize=False)
+    raw = propagate(field, 3.06e-3, renormalize=False)
     drift = abs(raw.total_probability - field.total_probability) / field.total_probability
     assert drift < 1e-6
 
@@ -222,26 +219,24 @@ def test_reciprocity_under_reflection():
     grid = centered_grid(4096, 2e-9)
     sym = np.exp(-((grid.x / 1e-6) ** 2)) * (1 + 0.3 * np.cos(2 * np.pi * grid.x / 5e-7))
     field = WaveField(sym.astype(complex), grid, LAM)
-    forward = propagate_paraxial(field, 2e-3, renormalize=False).amplitudes
+    forward = propagate(field, 2e-3, renormalize=False).amplitudes
     mirrored = WaveField(field.amplitudes[::-1], grid, LAM)
-    swapped = propagate_paraxial(mirrored, 2e-3, renormalize=False).amplitudes
+    swapped = propagate(mirrored, 2e-3, renormalize=False).amplitudes
     assert np.linalg.norm(forward[::-1] - swapped) / np.linalg.norm(forward) < 1e-10
 
 
 def test_propagate_validation():
     grid = centered_grid(256, 1e-9)
     field = WaveField(np.ones(256, dtype=complex), grid, LAM)
-    for method in (DIRECT, PARAXIAL):
+    for kernel in (propagate_direct, propagate):
         with pytest.raises(ValueError):
-            propagate(field, 0.0, method)
-    with pytest.raises(ValueError):
-        propagate(field, 1e-3, "magic")
+            kernel(field, 0.0)
     # both kernels carry a sub-grid onto the target they are given
     sub = WaveField(np.ones(8, dtype=complex), GridSpec(grid.x[100], grid.dx, 8), LAM)
-    for method in (DIRECT, PARAXIAL):
-        assert propagate(sub, 1e-3, method, target=grid).grid == grid
+    for kernel in (propagate_direct, propagate):
+        assert kernel(sub, 1e-3, target=grid).grid == grid
     with pytest.raises(ValueError):
-        propagate(sub, 1e-3, PARAXIAL, target=GridSpec(grid.x[101], grid.dx, 64))
+        propagate(sub, 1e-3, target=GridSpec(grid.x[101], grid.dx, 64))
     with pytest.raises(ValueError):
         GridSpec(0.0, 1e-9, 1)
 

@@ -30,9 +30,9 @@ E10 = BeamEnergy(1e4)
 
 
 def test_cradle_field_reference_currents():
-    assert cradle_field(CradleSpec(current=0.071)) == pytest.approx(1.2e-6, abs=0.05e-6)
-    assert cradle_field(CradleSpec(current=2.5e-3)) == pytest.approx(43e-9, abs=1e-9)
-    assert cradle_field(CradleSpec(current=0.0)) == 0.0
+    assert cradle_field(CradleSpec(), 0.071) == pytest.approx(1.2e-6, abs=0.05e-6)
+    assert cradle_field(CradleSpec(), 2.5e-3) == pytest.approx(43e-9, abs=1e-9)
+    assert cradle_field(CradleSpec(), 0.0) == 0.0
 
 
 def test_cradle_field_odd_in_current_and_inverse_in_edge():
@@ -40,16 +40,16 @@ def test_cradle_field_odd_in_current_and_inverse_in_edge():
     for _ in range(20):
         current = rng.uniform(-0.2, 0.2)
         w = rng.uniform(0.01, 0.2)
-        spec = CradleSpec(edge_length=w, current=current)
-        assert cradle_field(spec) == pytest.approx(-cradle_field(CradleSpec(edge_length=w, current=-current)), rel=1e-12)
-        assert cradle_field(CradleSpec(edge_length=2 * w, current=current)) == pytest.approx(
-            0.5 * cradle_field(spec), rel=1e-12
+        spec = CradleSpec(edge_length=w)
+        assert cradle_field(spec, current) == pytest.approx(-cradle_field(spec, -current), rel=1e-12)
+        assert cradle_field(CradleSpec(edge_length=2 * w), current) == pytest.approx(
+            0.5 * cradle_field(spec, current), rel=1e-12
         )
 
 
 def test_cradle_efficiency_scales_field():
-    base = cradle_field(CradleSpec(current=0.071))
-    assert cradle_field(CradleSpec(current=0.071, efficiency=1.482)) == pytest.approx(1.482 * base, rel=1e-12)
+    base = cradle_field(CradleSpec(), 0.071)
+    assert cradle_field(CradleSpec(efficiency=1.482), 0.071) == pytest.approx(1.482 * base, rel=1e-12)
     with pytest.raises(ValueError):
         CradleSpec(efficiency=0.0)
 
