@@ -13,8 +13,8 @@ from .config import (
     ConfigError,
     RunConfig,
     build_beamline,
-    build_field_region,
     default_config,
+    override,
     parse_config,
     serialize_config,
 )
@@ -34,7 +34,7 @@ from .interferometer import (
     FringeCurve,
     beamline_grid,
     contrast,
-    leg_sampling_reports,
+    leg_required_dx,
     misalignment_factor,
     scan_fringe,
     simulate_throughput,
@@ -51,20 +51,15 @@ from .kinematics import (
 from .propagation import (
     GridSpec,
     SamplingError,
-    SamplingReport,
     WaveField,
     propagate,
     propagate_direct,
     required_dx,
-    sampling_check,
-    sampling_report,
 )
 from .sensing import (
     CradleSpec,
-    FieldRegion,
     SensorReport,
     ab_phase,
-    classical_deflection,
     cradle_field,
     deflection_per_field,
     field_for_deflection,

@@ -15,12 +15,11 @@ from .config import (
     ConfigError,
     RunConfig,
     build_beamline,
-    build_field_region,
     default_config,
     override,
     parse_config,
 )
-from .interferometer import contrast, leg_sampling_reports, scan_fringe, sweep_energy
+from .interferometer import beamline_grid, leg_required_dx, scan_fringe, sweep_energy
 from .kinematics import BeamEnergy, de_broglie_wavelength, resonant_energies, talbot_length
 from .propagation import SamplingError
 from .sensing import (
@@ -82,24 +81,21 @@ def _cmd_sweep_field(cfg: RunConfig):
     s = cfg.sweep
     beamline = build_beamline(cfg)
     curve = scan_fringe(beamline, s.n_offsets)
-    region = build_field_region(cfg)
     rows = []
     for current in np.linspace(s.current_min, s.current_max, s.current_points):
         field = cradle_field(cfg.cradle, current)
-        thr = predict_throughput(curve, field, region, beamline.energy, beamline.particle)
+        thr = predict_throughput(curve, field, cfg.field.region_length, beamline.energy, beamline.particle)
         rows.append((current, field, thr))
     return ("current_A", "B_T", "throughput"), rows
 
 
 def _operating_point(cfg: RunConfig):
     curve = sinusoid_fringe(cfg.beamline.grating_period, cfg.sensing.fringe_contrast)
-    region = build_field_region(cfg)
-    energy = BeamEnergy(cfg.beamline.energy_ev)
-    return curve, region, energy
+    return curve, BeamEnergy(cfg.beamline.energy_ev)
 
 
 def _cmd_step(cfg: RunConfig):
-    curve, region, energy = _operating_point(cfg)
+    curve, energy = _operating_point(cfg)
     s = cfg.sensing
     counts = simulate_step_response(
         curve,
@@ -108,7 +104,7 @@ def _cmd_step(cfg: RunConfig):
         rate_scale=s.count_rate,
         seconds=s.seconds,
         seed=cfg.run.seed,
-        region=region,
+        region_length=cfg.field.region_length,
         energy=energy,
         block_seconds=s.block_seconds,
     )
@@ -116,9 +112,9 @@ def _cmd_step(cfg: RunConfig):
 
 
 def _cmd_sensitivity(cfg: RunConfig):
-    curve, region, energy = _operating_point(cfg)
+    curve, energy = _operating_point(cfg)
     s = cfg.sensing
-    report = sensor_report(curve, s.bias_offset, s.count_rate, region, energy)
+    report = sensor_report(curve, s.bias_offset, s.count_rate, cfg.field.region_length, energy)
     rows = [
         ("count_rate", report.count_rate, "s^-1"),
         ("fringe_contrast", s.fringe_contrast, "1"),
@@ -144,9 +140,11 @@ def _cmd_scale(cfg: RunConfig):
 
 
 def _cmd_validate(cfg: RunConfig):
+    beamline = build_beamline(cfg)
+    grid = beamline_grid(beamline)
     rows = [
-        (name, report.dx, report.required_dx, "pass" if report.ok else "fail")
-        for name, report in leg_sampling_reports(build_beamline(cfg))
+        (name, grid.dx, need, "pass" if grid.dx <= need else "fail")
+        for name, need in leg_required_dx(beamline, grid)
     ]
     return ("leg", "dx_m", "required_dx_m", "status"), rows
 

@@ -1,8 +1,8 @@
 """Run configuration: flat ``key = value`` files with ``[section]`` headers.
 
 Defaults and range checks belong to the domain types: a key is valid when
-the beamline, cradle and field region still build with that one key
-changed from the defaults. Unknown sections or keys, malformed numbers and
+its section and the beamline still build with that one key changed from
+the defaults. Unknown sections or keys, malformed numbers and
 out-of-range values are rejected with the offending key and line named.
 ``serialize_config`` emits a canonical file that parses back to an equal
 configuration.
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from .elements import ApertureSpec, GratingSpec, PhaseModel
 from .interferometer import GUN_ENERGY_RANGE_EV, BeamlineConfig
 from .kinematics import BeamEnergy
-from .sensing import CradleSpec, FieldRegion
+from .sensing import CradleSpec
 
 __all__ = [
     "ConfigError",
@@ -26,7 +26,6 @@ __all__ = [
     "default_config",
     "override",
     "build_beamline",
-    "build_field_region",
 ]
 
 
@@ -67,7 +66,11 @@ class BeamlineSettings:
 
 @dataclass(frozen=True)
 class FieldSettings:
-    region_length: float = FieldRegion.length
+    region_length: float = 6.12e-3
+
+    def __post_init__(self):
+        if not self.region_length > 0.0:
+            raise ValueError("field region length must be positive")
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,9 @@ class SweepSettings:
     n_offsets: int = 16
 
     def __post_init__(self):
-        if not (self.energy_min_ev > 0.0 and self.energy_max_ev > 0.0):
-            raise ValueError("sweep energies must be positive")
+        lo, hi = GUN_ENERGY_RANGE_EV
+        if not (lo <= self.energy_min_ev <= hi and lo <= self.energy_max_ev <= hi):
+            raise ValueError(f"sweep energies must lie in the gun range [{lo:g}, {hi:g}] eV")
         if self.energy_points < 1:
             raise ValueError("energy_points must be at least 1")
         if self.current_points < 2:
@@ -180,7 +184,6 @@ def override(cfg: RunConfig, section: str, key: str, value, where: str) -> RunCo
     try:
         trial = _with(_DEFAULTS, section, key, value)
         build_beamline(trial)
-        build_field_region(trial)
         return _with(cfg, section, key, value)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc} (got {value})") from None
@@ -282,7 +285,3 @@ def build_beamline(cfg: RunConfig) -> BeamlineConfig:
         grid_points=b.grid_points if b.grid_points else None,
         window_factor=b.window_factor,
     )
-
-
-def build_field_region(cfg: RunConfig, field: float = 0.0) -> FieldRegion:
-    return FieldRegion(field=field, length=cfg.field.region_length)

@@ -25,11 +25,9 @@ from .kinematics import ELECTRON, BeamEnergy, ParticleSpec, de_broglie_wavelengt
 from .propagation import (
     GridSpec,
     SamplingError,
-    SamplingReport,
     WaveField,
     propagate,
     required_dx,
-    sampling_report,
 )
 
 __all__ = [
@@ -37,7 +35,7 @@ __all__ = [
     "BeamlineConfig",
     "FringeCurve",
     "beamline_grid",
-    "leg_sampling_reports",
+    "leg_required_dx",
     "simulate_throughput",
     "scan_fringe",
     "contrast",
@@ -153,7 +151,7 @@ def beamline_grid(cfg: BeamlineConfig) -> GridSpec:
         if cfg.grid_step is not None:
             dx = cfg.grid_step
         else:
-            bound = required_dx(_wavelength(cfg), cfg.grating_gap, 0.5 * span, 0.5 * span)
+            bound = required_dx(_wavelength(cfg), cfg.grating_gap, span)
             dx = min(1e-9, 0.8 * bound)
         count = int(math.ceil(span / dx)) + 1
         if count % 2 == 0:
@@ -167,29 +165,28 @@ def beamline_grid(cfg: BeamlineConfig) -> GridSpec:
     return GridSpec(x_start=x_start, dx=dx, count=count)
 
 
-def leg_sampling_reports(cfg: BeamlineConfig) -> list[tuple[str, SamplingReport]]:
-    """Sampling criterion for every propagation leg on the shared grid."""
-    return _leg_reports(cfg, beamline_grid(cfg))
+def leg_required_dx(cfg: BeamlineConfig, grid: GridSpec) -> list[tuple[str, float]]:
+    """``required_dx`` of every propagation leg onto ``grid``.
 
-
-def _leg_reports(cfg: BeamlineConfig, grid: GridSpec) -> list[tuple[str, SamplingReport]]:
+    A leg's reach is its widest source-target offset: half the window from
+    the on-axis source to slit 2, the whole window on the grid-to-grid legs.
+    """
     lam = _wavelength(cfg)
-    half = 0.5 * grid.span
     legs = (
-        ("source_to_slit2", cfg.slit_separation, 0.0),
-        ("slit2_to_g1", cfg.slit2_to_g1, half),
-        ("g1_to_g2", cfg.grating_gap, half),
-        ("g2_to_g3", cfg.grating_gap, half),
+        ("source_to_slit2", cfg.slit_separation, 0.5 * grid.span),
+        ("slit2_to_g1", cfg.slit2_to_g1, grid.span),
+        ("g1_to_g2", cfg.grating_gap, grid.span),
+        ("g2_to_g3", cfg.grating_gap, grid.span),
     )
-    return [(name, sampling_report(lam, dz, grid.dx, src_half, half)) for name, dz, src_half in legs]
+    return [(name, required_dx(lam, dz, reach)) for name, dz, reach in legs]
 
 
 def _require_sampling(cfg: BeamlineConfig, grid: GridSpec):
-    for name, report in _leg_reports(cfg, grid):
-        if not report.ok:
+    for name, need in leg_required_dx(cfg, grid):
+        if grid.dx > need:
             raise SamplingError(
-                f"leg {name}: grid step {report.dx:.4e} m too coarse; "
-                f"required dx <= {report.required_dx:.4e} m"
+                f"leg {name}: grid step {grid.dx:.4e} m too coarse; "
+                f"required dx <= {need:.4e} m"
             )
 
 
@@ -284,17 +281,10 @@ def sweep_energy(
     cfg: BeamlineConfig,
     energies_ev,
     n_offsets: int = 16,
-    allow_out_of_range: bool = False,
 ) -> list[tuple[float, float]]:
     """Fringe contrast at each beam energy, all other parameters fixed."""
-    lo, hi = GUN_ENERGY_RANGE_EV
     out = []
     for e_ev in energies_ev:
-        if not allow_out_of_range and not lo <= e_ev <= hi:
-            raise ValueError(
-                f"energy {e_ev:g} eV outside the gun range [{lo:g}, {hi:g}] eV; "
-                "pass allow_out_of_range=True to override"
-            )
         curve = scan_fringe(replace(cfg, energy=BeamEnergy(e_ev)), n_offsets)
         out.append((float(e_ev), contrast(curve)))
     return out

@@ -13,6 +13,11 @@ n-sample target grid touches only n + s - 1 taps, and its FFT shrinks to
 reference that tests compare against: a full quadrature of
 exp(i 2 pi r / lambda) over every source sample, with r the exact
 point-to-point path length, O(N_src * N_tgt).
+``required_dx(wavelength, delta_z, reach)`` is the one sampling
+criterion: the largest step that keeps the direct kernel's phase change
+below pi per sample at ``reach``, the widest source-target offset.
+``propagate_direct`` refuses a source grid coarser than that, and the
+beamline checks every leg against it.
 Both drop the Huygens amplitude prefactor and instead rescale the output
 so total probability matches the input; every downstream observable is a
 flux ratio, so the overall scale is immaterial.
@@ -30,10 +35,7 @@ __all__ = [
     "SamplingError",
     "WaveField",
     "GridSpec",
-    "SamplingReport",
     "required_dx",
-    "sampling_report",
-    "sampling_check",
     "propagate",
     "propagate_direct",
 ]
@@ -99,44 +101,16 @@ class WaveField:
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx)
 
 
-@dataclass(frozen=True)
-class SamplingReport:
-    """Outcome of the kernel-oscillation sampling criterion."""
-
-    ok: bool
-    dx: float
-    required_dx: float
-
-
-def required_dx(wavelength, delta_z, source_halfspan, target_halfspan):
+def required_dx(wavelength, delta_z, reach):
     """Largest grid step that keeps the kernel phase change per sample < pi.
 
-    The direct kernel phase 2 pi r / lambda advances fastest at the extreme
-    source-target offset X_src + X_tgt, where its slope is about
-    2 pi (X_src + X_tgt) / (lambda dz).
+    ``reach`` is the widest lateral source-target offset. The direct kernel
+    phase 2 pi r / lambda advances fastest there, where its slope is about
+    2 pi reach / (lambda dz).
     """
-    reach = source_halfspan + target_halfspan
     if reach <= 0.0:
         return math.inf
     return wavelength * delta_z / (2.0 * reach)
-
-
-def sampling_report(wavelength, delta_z, dx, source_halfspan, target_halfspan) -> SamplingReport:
-    """Compare a grid step ``dx`` with ``required_dx`` for one leg."""
-    need = required_dx(wavelength, delta_z, source_halfspan, target_halfspan)
-    return SamplingReport(ok=dx <= need, dx=dx, required_dx=need)
-
-
-def sampling_check(field: WaveField, delta_z: float, target_span: float) -> SamplingReport:
-    """Check a field's grid step against ``required_dx`` for one leg.
-
-    ``target_span`` is the full width of the output window.
-    """
-    if not delta_z > 0.0:
-        raise ValueError("delta_z must be positive")
-    if target_span < 0.0:
-        raise ValueError("target_span must be nonnegative")
-    return sampling_report(field.wavelength, delta_z, field.grid.dx, 0.5 * field.grid.span, 0.5 * target_span)
 
 
 def _matched_flux(raw: np.ndarray, dx: float, p_in: float) -> np.ndarray:
@@ -155,16 +129,19 @@ def propagate_direct(
     """Quadrature of the exact path-length phase onto ``target``.
 
     ``target`` defaults to the field's own grid. O(N_src * N_tgt); use it
-    as the oracle on small grids. Refuses to run when the sampling
-    criterion fails.
+    as the oracle on small grids. Refuses to run when the source step
+    exceeds ``required_dx`` at the widest offset between the two grids.
     """
+    if not delta_z > 0.0:
+        raise ValueError("delta_z must be positive")
     src = field.grid
     tgt = target or src
-    report = sampling_check(field, delta_z, tgt.span)
-    if not report.ok:
+    reach = max(tgt.x_start + tgt.span - src.x_start, src.x_start + src.span - tgt.x_start)
+    need = required_dx(field.wavelength, delta_z, reach)
+    if src.dx > need:
         raise SamplingError(
-            f"grid step {report.dx:.4e} m too coarse for a direct propagation "
-            f"over {delta_z:.4e} m; required dx <= {report.required_dx:.4e} m"
+            f"grid step {src.dx:.4e} m too coarse for a direct propagation "
+            f"over {delta_z:.4e} m; required dx <= {need:.4e} m"
         )
     k = 2.0 * math.pi / field.wavelength
     x_src = src.x

@@ -4,7 +4,10 @@ Closed-form pieces around the fringe curve: the cube-edge coil ("cradle")
 field per current, the impulse-approximation beam deflection per field,
 the enclosed-flux quantum phase, fringe-curve readout at a deflection,
 Poisson-limited sensitivity, a seeded on/off step-response simulator, and
-the geometric scaling of sensitivity to larger devices.
+the geometric scaling of sensitivity to larger devices. The field region
+enters only through its length L along the beam: every function that needs
+it takes ``region_length`` [m], and the configuration's ``[field]`` section
+holds its default.
 
 Two field-per-fringe conventions coexist: the classical deflection formula
 and the enclosed-flux phase disagree by roughly a factor of two at these
@@ -12,7 +15,7 @@ parameters. Fringe readout uses the classical deflection; the phase
 formula is provided alongside for comparison.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import math
 
@@ -24,11 +27,9 @@ from .kinematics import ELECTRON, BeamEnergy, ParticleSpec
 
 __all__ = [
     "CradleSpec",
-    "FieldRegion",
     "SensorReport",
     "cradle_field",
     "deflection_per_field",
-    "classical_deflection",
     "field_for_deflection",
     "ab_phase",
     "predict_throughput",
@@ -63,18 +64,6 @@ class CradleSpec:
 
 
 @dataclass(frozen=True)
-class FieldRegion:
-    """Uniform field B [T] over a length L [m] along the beam."""
-
-    field: float = 0.0
-    length: float = 6.12e-3
-
-    def __post_init__(self):
-        if not self.length > 0.0:
-            raise ValueError("field region length must be positive")
-
-
-@dataclass(frozen=True)
 class SensorReport:
     """Operating-point readout: slope [counts/s/T], rate [counts/s], sensitivity [T/sqrt(Hz)]."""
 
@@ -92,7 +81,9 @@ def cradle_field(cradle: CradleSpec, current: float) -> float:
 def deflection_per_field(region_length: float, energy: BeamEnergy, particle: ParticleSpec = ELECTRON) -> float:
     """Impulse-approximation lateral displacement per tesla [m/T].
 
-    q L^2 / (2 sqrt(2 m E)), nonrelativistic momentum.
+    q L^2 / (2 sqrt(2 m E)), nonrelativistic momentum, for a uniform field
+    over ``region_length`` L [m] along the beam; a field B [T] deflects the
+    beam by B times this.
     """
     if not region_length > 0.0:
         raise ValueError("field region length must be positive")
@@ -100,11 +91,6 @@ def deflection_per_field(region_length: float, energy: BeamEnergy, particle: Par
         raise ValueError("deflection requires a charged particle")
     momentum = math.sqrt(2.0 * particle.mass * energy.joules)
     return particle.charge * region_length**2 / (2.0 * momentum)
-
-
-def classical_deflection(region: FieldRegion, energy: BeamEnergy, particle: ParticleSpec = ELECTRON) -> float:
-    """Lateral displacement s = q B L^2 / (2 sqrt(2 m E)) [m]."""
-    return region.field * deflection_per_field(region.length, energy, particle)
 
 
 def field_for_deflection(
@@ -142,7 +128,7 @@ def _interp_periodic(curve: FringeCurve, x):
 def predict_throughput(
     curve: FringeCurve,
     field: float,
-    region: FieldRegion,
+    region_length: float,
     energy: BeamEnergy,
     particle: ParticleSpec = ELECTRON,
 ) -> float:
@@ -150,7 +136,7 @@ def predict_throughput(
 
     Linear interpolation with wrap-around at the curve's period.
     """
-    s = classical_deflection(replace(region, field=field), energy, particle)
+    s = field * deflection_per_field(region_length, energy, particle)
     return float(_interp_periodic(curve, s))
 
 
@@ -174,7 +160,7 @@ def sensor_report(
     curve: FringeCurve,
     bias_offset: float,
     rate_scale: float,
-    region: FieldRegion,
+    region_length: float,
     energy: BeamEnergy,
     particle: ParticleSpec = ELECTRON,
 ) -> SensorReport:
@@ -185,7 +171,7 @@ def sensor_report(
     if not rate_scale > 0.0:
         raise ValueError("rate_scale must be positive")
     rate = rate_scale * float(_interp_periodic(curve, bias_offset))
-    dx_per_field = deflection_per_field(region.length, energy, particle)
+    dx_per_field = deflection_per_field(region_length, energy, particle)
     slope = rate_scale * fringe_slope(curve, bias_offset) * dx_per_field
     return SensorReport(
         slope=slope,
@@ -209,8 +195,8 @@ def simulate_step_response(
     rate_scale: float,
     seconds: int,
     seed: int,
-    region: FieldRegion = FieldRegion(),
-    energy: BeamEnergy = BeamEnergy(1e4),
+    region_length: float,
+    energy: BeamEnergy,
     particle: ParticleSpec = ELECTRON,
     block_seconds: int = 10,
 ) -> np.ndarray:
@@ -222,7 +208,7 @@ def simulate_step_response(
     """
     if seconds < 1 or block_seconds < 1:
         raise ValueError("seconds and block_seconds must be at least 1")
-    shift = classical_deflection(replace(region, field=field_step), energy, particle)
+    shift = field_step * deflection_per_field(region_length, energy, particle)
     t = np.arange(seconds)
     on = (t // block_seconds) % 2 == 0
     offsets = bias_offset + np.where(on, shift, 0.0)

@@ -17,7 +17,6 @@ from talbotlau import (
     BeamEnergy,
     BeamlineConfig,
     CradleSpec,
-    FieldRegion,
     GridSpec,
     WaveField,
     contrast,
@@ -27,8 +26,8 @@ from talbotlau import (
     misalignment_factor,
     propagate,
     propagate_direct,
+    required_dx,
     resonant_energies,
-    sampling_check,
     scaled_sensitivity,
     scan_fringe,
     sensor_report,
@@ -94,7 +93,7 @@ def test_criterion_3_propagator_equivalence():
     two = (np.abs(xs - separation / 2) <= 0.15e-6) | (np.abs(xs + separation / 2) <= 0.15e-6)
     pointy = WaveField(two.astype(complex), src, lam)
     target = GridSpec(-60e-6, 30e-9, 4001)
-    assert sampling_check(pointy, dz, target.span).ok
+    assert pointy.grid.dx <= required_dx(lam, dz, 0.5 * src.span + 0.5 * target.span)
     out = propagate_direct(pointy, dz, target)
     intensity = np.abs(out.amplitudes) ** 2
     peaks = [
@@ -159,20 +158,20 @@ def test_criterion_6_misalignment_factor():
 
 
 def test_criterion_7_sensitivity_chain():
-    region = FieldRegion(length=6.12e-3)
+    region_length = 6.12e-3
     energy = BeamEnergy(1e4)
     curve = sinusoid_fringe(D, 0.06)
     bias = D / 4
     rate = 2.5e5
 
     snrs = [
-        step_snr(simulate_step_response(curve, bias, 43e-9, rate, 40, seed, region=region, energy=energy))
+        step_snr(simulate_step_response(curve, bias, 43e-9, rate, 40, seed, region_length=region_length, energy=energy))
         for seed in range(20)
     ]
     mean_snr = float(np.mean(snrs))
     assert mean_snr == pytest.approx(4.5, abs=1.0)
 
-    report = sensor_report(curve, bias, rate, region, energy)
+    report = sensor_report(curve, bias, rate, region_length, energy)
     assert report.sensitivity == pytest.approx(9.5e-9, rel=0.15)
 
     projected = scaled_sensitivity(9.5e-9, 10.0 / 3.0, 20.0, 1e4)

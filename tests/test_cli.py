@@ -223,6 +223,13 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     assert "grating_gap" in err
 
 
+def test_sweep_energy_outside_the_gun_range_exits_naming_key_and_line(tmp_path, capsys):
+    path = tmp_path / "low.cfg"
+    path.write_text("[sweep]\nenergy_min_ev = 3000\n")
+    assert run_cli(["sweep-energy", "--config", str(path)]) == 1
+    assert "line 2: key 'energy_min_ev'" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_nonzero(capsys):
     assert run_cli(["kinematics", "--config", "/nonexistent/path.cfg"]) == 1
     assert "error" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from talbotlau import (
     ConfigError,
     PhaseModel,
     build_beamline,
-    build_field_region,
     default_config,
     parse_config,
     serialize_config,
@@ -163,9 +162,14 @@ def test_build_beamline_auto_grid_when_zero():
 def test_build_cradle_and_region():
     cfg = parse_config("[cradle]\nedge_length = 0.06\n[field]\nregion_length = 3.06e-3\n")
     assert cfg.cradle.edge_length == 0.06
-    region = build_field_region(cfg, field=1e-6)
-    assert region.length == 3.06e-3
-    assert region.field == 1e-6
+    assert cfg.field.region_length == 3.06e-3
+
+
+def test_region_length_must_be_positive():
+    with pytest.raises(ConfigError) as err:
+        parse_config("[field]\nregion_length = 0\n")
+    msg = str(err.value)
+    assert "region_length" in msg and "line 2" in msg
 
 
 def test_malformed_section_header():
@@ -180,8 +184,23 @@ def test_bare_line_rejected():
 
 def test_sweep_bounds_checked_after_the_whole_file():
     # each bound alone contradicts the other's default; together they are valid
-    cfg = parse_config("[sweep]\nenergy_max_ev = 4000\nenergy_min_ev = 3000\n")
-    assert (cfg.sweep.energy_min_ev, cfg.sweep.energy_max_ev) == (3000.0, 4000.0)
+    cfg = parse_config("[sweep]\ncurrent_max = -0.2\ncurrent_min = -0.3\n")
+    assert (cfg.sweep.current_min, cfg.sweep.current_max) == (-0.3, -0.2)
+
+
+@pytest.mark.parametrize(
+    "text, key, line",
+    [
+        ("[sweep]\nenergy_min_ev = 3000\n", "energy_min_ev", 2),
+        ("[sweep]\nenergy_points = 5\nenergy_max_ev = 12000\n", "energy_max_ev", 3),
+    ],
+    ids=["below", "above"],
+)
+def test_sweep_energies_outside_the_gun_range_rejected(text, key, line):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    msg = str(err.value)
+    assert f"line {line}: key '{key}'" in msg and "gun range [4500, 10000] eV" in msg
 
 
 def test_default_beamline_is_the_domain_default():

@@ -18,7 +18,7 @@ from talbotlau import (
     comb_throughput,
     contrast,
     de_broglie_wavelength,
-    leg_sampling_reports,
+    leg_required_dx,
     misalignment_factor,
     propagate,
     propagate_direct,
@@ -272,10 +272,11 @@ def test_contrast_scale_invariance():
 
 
 def test_sweep_energy_guards_gun_range():
+    # the gun range is checked where a sweep is configured
+    # (tests/test_config.py::test_sweep_energies_outside_the_gun_range_rejected);
+    # the simulator itself runs any energy
     cfg = fast_config(n_sources=2)
-    with pytest.raises(ValueError):
-        sweep_energy(cfg, [3000.0], n_offsets=8)
-    out = sweep_energy(cfg, [3000.0], n_offsets=8, allow_out_of_range=True)
+    out = sweep_energy(cfg, [3000.0], n_offsets=8)
     assert len(out) == 1 and out[0][0] == 3000.0
 
 
@@ -290,8 +291,9 @@ def test_misalignment_factor_values():
 
 def test_beamline_grid_satisfies_sampling():
     for cfg in (fast_config(), BeamlineConfig(n_sources=2)):
-        for name, report in leg_sampling_reports(cfg):
-            assert report.ok, name
+        grid = beamline_grid(cfg)
+        for name, need in leg_required_dx(cfg, grid):
+            assert grid.dx <= need, name
 
 
 def test_explicit_coarse_grid_refused_with_diagnostic():

@@ -11,7 +11,6 @@ from talbotlau import (
     propagate,
     propagate_direct,
     required_dx,
-    sampling_check,
 )
 from talbotlau.propagation import _transfer
 
@@ -44,7 +43,8 @@ def test_double_slit_far_field_period_matches_analytic():
     src = centered_grid(4001, 1e-9)
     field = double_slit_field(src, 0.3e-6, separation)
     target = GridSpec(-60e-6, 30e-9, 4001)
-    assert sampling_check(field, dz, target.span).ok
+    # co-centred grids: the widest offset is the sum of the half-spans
+    assert field.grid.dx <= required_dx(LAM, dz, 0.5 * src.span + 0.5 * target.span)
     out = propagate_direct(field, dz, target)
     intensity = np.abs(out.amplitudes) ** 2
     peaks = [
@@ -189,22 +189,23 @@ def test_flux_conservation():
 def test_sampling_check_reference_point():
     # 13.1 pm over 3.06 mm with 10 um + 10 um half-spans needs about 1.0 nm
     field = WaveField(np.ones(2001, dtype=complex), GridSpec(-10e-6, 10e-9, 2001), LAM)
-    report = sampling_check(field, 3.06e-3, 20e-6)
-    assert report.required_dx == pytest.approx(1.0e-9, rel=0.01)
-    assert not report.ok
+    need = required_dx(LAM, 3.06e-3, 0.5 * field.grid.span + 0.5 * 20e-6)
+    assert need == pytest.approx(1.0e-9, rel=0.01)
+    assert not field.grid.dx <= need
 
 
 def test_sampling_bound_linear_in_distance():
-    assert required_dx(LAM, 2 * 3.06e-3, 10e-6, 10e-6) == pytest.approx(
-        2 * required_dx(LAM, 3.06e-3, 10e-6, 10e-6), rel=1e-12
+    assert required_dx(LAM, 2 * 3.06e-3, 20e-6) == pytest.approx(
+        2 * required_dx(LAM, 3.06e-3, 20e-6), rel=1e-12
     )
 
 
 def test_sampling_check_passes_fine_grid():
     field = WaveField(np.ones(2001, dtype=complex), GridSpec(-1e-6, 1e-9, 2001), LAM)
-    report = sampling_check(field, 3.06e-3, 2e-6)
-    assert report.ok
-    assert field.grid.dx <= report.required_dx
+    need = required_dx(LAM, 3.06e-3, 0.5 * field.grid.span + 0.5 * 2e-6)
+    # the direct kernel applies the same criterion and runs
+    assert propagate_direct(field, 3.06e-3).grid == field.grid
+    assert field.grid.dx <= need
 
 
 def test_direct_refuses_coarse_grid_and_names_required_dx():
@@ -213,6 +214,17 @@ def test_direct_refuses_coarse_grid_and_names_required_dx():
     with pytest.raises(SamplingError) as err:
         propagate_direct(field, 3.06e-3, target)
     assert "required dx" in str(err.value)
+
+
+def test_direct_checks_the_widest_offset_of_an_off_centre_sub_grid():
+    # a source at the target's right edge reaches 20 um to its left edge,
+    # twice the sum of the half-spans: the bound is 1.0021e-9, not 2.0023e-9
+    target = GridSpec(-10e-6, 2e-9, 10001)
+    src = GridSpec(target.x[-11], target.dx, 11)
+    field = WaveField(np.ones(11, dtype=complex), src, LAM)
+    assert required_dx(LAM, 3.06e-3, target.span) == pytest.approx(1.0021e-9, rel=1e-4)
+    with pytest.raises(SamplingError, match="required dx"):
+        propagate_direct(field, 3.06e-3, target)
 
 
 def test_reciprocity_under_reflection():

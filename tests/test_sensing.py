@@ -6,10 +6,8 @@ import pytest
 from talbotlau import (
     BeamEnergy,
     CradleSpec,
-    FieldRegion,
     FringeCurve,
     ab_phase,
-    classical_deflection,
     cradle_field,
     de_broglie_wavelength,
     deflection_per_field,
@@ -25,7 +23,7 @@ from talbotlau import (
 )
 
 D = 1e-7
-REGION = FieldRegion(length=6.12e-3)
+L = 6.12e-3
 E10 = BeamEnergy(1e4)
 
 
@@ -55,19 +53,18 @@ def test_cradle_efficiency_scales_field():
 
 
 def test_deflection_formula():
-    assert classical_deflection(FieldRegion(field=0.0, length=6.12e-3), E10) == 0.0
-    s1 = classical_deflection(FieldRegion(field=1e-6, length=6.12e-3), E10)
-    s2 = classical_deflection(FieldRegion(field=2e-6, length=6.12e-3), E10)
+    assert 0.0 * deflection_per_field(L, E10) == 0.0
+    s1 = 1e-6 * deflection_per_field(L, E10)
+    s2 = 2e-6 * deflection_per_field(L, E10)
     assert s2 == pytest.approx(2 * s1, rel=1e-12)
-    s_quad = classical_deflection(FieldRegion(field=1e-6, length=6.12e-3), BeamEnergy(4e4))
+    s_quad = 1e-6 * deflection_per_field(L, BeamEnergy(4e4))
     assert s_quad == pytest.approx(0.5 * s1, rel=1e-12)
 
 
 def test_field_for_one_period_deflection():
     field = field_for_deflection(D, 6.12e-3, E10)
     assert abs(field) == pytest.approx(1.8e-6, abs=0.05e-6)
-    region = FieldRegion(field=field, length=6.12e-3)
-    assert classical_deflection(region, E10) == pytest.approx(D, rel=1e-12)
+    assert field * deflection_per_field(L, E10) == pytest.approx(D, rel=1e-12)
 
 
 def test_ab_phase_linear_and_zero():
@@ -90,31 +87,31 @@ def test_phase_and_deflection_ratio_constant_in_field():
     ratios = []
     for b in (1e-7, 5e-7, 2e-6):
         phi = ab_phase(b, 6.12e-3, lam, D) / (2 * math.pi)
-        s = classical_deflection(FieldRegion(field=b, length=6.12e-3), E10) / D
+        s = b * deflection_per_field(L, E10) / D
         ratios.append(phi / s)
     assert np.ptp(ratios) < 1e-12 * abs(ratios[0])
 
 
 def test_predict_throughput_at_zero_field_reads_curve_origin():
     curve = sinusoid_fringe(D, 0.3)
-    assert predict_throughput(curve, 0.0, REGION, E10) == pytest.approx(curve.throughput[0], rel=1e-12)
+    assert predict_throughput(curve, 0.0, L, E10) == pytest.approx(curve.throughput[0], rel=1e-12)
 
 
 def test_predict_throughput_periodic_in_field():
     curve = sinusoid_fringe(D, 0.3)
-    b_period = field_for_deflection(D, REGION.length, E10)
-    v0 = predict_throughput(curve, 0.0, REGION, E10)
-    v1 = predict_throughput(curve, b_period, REGION, E10)
+    b_period = field_for_deflection(D, L, E10)
+    v0 = predict_throughput(curve, 0.0, L, E10)
+    v1 = predict_throughput(curve, b_period, L, E10)
     assert v1 == pytest.approx(v0, abs=1e-6)
 
 
 def test_field_sweep_reproduces_fringe_shape():
     curve = sinusoid_fringe(D, 0.3)
-    per_field = deflection_per_field(REGION.length, E10)
+    per_field = deflection_per_field(L, E10)
     for k in range(0, 256, 16):
         offset = curve.offsets[k]
         b = offset / per_field
-        assert predict_throughput(curve, b, REGION, E10) == pytest.approx(curve.throughput[k], rel=1e-9)
+        assert predict_throughput(curve, b, L, E10) == pytest.approx(curve.throughput[k], rel=1e-9)
 
 
 def test_shot_noise_scaling():
@@ -134,8 +131,8 @@ def test_sensitivity_composition_matches_analytic_sinusoid():
     # delta_B = B_period / (2 pi c sqrt(R))
     c, rate = 0.06, 2.5e5
     curve = sinusoid_fringe(D, c)
-    report = sensor_report(curve, D / 4, rate, REGION, E10)
-    b_period = abs(field_for_deflection(D, REGION.length, E10))
+    report = sensor_report(curve, D / 4, rate, L, E10)
+    b_period = abs(field_for_deflection(D, L, E10))
     oracle = b_period / (2 * math.pi * c * math.sqrt(rate))
     assert report.sensitivity == pytest.approx(oracle, rel=0.05)
     assert report.count_rate == pytest.approx(rate, rel=1e-9)
@@ -143,7 +140,7 @@ def test_sensitivity_composition_matches_analytic_sinusoid():
 
 def test_operating_point_sensitivity_near_quoted_value():
     curve = sinusoid_fringe(D, 0.06)
-    report = sensor_report(curve, D / 4, 2.5e5, REGION, E10)
+    report = sensor_report(curve, D / 4, 2.5e5, L, E10)
     assert report.sensitivity == pytest.approx(9.5e-9, rel=0.15)
 
 
@@ -155,7 +152,7 @@ def test_fringe_slope_central_difference():
 
 def test_step_response_deterministic():
     curve = sinusoid_fringe(D, 0.06)
-    kwargs = dict(region=REGION, energy=E10)
+    kwargs = dict(region_length=L, energy=E10)
     a = simulate_step_response(curve, D / 4, 4.3e-8, 2.5e5, 40, 11, **kwargs)
     b = simulate_step_response(curve, D / 4, 4.3e-8, 2.5e5, 40, 11, **kwargs)
     assert np.array_equal(a, b)
@@ -165,7 +162,7 @@ def test_step_response_deterministic():
 
 def test_step_response_alternates_blocks():
     curve = sinusoid_fringe(D, 0.5)
-    counts = simulate_step_response(curve, D / 4, 2e-6, 1e5, 40, 1, region=REGION, energy=E10)
+    counts = simulate_step_response(curve, D / 4, 2e-6, 1e5, 40, 1, region_length=L, energy=E10)
     assert counts.shape == (40,)
     snr = step_snr(counts)
     assert snr > 10  # huge step, must be obvious
@@ -173,13 +170,13 @@ def test_step_response_alternates_blocks():
 
 def test_null_step_has_no_signal():
     curve = sinusoid_fringe(D, 0.06)
-    counts = simulate_step_response(curve, D / 4, 0.0, 2.5e5, 400, 3, region=REGION, energy=E10)
+    counts = simulate_step_response(curve, D / 4, 0.0, 2.5e5, 400, 3, region_length=L, energy=E10)
     assert step_snr(counts) < 1.0
 
 
 def test_single_second_step_snr_within_band():
     curve = sinusoid_fringe(D, 0.06)
-    snr = step_snr(simulate_step_response(curve, D / 4, 4.3e-8, 2.5e5, 40, 0, region=REGION, energy=E10))
+    snr = step_snr(simulate_step_response(curve, D / 4, 4.3e-8, 2.5e5, 40, 0, region_length=L, energy=E10))
     assert 3.0 < snr < 6.5
 
 
@@ -207,7 +204,7 @@ def test_sinusoid_fringe_contrast_exact():
 
 def test_region_validation():
     with pytest.raises(ValueError):
-        FieldRegion(length=0.0)
+        deflection_per_field(0.0, E10)
 
 
 def test_predict_throughput_periodic_with_uneven_offsets():
@@ -215,7 +212,7 @@ def test_predict_throughput_periodic_with_uneven_offsets():
     # period guessed from it (0.95 D) reads 1.2853 here instead of 1.3
     offsets = D * np.array([0.0, 0.05, 0.2, 0.35, 0.5, 0.6, 0.75, 0.9])
     curve = FringeCurve(offsets, 1.0 + 0.3 * np.cos(2 * np.pi * offsets / D), D)
-    b_period = field_for_deflection(D, REGION.length, E10)
-    v0 = predict_throughput(curve, 0.0, REGION, E10)
+    b_period = field_for_deflection(D, L, E10)
+    v0 = predict_throughput(curve, 0.0, L, E10)
     assert v0 == pytest.approx(1.3, rel=1e-12)
-    assert predict_throughput(curve, b_period, REGION, E10) == pytest.approx(v0, rel=1e-12)
+    assert predict_throughput(curve, b_period, L, E10) == pytest.approx(v0, rel=1e-12)
