@@ -22,11 +22,9 @@ from .elements import (
     ApertureSpec,
     GratingSpec,
     PhaseModel,
-    aperture_amplitude,
-    apply_plane,
     comb_throughput,
-    grating_amplitude,
     translate_grating,
+    transmission,
 )
 from .interferometer import (
     GUN_ENERGY_RANGE_EV,

@@ -1,10 +1,12 @@
-"""Amplitude and phase masks applied at beamline planes.
+"""Beamline planes and their transmissions.
 
-A plane element multiplies the field by A(x) exp(i phi(x)). Apertures are
-plain window indicators. Gratings are periodic bar/slit combs with an open
-fraction, a lateral offset and an optional finite extent; their phase term
-is a phenomenological edge (image-charge) profile plus an optional per-slit
-random phase.
+A plane element multiplies the field by its transmission A(x) exp(i phi(x)),
+which ``transmission`` returns at any samples. Apertures are plain window
+indicators. Gratings are periodic bar/slit combs with an open fraction, a
+lateral offset and an optional finite extent; their phase term is a
+phenomenological edge (image-charge) profile plus an optional per-slit
+random phase. Every open edge is padded by the same relative ulp, here and
+in ``comb_throughput``, which reads a comb's throughput at many offsets.
 """
 
 from dataclasses import dataclass, replace
@@ -13,17 +15,13 @@ import math
 
 import numpy as np
 
-from .propagation import WaveField
-
 __all__ = [
     "ApertureSpec",
     "GratingSpec",
     "PhaseModel",
-    "aperture_amplitude",
-    "grating_amplitude",
+    "transmission",
     "comb_throughput",
     "translate_grating",
-    "apply_plane",
 ]
 
 
@@ -88,13 +86,9 @@ class PhaseModel:
             raise ValueError("rng_seed must be nonnegative")
 
 
-def aperture_amplitude(x, aperture: ApertureSpec):
-    """Window indicator; edge points count as open."""
-    xs = np.asarray(x, dtype=float)
+def _padded_half_width(width: float) -> float:
     # pad by a relative ulp so edge inclusion cannot flip with grid rounding
-    half = 0.5 * aperture.width * (1.0 + 1e-12)
-    out = (np.abs(xs - aperture.center) <= half).astype(float)
-    return out if xs.ndim else float(out)
+    return 0.5 * width * (1.0 + 1e-12)
 
 
 def _comb_coordinates(x, grating: GratingSpec):
@@ -102,32 +96,17 @@ def _comb_coordinates(x, grating: GratingSpec):
 
     Slit n spans n*d + offset +- f*d/2; boundary points are open.
     """
-    u = (np.asarray(x, dtype=float) - grating.offset) / grating.period
+    u = (x - grating.offset) / grating.period
     n = np.floor(u + 0.5)
     v = (u - n) * grating.period
-    open_pts = np.abs(v) <= _open_half_width(grating)
+    open_pts = np.abs(v) <= _padded_half_width(grating.open_fraction * grating.period)
     return n.astype(int), v, open_pts
-
-
-def _open_half_width(grating: GratingSpec) -> float:
-    # pad by a relative ulp so edge inclusion cannot flip with grid rounding
-    return 0.5 * grating.open_fraction * grating.period * (1.0 + 1e-12)
-
-
-def grating_amplitude(x, grating: GratingSpec):
-    """Comb transmission: 1 inside an open slit, 0 on a bar."""
-    xs = np.asarray(x, dtype=float)
-    _, _, mask = _comb_coordinates(xs, grating)
-    if math.isfinite(grating.extent):
-        mask &= np.abs(xs) <= 0.5 * grating.extent
-    out = mask.astype(float)
-    return out if xs.ndim else float(out)
 
 
 def comb_throughput(x, intensity, grating: GratingSpec, offsets) -> np.ndarray:
     """Intensity summed over the open points of the comb at each lateral offset.
 
-    Entry k equals ``np.sum(intensity * grating_amplitude(x,
+    Entry k equals ``np.sum(intensity * transmission(x,
     translate_grating(grating, offsets[k])))`` up to summation order, but
     the comb is folded once: the points are sorted by their phase
     (x - offset) mod d, so every offset reads its open slit as one window
@@ -145,7 +124,7 @@ def comb_throughput(x, intensity, grating: GratingSpec, offsets) -> np.ndarray:
     order = np.argsort(phase)
     phase = phase[order]
     cumulative = np.concatenate(([0.0], np.cumsum(weights[order])))
-    half = _open_half_width(grating)
+    half = _padded_half_width(grating.open_fraction * grating.period)
     center = np.mod(np.asarray(offsets, dtype=float), d)
     totals = np.zeros(center.shape)
     # the open slit around the center, and its images one period either
@@ -172,57 +151,41 @@ def _slit_random_phase(seed: int, plane_index: int, slit_index: int, limit: floa
     return float(np.random.default_rng(ss).uniform(0.0, limit))
 
 
-def _grating_phase(x, grating, phase, plane_index):
-    """Phase profile on open points; zero elsewhere."""
-    xs = np.asarray(x, dtype=float)
-    slit_idx, v, open_pts = _comb_coordinates(xs, grating)
-    phi = np.zeros(xs.shape)
-    if not np.any(open_pts):
-        return phi
-    if phase.image_charge_strength > 0.0:
-        wall_distance = 0.5 * grating.open_fraction * grating.period - np.abs(v[open_pts])
-        phi[open_pts] += (
-            phase.image_charge_strength
-            / phase.image_charge_range
-            * np.exp(-wall_distance / phase.image_charge_range)
-        )
-    if phase.random_phase_max > 0.0:
-        draws = {
-            n: _slit_random_phase(phase.rng_seed, plane_index, n, phase.random_phase_max)
-            for n in np.unique(slit_idx[open_pts])
-        }
-        phi[open_pts] += np.array([draws[n] for n in slit_idx[open_pts]])
-    return phi
+def transmission(x, element, phase: PhaseModel | None = None, plane_index: int = 0) -> np.ndarray:
+    """A plane element's A(x) exp(i phi(x)) at the samples ``x``.
 
-
-def apply_plane(
-    field: WaveField,
-    element,
-    phase: PhaseModel | None = None,
-    plane_index: int = 0,
-) -> WaveField:
-    """Multiply a field by a plane element's A(x) exp(i phi(x)).
-
-    ``plane_index`` keys the per-slit random phase stream, which acts on
-    every grating whose ``phase`` has ``random_phase_max > 0``.
-    Raises if the element does not geometrically overlap the grid.
+    A is 1 on an open point and 0 elsewhere. The phase acts only on a
+    grating whose ``phase`` has a nonzero image-charge strength or random
+    phase, and then the result is complex; otherwise it is the real mask.
+    ``plane_index`` keys the per-slit random phase stream. Raises if the
+    element does not geometrically overlap the span of ``x``.
     """
     if plane_index < 0:
         raise ValueError("plane_index must be nonnegative")
-    x = field.grid.x
-    lo, hi = x[0], x[-1]
+    xs = np.asarray(x, dtype=float)
+    lo, hi = xs.min(), xs.max()
     if isinstance(element, ApertureSpec):
         if element.center + 0.5 * element.width < lo or element.center - 0.5 * element.width > hi:
             raise ValueError("aperture does not overlap the field grid")
-        amp = aperture_amplitude(x, element)
-        out = field.amplitudes * amp
-    elif isinstance(element, GratingSpec):
-        if math.isfinite(element.extent) and (0.5 * element.extent < lo or -0.5 * element.extent > hi):
-            raise ValueError("grating extent does not overlap the field grid")
-        amp = grating_amplitude(x, element)
-        out = field.amplitudes * amp
-        if phase is not None and (phase.image_charge_strength > 0.0 or phase.random_phase_max > 0.0):
-            out = out * np.exp(1j * _grating_phase(x, element, phase, plane_index))
-    else:
+        return (np.abs(xs - element.center) <= _padded_half_width(element.width)).astype(float)
+    if not isinstance(element, GratingSpec):
         raise TypeError(f"unsupported plane element {type(element).__name__}")
-    return WaveField(out, field.grid, field.wavelength)
+    if math.isfinite(element.extent) and (0.5 * element.extent < lo or -0.5 * element.extent > hi):
+        raise ValueError("grating extent does not overlap the field grid")
+    slit, v, open_pts = _comb_coordinates(xs, element)
+    if math.isfinite(element.extent):
+        open_pts &= np.abs(xs) <= 0.5 * element.extent
+    if phase is None or not (phase.image_charge_strength > 0.0 or phase.random_phase_max > 0.0):
+        return open_pts.astype(float)
+    phi = np.zeros(np.count_nonzero(open_pts))
+    if phase.image_charge_strength > 0.0:
+        wall_distance = 0.5 * element.open_fraction * element.period - np.abs(v[open_pts])
+        decay = np.exp(-wall_distance / phase.image_charge_range)
+        phi += phase.image_charge_strength / phase.image_charge_range * decay
+    if phase.random_phase_max > 0.0:
+        slits, which = np.unique(slit[open_pts], return_inverse=True)
+        limit = phase.random_phase_max
+        phi += np.array([_slit_random_phase(phase.rng_seed, plane_index, n, limit) for n in slits])[which]
+    out = np.zeros(xs.shape, dtype=complex)
+    out[open_pts] = np.exp(1j * phi)
+    return out

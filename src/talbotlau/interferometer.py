@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .elements import ApertureSpec, GratingSpec, PhaseModel, apply_plane, comb_throughput
+from .elements import ApertureSpec, GratingSpec, PhaseModel, comb_throughput, transmission
 from .kinematics import ELECTRON, BeamEnergy, ParticleSpec, de_broglie_wavelength
 from .propagation import (
     GridSpec,
@@ -131,8 +131,8 @@ def beamline_grid(cfg: BeamlineConfig) -> GridSpec:
 
     The window is ``window_factor`` times the geometrically illuminated
     span at G3 (rays from the source-slit extremes through the second-slit
-    edges). The automatic step is the sampling bound for the shortest leg
-    with a 0.8 safety factor, capped at 1 nm.
+    edges). The automatic step is the tightest sampling bound over every
+    leg on that window with a 0.8 safety factor, capped at 1 nm.
     """
     src_edge = abs(cfg.source_slit.center) + 0.5 * cfg.source_slit.width
     slit2_lo = cfg.second_slit.center - 0.5 * cfg.second_slit.width
@@ -151,8 +151,7 @@ def beamline_grid(cfg: BeamlineConfig) -> GridSpec:
         if cfg.grid_step is not None:
             dx = cfg.grid_step
         else:
-            bound = required_dx(_wavelength(cfg), cfg.grating_gap, span)
-            dx = min(1e-9, 0.8 * bound)
+            dx = min(1e-9, 0.8 * min(need for _, need in _leg_bounds(cfg, span)))
         count = int(math.ceil(span / dx)) + 1
         if count % 2 == 0:
             count += 1
@@ -165,20 +164,25 @@ def beamline_grid(cfg: BeamlineConfig) -> GridSpec:
     return GridSpec(x_start=x_start, dx=dx, count=count)
 
 
-def leg_required_dx(cfg: BeamlineConfig, grid: GridSpec) -> list[tuple[str, float]]:
-    """``required_dx`` of every propagation leg onto ``grid``.
+def _leg_bounds(cfg: BeamlineConfig, span: float) -> list[tuple[str, float]]:
+    """``required_dx`` of every propagation leg on a window ``span`` wide.
 
     A leg's reach is its widest source-target offset: half the window from
     the on-axis source to slit 2, the whole window on the grid-to-grid legs.
     """
     lam = _wavelength(cfg)
     legs = (
-        ("source_to_slit2", cfg.slit_separation, 0.5 * grid.span),
-        ("slit2_to_g1", cfg.slit2_to_g1, grid.span),
-        ("g1_to_g2", cfg.grating_gap, grid.span),
-        ("g2_to_g3", cfg.grating_gap, grid.span),
+        ("source_to_slit2", cfg.slit_separation, 0.5 * span),
+        ("slit2_to_g1", cfg.slit2_to_g1, span),
+        ("g1_to_g2", cfg.grating_gap, span),
+        ("g2_to_g3", cfg.grating_gap, span),
     )
     return [(name, required_dx(lam, dz, reach)) for name, dz, reach in legs]
+
+
+def leg_required_dx(cfg: BeamlineConfig, grid: GridSpec) -> list[tuple[str, float]]:
+    """``required_dx`` of every propagation leg onto ``grid``."""
+    return _leg_bounds(cfg, grid.span)
 
 
 def _require_sampling(cfg: BeamlineConfig, grid: GridSpec):
@@ -197,17 +201,16 @@ def _source_positions(cfg: BeamlineConfig) -> np.ndarray:
     return cfg.source_slit.center - 0.5 * w + (k + 0.5) * (w / cfg.n_sources)
 
 
-def _plane_transmissions(cfg: BeamlineConfig, grid: GridSpec, lam: float):
-    """Slit 2's open samples [lo, hi) and the G1 and G2 transmissions.
+def _plane_transmissions(cfg: BeamlineConfig, x: np.ndarray):
+    """Slit 2's open samples [lo, hi) and the G1 and G2 transmissions at ``x``.
 
-    They do not depend on the source, so a scan builds them once; the unit
-    field and slit 2's mask die on return, before the source loop that
-    sets the scan's peak memory.
+    They do not depend on the source, so a scan builds them once; slit 2's
+    mask dies on return, before the source loop that sets the scan's peak
+    memory.
     """
-    unit = WaveField(np.ones(grid.count, dtype=complex), grid, lam)
-    open_idx = np.flatnonzero(apply_plane(unit, cfg.second_slit).amplitudes)
-    t1 = apply_plane(unit, cfg.gratings[0], cfg.phase_model, plane_index=1).amplitudes
-    t2 = apply_plane(unit, cfg.gratings[1], cfg.phase_model, plane_index=2).amplitudes
+    open_idx = np.flatnonzero(transmission(x, cfg.second_slit))
+    t1 = transmission(x, cfg.gratings[0], cfg.phase_model, plane_index=1)
+    t2 = transmission(x, cfg.gratings[1], cfg.phase_model, plane_index=2)
     if open_idx.size == 0:
         raise ValueError("no flux passes the second collimation slit; check geometry")
     return int(open_idx[0]), int(open_idx[-1]) + 1, t1, t2
@@ -224,7 +227,7 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
     # built and carried to G1 from that run alone; the phases come from the
     # scan's x, so they equal those of the full grid. GridSpec needs two
     # samples, so a lone open sample gets a zero neighbour
-    lo, hi, t1, t2 = _plane_transmissions(cfg, grid, lam)
+    lo, hi, t1, t2 = _plane_transmissions(cfg, x)
     sub_lo = min(lo, grid.count - 2)
     sub_hi = max(hi, sub_lo + 2)
     sub = GridSpec(x[sub_lo], grid.dx, sub_hi - sub_lo)

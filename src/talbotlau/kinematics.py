@@ -79,26 +79,15 @@ def talbot_length(period: float, wavelength: float) -> float:
     return 2.0 * period * period / wavelength
 
 
-# Bracket for the monotone energy inversion.
-_ENERGY_LO_EV = 1.0
-_ENERGY_HI_EV = 1e6
+def _energy_for_wavelength(wavelength, particle):
+    """Kinetic energy [eV] whose ``de_broglie_wavelength`` is ``wavelength``.
 
-
-def _energy_for_wavelength(wavelength, particle, rtol=1e-10):
-    """Invert de_broglie_wavelength by bisection; None if out of bracket."""
-    lo, hi = _ENERGY_LO_EV, _ENERGY_HI_EV
-    if wavelength > de_broglie_wavelength(BeamEnergy(lo), particle):
-        return None
-    if wavelength < de_broglie_wavelength(BeamEnergy(hi), particle):
-        return None
-    # wavelength decreases monotonically with energy, so bisection is safe
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if de_broglie_wavelength(BeamEnergy(mid), particle) > wavelength:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    Exact inverse of p = h / lambda: E = (pc)^2 / (sqrt((pc)^2 + (mc^2)^2) + mc^2),
+    a form that keeps full precision for E << mc^2.
+    """
+    pc = const.H * const.C / wavelength
+    rest = particle.rest_energy
+    return pc * pc / (math.sqrt(pc * pc + rest * rest) + rest) / const.EV
 
 
 def resonant_energies(
@@ -112,8 +101,7 @@ def resonant_energies(
 
     Solves separation = n * L_T(E) / 2, i.e. lambda_n = n d^2 / L, for each
     integer n in [1, n_max]. Returns (n, energy_ev) pairs; orders whose
-    wavelength exceeds ``max_wavelength`` or falls outside the inversion
-    bracket are skipped.
+    wavelength exceeds ``max_wavelength`` are skipped.
     """
     if not separation > 0.0:
         raise ValueError("grating separation must be positive")
@@ -126,7 +114,5 @@ def resonant_energies(
         lam = n * period * period / separation
         if lam > max_wavelength:
             continue
-        energy_ev = _energy_for_wavelength(lam, particle)
-        if energy_ev is not None:
-            out.append((n, energy_ev))
+        out.append((n, _energy_for_wavelength(lam, particle)))
     return out

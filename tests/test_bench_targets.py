@@ -24,9 +24,10 @@ def _load_layers():
 LAYERS = _load_layers()
 
 # _fringe_totals reads G3 with comb_throughput and builds no per-offset
-# mask, so the tracer's G3 mask target is gone on purpose and its metrics
-# read zero calls
-RETIRED = {("talbotlau.interferometer", "grating_amplitude")}
+# mask, and it builds every plane with elements.transmission, so the
+# tracer's G3 mask and apply_plane targets are gone on purpose and their
+# metrics read zero calls
+RETIRED = {("talbotlau.interferometer", "grating_amplitude"), ("talbotlau.interferometer", "apply_plane")}
 TRACED = [(m, a) for m, a, _ in LAYERS.TARGETS]
 
 

@@ -6,36 +6,34 @@ from talbotlau import (
     GratingSpec,
     GridSpec,
     PhaseModel,
-    WaveField,
-    aperture_amplitude,
-    apply_plane,
     comb_throughput,
-    grating_amplitude,
     translate_grating,
+    transmission,
 )
+from talbotlau.elements import _slit_random_phase
 
 D = 1e-7
 
 
-def uniform_field(n=4096, dx=1e-9, wavelength=13e-12):
-    return WaveField(np.ones(n, dtype=complex), GridSpec(-(n - 1) / 2 * dx, dx, n), wavelength)
+def centered_x(n=4096, dx=1e-9):
+    return GridSpec(-(n - 1) / 2 * dx, dx, n).x
 
 
 def test_grating_amplitude_slit_center_open():
     g = GratingSpec(period=D, open_fraction=0.35)
-    assert grating_amplitude(0.0, g) == 1.0
+    assert transmission([0.0], g)[0] == 1.0
 
 
 def test_grating_amplitude_bar_midpoint_closed():
     g = GratingSpec(period=D, open_fraction=0.35)
-    assert grating_amplitude(D / 2, g) == 0.0
+    assert transmission([D / 2], g)[0] == 0.0
 
 
 def test_grating_amplitude_edges_open():
     g = GratingSpec(period=D, open_fraction=0.35)
     half_open = 0.5 * 0.35 * D
-    assert grating_amplitude(half_open, g) == 1.0
-    assert grating_amplitude(-half_open, g) == 1.0
+    assert transmission([half_open], g)[0] == 1.0
+    assert transmission([-half_open], g)[0] == 1.0
 
 
 def test_grating_amplitude_monte_carlo_mean_equals_open_fraction():
@@ -43,27 +41,29 @@ def test_grating_amplitude_monte_carlo_mean_equals_open_fraction():
     g = GratingSpec(period=D, open_fraction=0.35)
     rng = np.random.default_rng(42)
     x = rng.uniform(-500 * D, 500 * D, size=1_000_000)
-    assert grating_amplitude(x, g).mean() == pytest.approx(0.35, abs=1e-3)
+    assert transmission(x, g).mean() == pytest.approx(0.35, abs=1e-3)
 
 
 def test_grating_amplitude_periodicity():
     g = GratingSpec(period=D, open_fraction=0.41, offset=0.3 * D)
     rng = np.random.default_rng(3)
     x = rng.uniform(-50 * D, 50 * D, size=4096)
-    assert np.array_equal(grating_amplitude(x, g), grating_amplitude(x + D, g))
+    assert np.array_equal(transmission(x, g), transmission(x + D, g))
 
 
 def test_grating_extent_blocks_outside():
     g = GratingSpec(period=D, open_fraction=0.35, extent=10 * D)
-    assert grating_amplitude(0.0, g) == 1.0
-    assert grating_amplitude(20 * D, g) == 0.0
+    # one probe array: a lone probe outside the extent is refused as off the grid
+    inside, outside = transmission([0.0, 20 * D], g)
+    assert inside == 1.0
+    assert outside == 0.0
 
 
 def test_translate_by_full_period_is_identity():
     g = GratingSpec(period=D, open_fraction=0.35)
     shifted = translate_grating(g, D)
     x = np.linspace(-5 * D, 5 * D, 2001)
-    assert np.array_equal(grating_amplitude(x, g), grating_amplitude(x, shifted))
+    assert np.array_equal(transmission(x, g), transmission(x, shifted))
 
 
 def test_translate_half_period_complements_half_open_grating():
@@ -73,8 +73,8 @@ def test_translate_half_period_complements_half_open_grating():
     x = np.linspace(-5 * D, 5 * D, 4001)
     edges = np.minimum(np.abs((x % D) - 0.25 * D), np.abs((x % D) - 0.75 * D))
     interior = edges > 1e-3 * D
-    a = grating_amplitude(x[interior], g)
-    b = grating_amplitude(x[interior], shifted)
+    a = transmission(x[interior], g)
+    b = transmission(x[interior], shifted)
     assert np.array_equal(a, 1.0 - b)
 
 
@@ -82,7 +82,7 @@ def test_translate_shift_definition():
     g = GratingSpec(period=D, open_fraction=0.35, offset=0.1 * D)
     shifted = translate_grating(g, 0.25 * D)
     probe = np.linspace(-2 * D, 2 * D, 1001)
-    assert np.array_equal(grating_amplitude(probe, shifted), grating_amplitude(probe - 0.25 * D, g))
+    assert np.array_equal(transmission(probe, shifted), transmission(probe - 0.25 * D, g))
 
 
 @pytest.mark.parametrize(
@@ -104,121 +104,170 @@ def test_comb_throughput_matches_the_offset_masks(period_per_step, grating):
     x = GridSpec(-(n - 1) / 2 * dx, dx, n).x
     intensity = np.random.default_rng(7).uniform(0.1, 1.0, n)
     offsets = np.concatenate((np.arange(16) * D / 16, [-0.3 * D, 1.7 * D], np.arange(-3, 4) * dx))
-    masked = np.array([np.sum(intensity * grating_amplitude(x, translate_grating(grating, off))) for off in offsets])
+    masked = np.array([np.sum(intensity * transmission(x, translate_grating(grating, off))) for off in offsets])
     folded = comb_throughput(x, intensity, grating, offsets)
     assert np.max(np.abs(folded - masked) / masked) <= 1e-12
 
 
 def test_apply_plane_pure_mask_is_exact():
-    field = uniform_field()
+    # a phase model with no strength leaves the grating a real 0/1 mask
+    x = centered_x()
     g = GratingSpec(period=D, open_fraction=0.35)
-    out = apply_plane(field, g, PhaseModel())
-    assert np.array_equal(out.amplitudes, grating_amplitude(field.grid.x, g) * field.amplitudes)
+    t = transmission(x, g, PhaseModel())
+    assert not np.iscomplexobj(t)
+    assert np.array_equal(t, transmission(x, g))
+    assert set(np.unique(t)) == {0.0, 1.0}
 
 
 def test_apply_plane_nearly_open_grating_keeps_flux():
-    field = uniform_field()
-    g = GratingSpec(period=D, open_fraction=0.999)
-    out = apply_plane(field, g)
-    assert out.total_probability >= 0.998 * field.total_probability
+    t = transmission(centered_x(), GratingSpec(period=D, open_fraction=0.999))
+    assert np.sum(np.abs(t) ** 2) >= 0.998 * t.size
 
 
 def test_apply_plane_never_increases_probability():
     rng = np.random.default_rng(11)
     n = 2048
     amp = rng.normal(size=n) + 1j * rng.normal(size=n)
-    field = WaveField(amp, GridSpec(-n / 2 * 1e-9, 1e-9, n), 13e-12)
+    x = GridSpec(-n / 2 * 1e-9, 1e-9, n).x
     phase = PhaseModel(image_charge_strength=2e-9, random_phase_max=0.7, rng_seed=5)
     for element in (
         ApertureSpec(width=0.4e-6),
         GratingSpec(period=D, open_fraction=0.35),
     ):
-        out = apply_plane(field, element, phase, plane_index=1)
-        assert out.total_probability <= field.total_probability * (1 + 1e-12)
+        out = amp * transmission(x, element, phase, plane_index=1)
+        assert np.sum(np.abs(out) ** 2) <= np.sum(np.abs(amp) ** 2) * (1 + 1e-12)
 
 
 def test_transmission_fraction_matches_open_fraction():
-    field = uniform_field(n=100_000)
-    g = GratingSpec(period=D, open_fraction=0.35)
-    out = apply_plane(field, g)
-    measured = out.total_probability / field.total_probability
-    cell_per_period = field.grid.dx / D  # quantization: one grid cell per period
+    x = centered_x(n=100_000)
+    t = transmission(x, GratingSpec(period=D, open_fraction=0.35))
+    measured = np.sum(np.abs(t) ** 2) / t.size
+    cell_per_period = (x[1] - x[0]) / D  # quantization: one grid cell per period
     assert measured == pytest.approx(0.35, abs=cell_per_period + 1e-6)
 
 
 def test_aperture_window_indicator():
     slit = ApertureSpec(width=2e-6, center=0.5e-6)
-    assert aperture_amplitude(0.5e-6, slit) == 1.0
-    assert aperture_amplitude(1.5e-6, slit) == 1.0  # edge open
-    assert aperture_amplitude(1.6e-6, slit) == 0.0
+    center, edge, past = transmission([0.5e-6, 1.5e-6, 1.6e-6], slit)
+    assert center == 1.0
+    assert edge == 1.0  # edge open
+    assert past == 0.0
 
 
 def test_apply_plane_requires_overlap():
-    field = uniform_field(n=256)
-    with pytest.raises(ValueError):
-        apply_plane(field, ApertureSpec(width=1e-7, center=1.0))
+    with pytest.raises(ValueError, match="aperture does not overlap"):
+        transmission(centered_x(n=256), ApertureSpec(width=1e-7, center=1.0))
     # off-axis grid entirely outside the (axis-centered) grating extent
-    off_axis = WaveField(np.ones(256, dtype=complex), GridSpec(1.0, 1e-9, 256), 13e-12)
-    with pytest.raises(ValueError):
-        apply_plane(off_axis, GratingSpec(period=D, open_fraction=0.35, extent=1e-6), phase=None)
+    off_axis = GridSpec(1.0, 1e-9, 256).x
+    with pytest.raises(ValueError, match="grating extent does not overlap"):
+        transmission(off_axis, GratingSpec(period=D, open_fraction=0.35, extent=1e-6), phase=None)
+
+
+def test_transmission_refuses_other_elements_and_negative_planes():
+    with pytest.raises(TypeError, match="unsupported plane element"):
+        transmission(centered_x(n=256), PhaseModel())
+    with pytest.raises(ValueError, match="plane_index must be nonnegative"):
+        transmission(centered_x(n=256), GratingSpec(period=D), plane_index=-1)
+
+
+@pytest.mark.parametrize(
+    "phase",
+    [
+        None,
+        PhaseModel(image_charge_strength=1e-9),
+        PhaseModel(random_phase_max=1.3, rng_seed=11),
+        PhaseModel(image_charge_strength=1e-9, random_phase_max=1.3, rng_seed=11),
+    ],
+    ids=["no-phase", "image-charge", "random", "both"],
+)
+@pytest.mark.parametrize(
+    "grating",
+    [GratingSpec(period=D), GratingSpec(period=D, offset=0.3 * D), GratingSpec(period=D, offset=-0.3 * D, extent=7 * D)],
+    ids=["plain", "offset", "offset-extent"],
+)
+@pytest.mark.parametrize("period_per_step", [40, 383.4])
+def test_transmission_matches_a_loop_over_slits(period_per_step, grating, phase):
+    # oracle: visit the slits one by one. Slit n is open on
+    # |x - n d - offset| <= f d / 2 (the same relative-ulp pad) inside the
+    # extent; its points take the image-charge phase of their distance to
+    # the wall plus the slit's own random draw
+    dx = D / period_per_step
+    n = int(20 * period_per_step) + 1
+    x = GridSpec(-(n - 1) / 2 * dx, dx, n).x
+    d, half = grating.period, 0.5 * grating.open_fraction * grating.period
+    expected = np.zeros(n, dtype=complex)
+    first = int(np.floor((x[0] - grating.offset) / d)) - 1
+    last = int(np.ceil((x[-1] - grating.offset) / d)) + 1
+    for slit in range(first, last + 1):
+        dist = np.abs(x - slit * d - grating.offset)
+        inside = (dist <= half * (1 + 1e-12)) & (np.abs(x) <= 0.5 * grating.extent)
+        phi = np.zeros(np.count_nonzero(inside))
+        if phase is not None and phase.image_charge_strength > 0.0:
+            wall = half - dist[inside]
+            strength, reach = phase.image_charge_strength, phase.image_charge_range
+            phi += strength / reach * np.exp(-wall / reach)
+        if phase is not None and phase.random_phase_max > 0.0:
+            phi += _slit_random_phase(phase.rng_seed, 2, slit, phase.random_phase_max)
+        expected[inside] = np.exp(1j * phi)
+    got = transmission(x, grating, phase, plane_index=2)
+    assert np.count_nonzero(expected) > 0
+    assert np.max(np.abs(got - expected)) <= 1e-15
 
 
 def test_random_phase_deterministic_and_order_free():
-    field = uniform_field()
+    x = centered_x()
     g = GratingSpec(period=D, open_fraction=0.35)
     phase = PhaseModel(random_phase_max=1.3, rng_seed=77)
-    a = apply_plane(field, g, phase, plane_index=1)
-    b = apply_plane(field, g, phase, plane_index=1)
-    assert np.array_equal(a.amplitudes, b.amplitudes)
+    a = transmission(x, g, phase, plane_index=1)
+    b = transmission(x, g, phase, plane_index=1)
+    assert np.array_equal(a, b)
 
 
 def test_random_phase_varies_with_plane_and_seed():
-    field = uniform_field()
+    x = centered_x()
     g = GratingSpec(period=D, open_fraction=0.35)
     phase = PhaseModel(random_phase_max=1.3, rng_seed=77)
-    p1 = apply_plane(field, g, phase, plane_index=1)
-    p2 = apply_plane(field, g, phase, plane_index=2)
-    other = apply_plane(field, g, PhaseModel(random_phase_max=1.3, rng_seed=78), plane_index=1)
-    assert not np.array_equal(p1.amplitudes, p2.amplitudes)
-    assert not np.array_equal(p1.amplitudes, other.amplitudes)
+    p1 = transmission(x, g, phase, plane_index=1)
+    p2 = transmission(x, g, phase, plane_index=2)
+    other = transmission(x, g, PhaseModel(random_phase_max=1.3, rng_seed=78), plane_index=1)
+    assert not np.array_equal(p1, p2)
+    assert not np.array_equal(p1, other)
 
 
 def test_random_phase_constant_within_slit():
-    field = uniform_field()
+    x = centered_x()
     g = GratingSpec(period=D, open_fraction=0.35)
     phase = PhaseModel(random_phase_max=1.0, rng_seed=9)
-    out = apply_plane(field, g, phase, plane_index=1)
-    x = field.grid.x
+    out = transmission(x, g, phase, plane_index=1)
     in_slit0 = np.abs(x) <= 0.5 * 0.35 * D
-    angles = np.angle(out.amplitudes[in_slit0])
+    angles = np.angle(out[in_slit0])
     assert np.ptp(angles) < 1e-12
     assert 0.0 <= angles[0] <= 1.0
 
 
 def test_image_charge_phase_profile():
-    field = uniform_field()
+    x = centered_x()
     g = GratingSpec(period=D, open_fraction=0.35)
     strength, rng_len = 3e-9, 2e-8
     phase = PhaseModel(image_charge_strength=strength, image_charge_range=rng_len)
-    out = apply_plane(field, g, phase)
-    x = field.grid.x
+    out = transmission(x, g, phase)
     wall = 0.5 * 0.35 * D
     # at the slit wall the phase is strength/range; at the center it has decayed
     edge_idx = np.argmin(np.abs(x - wall))
     center_idx = np.argmin(np.abs(x))
-    assert np.angle(out.amplitudes[edge_idx]) == pytest.approx(strength / rng_len, rel=0.05)
+    assert np.angle(out[edge_idx]) == pytest.approx(strength / rng_len, rel=0.05)
     expected_center = strength / rng_len * np.exp(-wall / rng_len)
-    assert np.angle(out.amplitudes[center_idx]) == pytest.approx(expected_center, rel=0.05)
+    assert np.angle(out[center_idx]) == pytest.approx(expected_center, rel=0.05)
 
 
 def test_open_edge_pad_carries_the_slit_phase():
     # a sample a few ulp past the slit wall counts as open, so it gets the
     # wall's image-charge phase (strength/range = 0.15 rad) and the slit's draw
-    field = WaveField(np.ones(4, dtype=complex), GridSpec(0.5 * 0.35 * D * (1 + 3e-13), 1e-9, 4), 1e-11)
+    x = GridSpec(0.5 * 0.35 * D * (1 + 3e-13), 1e-9, 4).x
     phase = PhaseModel(image_charge_strength=3e-9, image_charge_range=2e-8, random_phase_max=1.0, rng_seed=3)
-    out = apply_plane(field, GratingSpec(D), phase, plane_index=1)
-    assert abs(out.amplitudes[0]) == pytest.approx(1.0)
-    assert np.angle(out.amplitudes[0]) >= 0.15
+    out = transmission(x, GratingSpec(D), phase, plane_index=1)
+    assert abs(out[0]) == pytest.approx(1.0)
+    assert np.angle(out[0]) >= 0.15
 
 
 def test_spec_validation():

@@ -13,7 +13,6 @@ from talbotlau import (
     PhaseModel,
     SamplingError,
     WaveField,
-    apply_plane,
     beamline_grid,
     comb_throughput,
     contrast,
@@ -26,6 +25,7 @@ from talbotlau import (
     simulate_throughput,
     sweep_energy,
     translate_grating,
+    transmission,
 )
 from talbotlau import interferometer
 from talbotlau.interferometer import _fringe_totals, _source_positions
@@ -97,10 +97,9 @@ def full_grid_totals(cfg, offsets, grid, kernel=propagate):
     x = grid.x
     lam = de_broglie_wavelength(cfg.energy, cfg.particle)
     g1, g2, g3 = cfg.gratings
-    unit = WaveField(np.ones(grid.count, dtype=complex), grid, lam)
-    slit2 = apply_plane(unit, cfg.second_slit).amplitudes
-    t1 = apply_plane(unit, g1, cfg.phase_model, plane_index=1).amplitudes
-    t2 = apply_plane(unit, g2, cfg.phase_model, plane_index=2).amplitudes
+    slit2 = transmission(x, cfg.second_slit)
+    t1 = transmission(x, g1, cfg.phase_model, plane_index=1)
+    t2 = transmission(x, g2, cfg.phase_model, plane_index=2)
     intensity = np.zeros(grid.count)
     for x_s in _source_positions(cfg):
         amp = np.exp(2j * np.pi * np.hypot(x - x_s, cfg.slit_separation) / lam) * slit2
@@ -290,7 +289,8 @@ def test_misalignment_factor_values():
 
 
 def test_beamline_grid_satisfies_sampling():
-    for cfg in (fast_config(), BeamlineConfig(n_sources=2)):
+    # a slit-2-to-G1 leg shorter than the grating gap sets the automatic step
+    for cfg in (fast_config(), BeamlineConfig(n_sources=2), BeamlineConfig(n_sources=2, slit2_to_g1=1e-3)):
         grid = beamline_grid(cfg)
         for name, need in leg_required_dx(cfg, grid):
             assert grid.dx <= need, name

@@ -98,7 +98,7 @@ def test_relativistic_correction_below_0p6_percent_under_10kev():
 def test_resonance_composition_roundtrip():
     for n, e_ev in resonant_energies(GAP, PERIOD, 6):
         lam = de_broglie_wavelength(BeamEnergy(e_ev))
-        assert abs(GAP - n * talbot_length(PERIOD, lam) / 2.0) / GAP < 1e-9
+        assert abs(GAP - n * talbot_length(PERIOD, lam) / 2.0) / GAP < 1e-12
 
 
 def test_beam_energy_must_be_positive():
