@@ -9,26 +9,28 @@ grating is read by folding: the summed intensity is sorted once per scan
 by its phase under the comb, and every offset reads its open slits from
 one prefix sum (``elements.comb_throughput``), with no per-offset mask.
 
+The sources are independent, so a scan carries them on every available
+CPU: the calling thread takes one source and a helper thread per further
+CPU takes the next ones, each in its own workspace of one leg's FFT
+length, where every leg runs in place. Contributions are added in source
+order, so the result does not depend on the number of workers.
+
 The magnetic field is not inserted into the wave propagation: a field
 shifts the fringe laterally, so it is emulated downstream by translating
 the third grating (see ``sensing``).
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import math
+import os
 
 import numpy as np
 
 from .elements import ApertureSpec, GratingSpec, PhaseModel, comb_throughput, transmission
 from .kinematics import ELECTRON, BeamEnergy, ParticleSpec, de_broglie_wavelength
-from .propagation import (
-    GridSpec,
-    SamplingError,
-    WaveField,
-    propagate,
-    required_dx,
-)
+from .propagation import GridSpec, SamplingError, _carry, _flux, _transfer, required_dx
 
 __all__ = [
     "GUN_ENERGY_RANGE_EV",
@@ -216,36 +218,93 @@ def _plane_transmissions(cfg: BeamlineConfig, x: np.ndarray):
     return int(open_idx[0]), int(open_idx[-1]) + 1, t1, t2
 
 
+def _worker_count(n_sources: int) -> int:
+    """Threads that carry sources: one per available CPU, at most n_sources."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_sources))
+
+
+def _require_finite(amplitudes: np.ndarray):
+    if not np.all(np.isfinite(amplitudes)):
+        raise ValueError("amplitudes must be finite")
+
+
 def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
     """Mean throughput over point sources at each third-grating offset."""
     grid = beamline_grid(cfg)
     _require_sampling(cfg, grid)
     x = grid.x
+    n, dx = grid.count, grid.dx
     lam = _wavelength(cfg)
     # each source's field is nonzero only where slit 2 is open, a contiguous
     # run [lo, hi) of the grid on which slit 2 transmits exactly 1, so it is
     # built and carried to G1 from that run alone; the phases come from the
-    # scan's x, so they equal those of the full grid. GridSpec needs two
+    # scan's x, so they equal those of the full grid. A sub-grid needs two
     # samples, so a lone open sample gets a zero neighbour
     lo, hi, t1, t2 = _plane_transmissions(cfg, x)
-    sub_lo = min(lo, grid.count - 2)
+    sub_lo = min(lo, n - 2)
     sub_hi = max(hi, sub_lo + 2)
-    sub = GridSpec(x[sub_lo], grid.dx, sub_hi - sub_lo)
+    s = sub_hi - sub_lo
     x_sub = x[sub_lo:sub_hi]
-    # sources add incoherently, each normalized to the flux it brings to G1
-    intensity = np.zeros(grid.count)
-    for x_s in _source_positions(cfg):
+    # both spectra are built before any helper starts: lru_cache does not
+    # lock a missing key
+    first = _transfer(n, dx, lam, cfg.slit2_to_g1, sub_lo, s)
+    gap = _transfer(n, dx, lam, cfg.grating_gap, 0, n)
+
+    def g3_intensity(ws: np.ndarray, x_s: float) -> np.ndarray:
+        """One source's intensity at G3, computed in the workspace ``ws``.
+
+        Every leg runs in place in ``ws``. Its tail past n holds at least n
+        floats, since ``ws`` is as long as the 2n - 1 tap FFT: that is the
+        float scratch, and it holds the returned intensity.
+        """
+        psi = ws[:n]
+        scratch = ws[n:].view(float)
         # single-term direct kernel: unit-amplitude spherical wave from one point
-        amp = np.exp(2j * np.pi * np.hypot(x_sub - x_s, cfg.slit_separation) / lam)
+        amp = ws[:s]
+        r = scratch[:s]
+        np.subtract(x_sub, x_s, out=r)
+        np.hypot(r, cfg.slit_separation, out=r)
+        np.multiply(2j * np.pi, r, out=amp)
+        np.divide(amp, lam, out=amp)
+        np.exp(amp, out=amp)
         amp[: lo - sub_lo] = 0.0
         amp[hi - sub_lo :] = 0.0
-        psi = propagate(WaveField(amp, sub, lam), cfg.slit2_to_g1, target=grid)
-        p_in = psi.total_probability
+        _require_finite(amp)
+        out = _carry(ws, s, first, n, dx, scratch)
+        _require_finite(out)
+        p_in = _flux(out, dx, scratch)
         if p_in <= 0.0:
             raise ValueError("no flux reaches the first grating; check geometry")
-        psi = propagate(replace(psi, amplitudes=psi.amplitudes * t1), cfg.grating_gap)
-        psi = propagate(replace(psi, amplitudes=psi.amplitudes * t2), cfg.grating_gap)
-        intensity += np.abs(psi.amplitudes) ** 2 * (grid.dx / p_in)
+        for t in (t1, t2):
+            np.multiply(out, t, out=psi)
+            _require_finite(psi)
+            out = _carry(ws, n, gap, n, dx, scratch)
+            _require_finite(out)
+        # sources add incoherently, each normalized to the flux it brings to G1
+        g3 = scratch[:n]
+        np.abs(out, out=g3)
+        np.square(g3, out=g3)
+        g3 *= dx / p_in
+        return g3
+
+    # the calling thread carries source k and one helper per further CPU
+    # carries k + 1 onward; the sums run in source order, so the result does
+    # not depend on the number of workers
+    workers = _worker_count(cfg.n_sources)
+    spaces = [np.empty(gap.size, dtype=complex) for _ in range(workers)]
+    sources = _source_positions(cfg)
+    intensity = np.zeros(n)
+    with ThreadPoolExecutor(max(1, workers - 1)) as helpers:
+        for k in range(0, sources.size, workers):
+            batch = sources[k : k + workers]
+            pending = [helpers.submit(g3_intensity, ws, x_s) for ws, x_s in zip(spaces[1:], batch[1:])]
+            intensity += g3_intensity(spaces[0], batch[0])
+            for job in pending:
+                intensity += job.result()
     return comb_throughput(x, intensity, cfg.gratings[2], offsets) / cfg.n_sources
 
 

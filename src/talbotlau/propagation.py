@@ -9,8 +9,11 @@ so each leg runs on an FFT of the 5-smooth length
 ``next_fast_len(2n - 1, real=True)``, about half the padded length, with
 the same taps. A field that lives on a contiguous run of s samples of its
 n-sample target grid touches only n + s - 1 taps, and its FFT shrinks to
-``next_fast_len(n + s - 1, real=True)``. ``propagate_direct`` is the
-reference that tests compare against: a full quadrature of
+``next_fast_len(n + s - 1, real=True)``. One leg is one in-place step,
+``_carry``, on a buffer the caller supplies; ``propagate`` wraps it, and
+the fringe scan calls it on per-thread workspaces.
+``propagate_direct`` is the reference that tests compare against: a full
+quadrature of
 exp(i 2 pi r / lambda) over every source sample, with r the exact
 point-to-point path length, O(N_src * N_tgt).
 ``required_dx(wavelength, delta_z, reach)`` is the one sampling
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import math
+import mmap
 
 import numpy as np
 from scipy import fft as _fft
@@ -113,11 +117,19 @@ def required_dx(wavelength, delta_z, reach):
     return wavelength * delta_z / (2.0 * reach)
 
 
-def _matched_flux(raw: np.ndarray, dx: float, p_in: float) -> np.ndarray:
-    p_out = float(np.sum(np.abs(raw) ** 2) * dx)
+def _flux(a: np.ndarray, dx: float, scratch: np.ndarray) -> float:
+    """Total probability sum |a|^2 dx, squaring into ``scratch``."""
+    sq = scratch[: a.size]
+    np.abs(a, out=sq)
+    np.square(sq, out=sq)
+    return float(np.sum(sq) * dx)
+
+
+def _rescale(out: np.ndarray, dx: float, p_in: float, scratch: np.ndarray):
+    """Scale ``out`` in place to total probability ``p_in``."""
+    p_out = _flux(out, dx, scratch)
     if p_in > 0.0 and p_out > 0.0:
-        return raw * math.sqrt(p_in / p_out)
-    return raw
+        out *= math.sqrt(p_in / p_out)
 
 
 def propagate_direct(
@@ -155,8 +167,13 @@ def propagate_direct(
         out[rows] = np.exp(1j * k * r) @ field.amplitudes
     out *= src.dx
     if renormalize:
-        out = _matched_flux(out, tgt.dx, field.total_probability)
+        _rescale(out, tgt.dx, field.total_probability, np.empty(tgt.count))
     return WaveField(out, tgt, field.wavelength)
+
+
+# block length of the transfer-function build: small temporaries, and a
+# multiple of 8 so that every block starts on the same SIMD lane boundary
+_BLOCK = 1 << 13
 
 
 @lru_cache(maxsize=8)
@@ -173,13 +190,31 @@ def _transfer(n, dx, wavelength, delta_z, lo, s):
     length M >= n + s - 1, they give the same sums without wrap-around.
     """
     # a fringe scan reuses the same legs for every source, so cache the
-    # spectrum; the padded-length arrays are the largest a scan allocates,
-    # so they are built in place
+    # spectrum. The length-m arrays are the largest a scan allocates, so H
+    # is filled in blocks, each with the ops of
+    # exp(-1j * pi * lambda * dz * fftfreq(m, dx)**2) * axial, and the
+    # taps overwrite it; it dies before the live-tap FFT needs scratch.
+    # H gets its own anonymous map, whose pages go back to the OS when it
+    # dies: with glibc, the second H of a scan would otherwise come from
+    # the heap and stay resident through the source loop (5 MB of peak
+    # RSS on the default scan)
     m = _fft.next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
-    h = -1j * math.pi * wavelength * delta_z * _fft.fftfreq(m, d=dx) ** 2
-    np.exp(h, out=h)
-    h *= np.exp(2j * math.pi * delta_z / wavelength)
+    scale = -1j * math.pi * wavelength * delta_z
+    axial = np.exp(2j * math.pi * delta_z / wavelength)
+    step = 1.0 / (m * dx)
+    half = (m - 1) // 2 + 1
+    h = np.frombuffer(mmap.mmap(-1, m * np.dtype(complex).itemsize), dtype=complex)
+    for start in range(0, m, _BLOCK):
+        k = np.arange(start, min(start + _BLOCK, m))
+        k[k >= half] -= m
+        f = k * step
+        np.square(f, out=f)
+        block = h[start : start + k.size]
+        np.multiply(scale, f, out=block)
+        np.exp(block, out=block)
+        block *= axial
     taps = _fft.ifft(h, overwrite_x=True)
+    del h
     # real=True restricts M to 5-smooth lengths: pocketfft's radix-11
     # passes are slow. On the default grid the 96 legs of a fringe scan
     # took 3.95 s at the complex-optimal 439,230 = 2*3*5*11^4 and 3.09 s
@@ -188,9 +223,32 @@ def _transfer(n, dx, wavelength, delta_z, lo, s):
     live[lo:n] = taps[: n - lo]
     live[:lo] = taps[m - lo :]
     live[live.size - (s - 1) :] = taps[m - lo - (s - 1) : m - lo]
+    del taps
     spectrum = _fft.fft(live, overwrite_x=True)
     spectrum.flags.writeable = False
     return spectrum
+
+
+def _carry(buf, s, transfer, n, dx, scratch, renormalize=True) -> np.ndarray:
+    """Carry one leg in place, from the s inputs at the head of ``buf``.
+
+    ``buf`` is at least ``transfer.size`` long, and ``scratch`` holds at
+    least n floats that do not overlap ``buf[:n]``; both are overwritten.
+    The input is zero-filled to the FFT length, convolved with the live
+    taps, and rescaled to its own flux unless ``renormalize`` is False.
+    Returns the n outputs.
+    """
+    p_in = _flux(buf[:s], dx, scratch) if renormalize else 0.0
+    work = buf[: transfer.size]
+    work[s:] = 0.0
+    # with overwrite_x, pocketfft writes the transform of a contiguous
+    # complex input into the input, so the outputs end up in buf[:n]
+    work = _fft.fft(work, overwrite_x=True)
+    work *= transfer
+    out = _fft.ifft(work, overwrite_x=True)[:n]
+    if renormalize:
+        _rescale(out, dx, p_in, scratch)
+    return out
 
 
 def _offset_in(grid: GridSpec, target: GridSpec) -> int:
@@ -232,11 +290,7 @@ def propagate(
     lo = _offset_in(grid, tgt)
     n, s = tgt.count, grid.count
     transfer = _transfer(n, tgt.dx, field.wavelength, delta_z, lo, s)
-    buf = np.zeros(transfer.size, dtype=complex)
+    buf = np.empty(transfer.size, dtype=complex)
     buf[:s] = field.amplitudes
-    spectrum = _fft.fft(buf, overwrite_x=True)
-    spectrum *= transfer
-    out = _fft.ifft(spectrum, overwrite_x=True)[:n]
-    if renormalize:
-        out = _matched_flux(out, tgt.dx, field.total_probability)
+    out = _carry(buf, s, transfer, n, tgt.dx, np.empty(n), renormalize)
     return WaveField(out, tgt, field.wavelength)

@@ -24,10 +24,15 @@ def _load_layers():
 LAYERS = _load_layers()
 
 # _fringe_totals reads G3 with comb_throughput and builds no per-offset
-# mask, and it builds every plane with elements.transmission, so the
-# tracer's G3 mask and apply_plane targets are gone on purpose and their
-# metrics read zero calls
-RETIRED = {("talbotlau.interferometer", "grating_amplitude"), ("talbotlau.interferometer", "apply_plane")}
+# mask, it builds every plane with elements.transmission, and it carries
+# each leg in place with propagation._carry, so the tracer's G3 mask,
+# apply_plane and propagate targets are gone on purpose and their metrics
+# read zero calls
+RETIRED = {
+    ("talbotlau.interferometer", "grating_amplitude"),
+    ("talbotlau.interferometer", "apply_plane"),
+    ("talbotlau.interferometer", "propagate"),
+}
 TRACED = [(m, a) for m, a, _ in LAYERS.TARGETS]
 
 

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -29,6 +33,7 @@ from talbotlau import (
 )
 from talbotlau import interferometer
 from talbotlau.interferometer import _fringe_totals, _source_positions
+from talbotlau.propagation import _transfer
 
 D = 1e-7
 
@@ -137,6 +142,102 @@ def assert_scan_matches_full_grid_loop(cfg, grid):
 def test_scan_from_the_slit2_opening_matches_the_full_grid_loop(overrides):
     cfg = fast_config(**overrides)
     assert_scan_matches_full_grid_loop(cfg, beamline_grid(cfg))
+
+
+RANDOM_AND_IMAGE_PHASE = PhaseModel(image_charge_strength=1e-9, random_phase_max=0.5, rng_seed=3)
+
+
+def use_workers(monkeypatch, workers):
+    monkeypatch.setattr(interferometer, "_worker_count", lambda n_sources: min(workers, n_sources))
+
+
+@pytest.mark.parametrize("n_sources", [1, 4, 5])
+def test_scan_is_the_same_at_any_worker_count(monkeypatch, n_sources):
+    # 5 sources on 2 workers leave the last one without a partner
+    cfg = fast_config(n_sources=n_sources, phase_model=RANDOM_AND_IMAGE_PHASE)
+    offsets = np.arange(8) * (D / 8)
+    totals = []
+    for workers in (1, 2, 3):
+        use_workers(monkeypatch, workers)
+        totals.append(_fringe_totals(cfg, offsets))
+    assert all(np.array_equal(totals[0], other) for other in totals[1:])
+    expected = full_grid_totals(cfg, offsets, beamline_grid(cfg))
+    assert np.max(np.abs(totals[0] - expected)) <= 1e-12 * np.max(expected)
+
+
+def test_more_workers_than_cpus_with_fast_thread_switching(monkeypatch):
+    # a workspace shared between two workers, or a sum out of source
+    # order, would change bits here
+    cfg = fast_config(n_sources=8, phase_model=RANDOM_AND_IMAGE_PHASE)
+    offsets = np.arange(8) * (D / 8)
+    use_workers(monkeypatch, 1)
+    expected = _fringe_totals(cfg, offsets)
+    use_workers(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert np.array_equal(_fringe_totals(cfg, offsets), expected)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worker_count_is_the_available_cpus_capped_by_the_sources(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert [interferometer._worker_count(n) for n in (1, 2, 3, 32)] == [1, 2, 3, 3]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert interferometer._worker_count(32) == 1
+
+
+def test_one_cpu_starts_no_helper_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def refuse(thread):
+        raise AssertionError("a helper thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    scan_fringe(fast_config(n_sources=4), 8)
+
+
+def test_a_helper_error_leaves_scan_fringe_with_no_thread_running(monkeypatch):
+    use_workers(monkeypatch, 2)
+    carry = interferometer._carry
+
+    def fail_off_the_calling_thread(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("leg failed in a helper")
+        return carry(*args, **kwargs)
+
+    monkeypatch.setattr(interferometer, "_carry", fail_off_the_calling_thread)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="leg failed in a helper"):
+        scan_fringe(fast_config(n_sources=4), 8)
+    assert threading.active_count() == threads
+
+
+def test_a_scan_builds_each_leg_spectrum_once(monkeypatch):
+    # both spectra exist before a helper starts, so no two threads build
+    # the same missing cache entry
+    use_workers(monkeypatch, 2)
+    _transfer.cache_clear()
+    scan_fringe(fast_config(n_sources=4), 8)
+    info = _transfer.cache_info()
+    assert (info.misses, info.hits) == (2, 0)
+
+
+def test_a_non_finite_mask_is_refused(monkeypatch):
+    planes = interferometer._plane_transmissions
+
+    def nan_in_g1(cfg, x):
+        lo, hi, t1, t2 = planes(cfg, x)
+        t1 = t1.astype(float)
+        t1[x.size // 2] = np.nan
+        return lo, hi, t1, t2
+
+    monkeypatch.setattr(interferometer, "_plane_transmissions", nan_in_g1)
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        simulate_throughput(fast_config(n_sources=2), 0.0)
 
 
 def test_slit2_opening_one_sample_matches_the_full_grid_loop():

@@ -12,7 +12,7 @@ from talbotlau import (
     propagate_direct,
     required_dx,
 )
-from talbotlau.propagation import _transfer
+from talbotlau.propagation import _PAD_FACTOR, _carry, _transfer
 
 LAM = 13.1e-12
 
@@ -135,6 +135,40 @@ def test_paraxial_equals_the_padded_cyclic_convolution(n, dz, renormalize):
         assert out.grid == grid
         assert np.max(np.abs(out.amplitudes - expected)) / np.max(np.abs(expected)) <= 1e-12
         assert _transfer(n, grid.dx, LAM, dz, lo, s).size == fft.next_fast_len(n + s - 1, real=True)
+
+
+def spectrum_built_whole(n, dx, wavelength, delta_z, lo, s):
+    # the live-tap spectrum as built from whole length-m arrays
+    m = fft.next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
+    h = -1j * math.pi * wavelength * delta_z * fft.fftfreq(m, d=dx) ** 2
+    h = np.exp(h) * np.exp(2j * math.pi * delta_z / wavelength)
+    taps = fft.ifft(h)
+    live = np.zeros(fft.next_fast_len(n + s - 1, real=True), dtype=complex)
+    live[lo:n] = taps[: n - lo]
+    live[:lo] = taps[m - lo :]
+    live[live.size - (s - 1) :] = taps[m - lo - (s - 1) : m - lo]
+    return fft.fft(live)
+
+
+@pytest.mark.parametrize("n", [17, 1001, 5457])
+def test_blockwise_spectrum_equals_the_whole_array_build(n):
+    for lo, s in ((0, n), (n // 3, n // 2)):
+        for dz in (3.06e-3, 0.05):
+            built = _transfer.__wrapped__(n, 0.26e-9, LAM, dz, lo, s)
+            assert np.array_equal(built, spectrum_built_whole(n, 0.26e-9, LAM, dz, lo, s))
+
+
+def test_a_leg_runs_in_the_buffer_it_is_given():
+    # the scan's peak memory rests on pocketfft transforming in place
+    grid = centered_grid(1001, 0.26e-9)
+    rng = np.random.default_rng(9)
+    field = WaveField(rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count), grid, LAM)
+    transfer = _transfer(grid.count, grid.dx, LAM, 1e-3, 0, grid.count)
+    buf = np.empty(transfer.size + grid.count, dtype=complex)
+    buf[: grid.count] = field.amplitudes
+    out = _carry(buf, grid.count, transfer, grid.count, grid.dx, buf[transfer.size :].view(float))
+    assert np.shares_memory(out, buf[: grid.count])
+    assert np.array_equal(out, propagate(field, 1e-3).amplitudes)
 
 
 @pytest.mark.parametrize("dz", [1e-4, 0.05])
