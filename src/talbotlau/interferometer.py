@@ -9,11 +9,15 @@ grating is read by folding: the summed intensity is sorted once per scan
 by its phase under the comb, and every offset reads its open slits from
 one prefix sum (``elements.comb_throughput``), with no per-offset mask.
 
-The sources are independent, so a scan carries them on every available
-CPU: the calling thread takes one source and a helper thread per further
-CPU takes the next ones, each in its own workspace of one leg's FFT
-length, where every leg runs in place. Contributions are added in source
-order, so the result does not depend on the number of workers.
+The sources are independent, so a scan carries them in batches on every
+available CPU. Each worker, the calling thread and one helper thread per
+further CPU, owns one workspace of FFT rows as long as the grating legs'
+FFT, one source per row; every leg runs in place on a whole batch with
+one FFT call. A batch holds as many rows as fit a 1 MiB workspace (about
+one core's L2 cache), at least one, spread evenly over the rounds in
+which every worker takes a batch: one row on the default grid, four on
+the 2 um slit's grid. Rows are added in source order, so the result does
+not depend on the number of workers or the batch size.
 
 The magnetic field is not inserted into the wave propagation: a field
 shifts the fringe laterally, so it is emulated downstream by translating
@@ -227,6 +231,19 @@ def _worker_count(n_sources: int) -> int:
     return max(1, min(cpus, n_sources))
 
 
+# workspace bytes of one worker's batch of FFT rows: about one core's L2
+# cache. A default-grid row alone is 7.1 MB, so that grid keeps one row
+_BATCH_BYTES = 1 << 20
+
+
+def _batch_rows(n_sources: int, workers: int, fft_len: int) -> int:
+    """Sources per batch: as many FFT rows as fit ``_BATCH_BYTES``, at least
+    one, spread evenly over the rounds in which every worker takes a batch."""
+    fit = max(1, _BATCH_BYTES // (np.dtype(complex).itemsize * fft_len))
+    rounds = math.ceil(n_sources / (workers * fit))
+    return math.ceil(n_sources / (workers * rounds))
+
+
 def _require_finite(amplitudes: np.ndarray):
     if not np.all(np.isfinite(amplitudes)):
         raise ValueError("amplitudes must be finite")
@@ -254,57 +271,67 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
     first = _transfer(n, dx, lam, cfg.slit2_to_g1, sub_lo, s)
     gap = _transfer(n, dx, lam, cfg.grating_gap, 0, n)
 
-    def g3_intensity(ws: np.ndarray, x_s: float) -> np.ndarray:
-        """One source's intensity at G3, computed in the workspace ``ws``.
+    def g3_intensity(ws: np.ndarray, x_s: np.ndarray) -> np.ndarray:
+        """The intensity at G3 of the sources at ``x_s``, one per row of ``ws``.
 
-        Every leg runs in place in ``ws``. Its tail past n holds at least n
-        floats, since ``ws`` is as long as the 2n - 1 tap FFT: that is the
-        float scratch, and it holds the returned intensity.
+        Every leg runs in place on the rows of ``ws``. Each row's tail past
+        n holds at least n floats, since a row is as long as the 2n - 1
+        tap FFT: that is the row's float scratch, and it holds the row's
+        returned intensity.
         """
-        psi = ws[:n]
-        scratch = ws[n:].view(float)
+        ws = ws[: x_s.size]
+        psi = ws[:, :n]
+        scratch = ws[:, n:].view(float)
         # single-term direct kernel: unit-amplitude spherical wave from one point
-        amp = ws[:s]
-        r = scratch[:s]
-        np.subtract(x_sub, x_s, out=r)
+        amp = ws[:, :s]
+        r = scratch[:, :s]
+        np.subtract(x_sub, x_s[:, None], out=r)
         np.hypot(r, cfg.slit_separation, out=r)
         np.multiply(2j * np.pi, r, out=amp)
         np.divide(amp, lam, out=amp)
         np.exp(amp, out=amp)
-        amp[: lo - sub_lo] = 0.0
-        amp[hi - sub_lo :] = 0.0
+        amp[:, : lo - sub_lo] = 0.0
+        amp[:, hi - sub_lo :] = 0.0
         _require_finite(amp)
-        out = _carry(ws, s, first, n, dx, scratch)
-        _require_finite(out)
-        p_in = _flux(out, dx, scratch)
-        if p_in <= 0.0:
+        # each leg leaves its outputs in psi. The scan reads them there, not
+        # from the view that _carry returns: given that view as the input of
+        # a ufunc that writes psi, numpy copies the whole batch into a
+        # temporary first (3.5 MB a leg on the default grid, which added
+        # 3.3 MB to field-readout's peak RSS)
+        _carry(ws, s, first, n, dx, scratch)
+        _require_finite(psi)
+        p_in = _flux(psi, dx, scratch)
+        if np.any(p_in <= 0.0):
             raise ValueError("no flux reaches the first grating; check geometry")
         for t in (t1, t2):
-            np.multiply(out, t, out=psi)
+            psi *= t
             _require_finite(psi)
-            out = _carry(ws, n, gap, n, dx, scratch)
-            _require_finite(out)
+            _carry(ws, n, gap, n, dx, scratch)
+            _require_finite(psi)
         # sources add incoherently, each normalized to the flux it brings to G1
-        g3 = scratch[:n]
-        np.abs(out, out=g3)
+        g3 = scratch[:, :n]
+        np.abs(psi, out=g3)
         np.square(g3, out=g3)
         g3 *= dx / p_in
         return g3
 
-    # the calling thread carries source k and one helper per further CPU
-    # carries k + 1 onward; the sums run in source order, so the result does
-    # not depend on the number of workers
+    # each round, the calling thread carries the first batch of sources and
+    # one helper per further CPU carries one of the next batches; the rows
+    # are added in source order, so the result does not depend on the
+    # number of workers or the batch size
     workers = _worker_count(cfg.n_sources)
-    spaces = [np.empty(gap.size, dtype=complex) for _ in range(workers)]
+    rows = _batch_rows(cfg.n_sources, workers, gap.size)
+    workers = min(workers, math.ceil(cfg.n_sources / rows))
+    spaces = [np.empty((rows, gap.size), dtype=complex) for _ in range(workers)]
     sources = _source_positions(cfg)
     intensity = np.zeros(n)
     with ThreadPoolExecutor(max(1, workers - 1)) as helpers:
-        for k in range(0, sources.size, workers):
-            batch = sources[k : k + workers]
-            pending = [helpers.submit(g3_intensity, ws, x_s) for ws, x_s in zip(spaces[1:], batch[1:])]
-            intensity += g3_intensity(spaces[0], batch[0])
-            for job in pending:
-                intensity += job.result()
+        for k in range(0, sources.size, workers * rows):
+            batches = [sources[j : j + rows] for j in range(k, min(k + workers * rows, sources.size), rows)]
+            pending = [helpers.submit(g3_intensity, ws, x_s) for ws, x_s in zip(spaces[1:], batches[1:])]
+            for g3 in [g3_intensity(spaces[0], batches[0])] + [job.result() for job in pending]:
+                for row in g3:
+                    intensity += row
     return comb_throughput(x, intensity, cfg.gratings[2], offsets) / cfg.n_sources
 
 

@@ -10,8 +10,10 @@ so each leg runs on an FFT of the 5-smooth length
 the same taps. A field that lives on a contiguous run of s samples of its
 n-sample target grid touches only n + s - 1 taps, and its FFT shrinks to
 ``next_fast_len(n + s - 1, real=True)``. One leg is one in-place step,
-``_carry``, on a buffer the caller supplies; ``propagate`` wraps it, and
-the fringe scan calls it on per-thread workspaces.
+``_carry``, on the rows of a buffer the caller supplies: each row is one
+field, and one FFT call along the last axis takes every row, with the
+same bits as a row carried alone. ``propagate`` passes one 1-D row; the
+fringe scan passes each worker's batch of sources.
 ``propagate_direct`` is the reference that tests compare against: a full
 quadrature of
 exp(i 2 pi r / lambda) over every source sample, with r the exact
@@ -117,19 +119,24 @@ def required_dx(wavelength, delta_z, reach):
     return wavelength * delta_z / (2.0 * reach)
 
 
-def _flux(a: np.ndarray, dx: float, scratch: np.ndarray) -> float:
-    """Total probability sum |a|^2 dx, squaring into ``scratch``."""
-    sq = scratch[: a.size]
+def _flux(a: np.ndarray, dx: float, scratch: np.ndarray) -> np.ndarray:
+    """Total probability sum |a|^2 dx of each row, squaring into ``scratch``.
+
+    A row is the last axis; the result keeps it with length 1, so that it
+    broadcasts against ``a``.
+    """
+    sq = scratch[..., : a.shape[-1]]
     np.abs(a, out=sq)
     np.square(sq, out=sq)
-    return float(np.sum(sq) * dx)
+    return np.sum(sq, axis=-1, keepdims=True) * dx
 
 
-def _rescale(out: np.ndarray, dx: float, p_in: float, scratch: np.ndarray):
-    """Scale ``out`` in place to total probability ``p_in``."""
+def _rescale(out: np.ndarray, dx: float, p_in: np.ndarray, scratch: np.ndarray):
+    """Scale each row of ``out`` in place to its total probability ``p_in``."""
     p_out = _flux(out, dx, scratch)
-    if p_in > 0.0 and p_out > 0.0:
-        out *= math.sqrt(p_in / p_out)
+    factor = np.ones_like(p_out)
+    np.divide(p_in, p_out, out=factor, where=(p_in > 0.0) & (p_out > 0.0))
+    out *= np.sqrt(factor, out=factor)
 
 
 def propagate_direct(
@@ -197,22 +204,23 @@ def _transfer(n, dx, wavelength, delta_z, lo, s):
     # H gets its own anonymous map, whose pages go back to the OS when it
     # dies: with glibc, the second H of a scan would otherwise come from
     # the heap and stay resident through the source loop (5 MB of peak
-    # RSS on the default scan)
+    # RSS on the default scan). Index j > m // 2 holds frequency
+    # (j - m) step, whose square equals that of (m - j) step bit for bit,
+    # so only 0 .. m // 2 take the exp and the rest is their mirror image
     m = _fft.next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
     scale = -1j * math.pi * wavelength * delta_z
     axial = np.exp(2j * math.pi * delta_z / wavelength)
     step = 1.0 / (m * dx)
-    half = (m - 1) // 2 + 1
+    c = m // 2
     h = np.frombuffer(mmap.mmap(-1, m * np.dtype(complex).itemsize), dtype=complex)
-    for start in range(0, m, _BLOCK):
-        k = np.arange(start, min(start + _BLOCK, m))
-        k[k >= half] -= m
-        f = k * step
+    for start in range(0, c + 1, _BLOCK):
+        f = np.arange(start, min(start + _BLOCK, c + 1)) * step
         np.square(f, out=f)
-        block = h[start : start + k.size]
+        block = h[start : start + f.size]
         np.multiply(scale, f, out=block)
         np.exp(block, out=block)
         block *= axial
+    h[c + 1 :] = h[m - c - 1 : 0 : -1]
     taps = _fft.ifft(h, overwrite_x=True)
     del h
     # real=True restricts M to 5-smooth lengths: pocketfft's radix-11
@@ -230,22 +238,25 @@ def _transfer(n, dx, wavelength, delta_z, lo, s):
 
 
 def _carry(buf, s, transfer, n, dx, scratch, renormalize=True) -> np.ndarray:
-    """Carry one leg in place, from the s inputs at the head of ``buf``.
+    """Carry one leg in place on every row of ``buf``, from its s head inputs.
 
-    ``buf`` is at least ``transfer.size`` long, and ``scratch`` holds at
-    least n floats that do not overlap ``buf[:n]``; both are overwritten.
-    The input is zero-filled to the FFT length, convolved with the live
-    taps, and rescaled to its own flux unless ``renormalize`` is False.
-    Returns the n outputs.
+    A row is the last axis; each row is one field and goes through the
+    same operations as a row carried alone. Rows are at least
+    ``transfer.size`` long, and each row of ``scratch`` holds at least n
+    floats that do not overlap that row of ``buf``'s first n; both are
+    overwritten. The input is zero-filled to the FFT length, convolved
+    with the live taps, and rescaled to its own flux unless
+    ``renormalize`` is False. Returns the n outputs of every row.
     """
-    p_in = _flux(buf[:s], dx, scratch) if renormalize else 0.0
-    work = buf[: transfer.size]
-    work[s:] = 0.0
-    # with overwrite_x, pocketfft writes the transform of a contiguous
-    # complex input into the input, so the outputs end up in buf[:n]
-    work = _fft.fft(work, overwrite_x=True)
+    p_in = _flux(buf[..., :s], dx, scratch) if renormalize else None
+    work = buf[..., : transfer.size]
+    work[..., s:] = 0.0
+    # with overwrite_x, pocketfft writes the transform of a complex input
+    # into the input, so the outputs end up in buf[..., :n]; one call
+    # transforms every row
+    work = _fft.fft(work, axis=-1, overwrite_x=True)
     work *= transfer
-    out = _fft.ifft(work, overwrite_x=True)[:n]
+    out = _fft.ifft(work, axis=-1, overwrite_x=True)[..., :n]
     if renormalize:
         _rescale(out, dx, p_in, scratch)
     return out

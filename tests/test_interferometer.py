@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 import threading
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from dataclasses import replace
+from scipy import fft
 
 from talbotlau import (
     ApertureSpec,
@@ -151,15 +153,22 @@ def use_workers(monkeypatch, workers):
     monkeypatch.setattr(interferometer, "_worker_count", lambda n_sources: min(workers, n_sources))
 
 
+def use_batch_rows(monkeypatch, rows):
+    monkeypatch.setattr(interferometer, "_batch_rows", lambda n_sources, workers, fft_len: rows)
+
+
 @pytest.mark.parametrize("n_sources", [1, 4, 5])
 def test_scan_is_the_same_at_any_worker_count(monkeypatch, n_sources):
-    # 5 sources on 2 workers leave the last one without a partner
+    # 5 sources on 2 workers leave the last one without a partner, and
+    # batches of 2 or 3 rows leave a short last batch
     cfg = fast_config(n_sources=n_sources, phase_model=RANDOM_AND_IMAGE_PHASE)
     offsets = np.arange(8) * (D / 8)
     totals = []
-    for workers in (1, 2, 3):
-        use_workers(monkeypatch, workers)
-        totals.append(_fringe_totals(cfg, offsets))
+    for rows in sorted({1, 2, 3, n_sources}):
+        use_batch_rows(monkeypatch, rows)
+        for workers in (1, 2, 3):
+            use_workers(monkeypatch, workers)
+            totals.append(_fringe_totals(cfg, offsets))
     assert all(np.array_equal(totals[0], other) for other in totals[1:])
     expected = full_grid_totals(cfg, offsets, beamline_grid(cfg))
     assert np.max(np.abs(totals[0] - expected)) <= 1e-12 * np.max(expected)
@@ -188,6 +197,42 @@ def test_worker_count_is_the_available_cpus_capped_by_the_sources(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert interferometer._worker_count(32) == 1
+
+
+def test_batch_rows_fill_one_budget_balanced_over_the_rounds(monkeypatch):
+    def fft_len(cfg):
+        return fft.next_fast_len(2 * beamline_grid(cfg).count - 1, real=True)
+
+    # a default-grid row alone is over the budget; the narrow grid's
+    # 10,935-point rows fit 5, balanced to 4 per batch over 4 rounds of 2
+    assert (fft_len(BeamlineConfig()), fft_len(fast_config())) == (442_368, 10_935)
+    assert interferometer._batch_rows(32, 2, 442_368) == 1
+    assert interferometer._batch_rows(32, 2, 10_935) == 4
+    budget = interferometer._BATCH_BYTES
+    for m in (100, 10_935, 65_536, 65_537, 442_368):
+        fit = max(1, budget // (16 * m))
+        for workers in (1, 2, 3, 8):
+            for n_sources in (1, 2, 5, 7, 32, 33, 100):
+                rows = interferometer._batch_rows(n_sources, workers, m)
+                assert rows >= 1 and (rows == 1 or rows * 16 * m <= budget)
+                # balancing keeps the rounds that full batches would take
+                assert math.ceil(n_sources / (workers * rows)) == math.ceil(n_sources / (workers * fit))
+    # one CPU carries multi-row batches without a helper thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    seen = []
+    batch_rows = interferometer._batch_rows
+
+    def spy(*args):
+        seen.append(batch_rows(*args))
+        return seen[-1]
+
+    def refuse(thread):
+        raise AssertionError("a helper thread was started")
+
+    monkeypatch.setattr(interferometer, "_batch_rows", spy)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    scan_fringe(fast_config(n_sources=8), 8)
+    assert seen == [4]
 
 
 def test_one_cpu_starts_no_helper_thread(monkeypatch):

@@ -150,8 +150,9 @@ def spectrum_built_whole(n, dx, wavelength, delta_z, lo, s):
     return fft.fft(live)
 
 
-@pytest.mark.parametrize("n", [17, 1001, 5457])
+@pytest.mark.parametrize("n", [17, 19, 1001, 5457])
 def test_blockwise_spectrum_equals_the_whole_array_build(n):
+    # n = 19 pads to an odd length m = 77, the other cases to even ones
     for lo, s in ((0, n), (n // 3, n // 2)):
         for dz in (3.06e-3, 0.05):
             built = _transfer.__wrapped__(n, 0.26e-9, LAM, dz, lo, s)
@@ -159,16 +160,33 @@ def test_blockwise_spectrum_equals_the_whole_array_build(n):
 
 
 def test_a_leg_runs_in_the_buffer_it_is_given():
-    # the scan's peak memory rests on pocketfft transforming in place
+    # the scan's peak memory rests on pocketfft transforming every row in
+    # place, and its bits on each row going through the same operations as
+    # a field carried alone; 9 rows also take pocketfft's multi-row SIMD path
     grid = centered_grid(1001, 0.26e-9)
+    n = grid.count
+    lo, s = n // 3, n // 2
+    sub = GridSpec(grid.x[lo], grid.dx, s)
+    first = _transfer(n, grid.dx, LAM, 0.05, lo, s)
+    gap = _transfer(n, grid.dx, LAM, 1e-3, 0, n)
+    assert first.size < gap.size
     rng = np.random.default_rng(9)
-    field = WaveField(rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count), grid, LAM)
-    transfer = _transfer(grid.count, grid.dx, LAM, 1e-3, 0, grid.count)
-    buf = np.empty(transfer.size + grid.count, dtype=complex)
-    buf[: grid.count] = field.amplitudes
-    out = _carry(buf, grid.count, transfer, grid.count, grid.dx, buf[transfer.size :].view(float))
-    assert np.shares_memory(out, buf[: grid.count])
-    assert np.array_equal(out, propagate(field, 1e-3).amplitudes)
+    for rows in (1, 3, 9):
+        fields = [WaveField(rng.normal(size=s) + 1j * rng.normal(size=s), sub, LAM) for _ in range(rows)]
+        # rows as long as the longer leg's FFT, with the float scratch in their tails
+        buf = np.empty((rows, gap.size), dtype=complex)
+        scratch = buf[:, n:].view(float)
+        for row, field in zip(buf, fields):
+            row[:s] = field.amplitudes
+        # leg 1 transforms a view shorter than the rows
+        out = _carry(buf, s, first, n, grid.dx, scratch)
+        assert np.shares_memory(out, buf[:, :n])
+        alone = [propagate(field, 0.05, grid) for field in fields]
+        assert all(np.array_equal(got, want.amplitudes) for got, want in zip(out, alone))
+        out = _carry(buf, n, gap, n, grid.dx, scratch, renormalize=False)
+        assert np.shares_memory(out, buf[:, :n])
+        alone = [propagate(field, 1e-3, renormalize=False) for field in alone]
+        assert all(np.array_equal(got, want.amplitudes) for got, want in zip(out, alone))
 
 
 @pytest.mark.parametrize("dz", [1e-4, 0.05])
