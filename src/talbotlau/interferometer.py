@@ -259,17 +259,18 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
     # each source's field is nonzero only where slit 2 is open, a contiguous
     # run [lo, hi) of the grid on which slit 2 transmits exactly 1, so it is
     # built and carried to G1 from that run alone; the phases come from the
-    # scan's x, so they equal those of the full grid. A sub-grid needs two
-    # samples, so a lone open sample gets a zero neighbour
+    # scan's x, so they equal those of the full grid
     lo, hi, t1, t2 = _plane_transmissions(cfg, x)
-    sub_lo = min(lo, n - 2)
-    sub_hi = max(hi, sub_lo + 2)
-    s = sub_hi - sub_lo
-    x_sub = x[sub_lo:sub_hi]
+    s = hi - lo
+    x_sub = x[lo:hi]
     # both spectra are built before any helper starts: lru_cache does not
     # lock a missing key
-    first = _transfer(n, dx, lam, cfg.slit2_to_g1, sub_lo, s)
+    first = _transfer(n, dx, lam, cfg.slit2_to_g1, lo, s)
     gap = _transfer(n, dx, lam, cfg.grating_gap, 0, n)
+    # the legs are linear, so a non-finite value can only come in with an
+    # input: the chain's inputs are checked where they enter, not per leg
+    for plane in (t1, t2, first, gap):
+        _require_finite(plane)
 
     def g3_intensity(ws: np.ndarray, x_s: np.ndarray) -> np.ndarray:
         """The intensity at G3 of the sources at ``x_s``, one per row of ``ws``.
@@ -290,29 +291,30 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
         np.multiply(2j * np.pi, r, out=amp)
         np.divide(amp, lam, out=amp)
         np.exp(amp, out=amp)
-        amp[:, : lo - sub_lo] = 0.0
-        amp[:, hi - sub_lo :] = 0.0
         _require_finite(amp)
         # each leg leaves its outputs in psi. The scan reads them there, not
         # from the view that _carry returns: given that view as the input of
         # a ufunc that writes psi, numpy copies the whole batch into a
         # temporary first (3.5 MB a leg on the default grid, which added
         # 3.3 MB to field-readout's peak RSS)
-        _carry(ws, s, first, n, dx, scratch)
-        _require_finite(psi)
-        p_in = _flux(psi, dx, scratch)
-        if np.any(p_in <= 0.0):
+        _carry(ws, s, first, n)
+        arrived = _flux(psi, dx, scratch)
+        if np.any(arrived <= 0.0):
             raise ValueError("no flux reaches the first grating; check geometry")
+        passed = dx
         for t in (t1, t2):
             psi *= t
-            _require_finite(psi)
-            _carry(ws, n, gap, n, dx, scratch)
-            _require_finite(psi)
-        # sources add incoherently, each normalized to the flux it brings to G1
+            passed = passed * _flux(psi, dx, scratch)
+            _carry(ws, n, gap, n)
+            arrived = arrived * _flux(psi, dx, scratch)
+        # a beamline that rescales each leg to its input flux, read per unit
+        # of flux at G1, scales the raw |r3|^2 by dx F(t1 r1) F(t2 r2) over
+        # F(r1) F(r2) F(r3), F the flux; a leg that receives none passes none
+        weight = np.divide(passed, arrived, out=np.zeros_like(arrived), where=arrived > 0.0)
         g3 = scratch[:, :n]
         np.abs(psi, out=g3)
         np.square(g3, out=g3)
-        g3 *= dx / p_in
+        g3 *= weight
         return g3
 
     # each round, the calling thread carries the first batch of sources and

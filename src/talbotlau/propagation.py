@@ -9,23 +9,22 @@ so each leg runs on an FFT of the 5-smooth length
 ``next_fast_len(2n - 1, real=True)``, about half the padded length, with
 the same taps. A field that lives on a contiguous run of s samples of its
 n-sample target grid touches only n + s - 1 taps, and its FFT shrinks to
-``next_fast_len(n + s - 1, real=True)``. One leg is one in-place step,
-``_carry``, on the rows of a buffer the caller supplies: each row is one
-field, and one FFT call along the last axis takes every row, with the
+``next_fast_len(n + s - 1, real=True)``. One leg is one linear in-place
+step, ``_carry``, on the rows of a buffer the caller supplies: each row is
+one field, and one FFT call along the last axis takes every row, with the
 same bits as a row carried alone. ``propagate`` passes one 1-D row; the
 fringe scan passes each worker's batch of sources.
 ``propagate_direct`` is the reference that tests compare against: a full
-quadrature of
-exp(i 2 pi r / lambda) over every source sample, with r the exact
-point-to-point path length, O(N_src * N_tgt).
+quadrature of exp(i 2 pi r / lambda) over every source sample, with r the
+exact point-to-point path length, O(N_src * N_tgt).
 ``required_dx(wavelength, delta_z, reach)`` is the one sampling
 criterion: the largest step that keeps the direct kernel's phase change
 below pi per sample at ``reach``, the widest source-target offset.
 ``propagate_direct`` refuses a source grid coarser than that, and the
 beamline checks every leg against it.
-Both drop the Huygens amplitude prefactor and instead rescale the output
-so total probability matches the input; every downstream observable is a
-flux ratio, so the overall scale is immaterial.
+Both kernels drop the Huygens amplitude prefactor, and ``propagate`` and
+``propagate_direct`` rescale their output to the input's total probability
+unless asked not to; every downstream observable is a flux ratio.
 """
 
 from dataclasses import dataclass
@@ -237,18 +236,15 @@ def _transfer(n, dx, wavelength, delta_z, lo, s):
     return spectrum
 
 
-def _carry(buf, s, transfer, n, dx, scratch, renormalize=True) -> np.ndarray:
+def _carry(buf, s, transfer, n) -> np.ndarray:
     """Carry one leg in place on every row of ``buf``, from its s head inputs.
 
     A row is the last axis; each row is one field and goes through the
     same operations as a row carried alone. Rows are at least
-    ``transfer.size`` long, and each row of ``scratch`` holds at least n
-    floats that do not overlap that row of ``buf``'s first n; both are
-    overwritten. The input is zero-filled to the FFT length, convolved
-    with the live taps, and rescaled to its own flux unless
-    ``renormalize`` is False. Returns the n outputs of every row.
+    ``transfer.size`` long and are overwritten: the input is zero-filled
+    to the FFT length and convolved with the live taps. The leg is linear:
+    it keeps no flux and rescales nothing. Returns the n outputs of every row.
     """
-    p_in = _flux(buf[..., :s], dx, scratch) if renormalize else None
     work = buf[..., : transfer.size]
     work[..., s:] = 0.0
     # with overwrite_x, pocketfft writes the transform of a complex input
@@ -256,10 +252,7 @@ def _carry(buf, s, transfer, n, dx, scratch, renormalize=True) -> np.ndarray:
     # transforms every row
     work = _fft.fft(work, axis=-1, overwrite_x=True)
     work *= transfer
-    out = _fft.ifft(work, axis=-1, overwrite_x=True)[..., :n]
-    if renormalize:
-        _rescale(out, dx, p_in, scratch)
-    return out
+    return _fft.ifft(work, axis=-1, overwrite_x=True)[..., :n]
 
 
 def _offset_in(grid: GridSpec, target: GridSpec) -> int:
@@ -292,7 +285,8 @@ def propagate(
     four times its length, so it is wrap-free for content that stays
     inside the window. It is computed from the n + s - 1 kernel taps that
     s inputs and n target outputs touch, on an FFT of length
-    ``next_fast_len(n + s - 1, real=True)`` (see ``_transfer``).
+    ``next_fast_len(n + s - 1, real=True)`` (see ``_transfer``), and
+    rescaled to the field's total probability unless ``renormalize`` is False.
     """
     if not delta_z > 0.0:
         raise ValueError("delta_z must be positive")
@@ -303,5 +297,7 @@ def propagate(
     transfer = _transfer(n, tgt.dx, field.wavelength, delta_z, lo, s)
     buf = np.empty(transfer.size, dtype=complex)
     buf[:s] = field.amplitudes
-    out = _carry(buf, s, transfer, n, tgt.dx, np.empty(n), renormalize)
+    out = _carry(buf, s, transfer, n)
+    if renormalize:
+        _rescale(out, tgt.dx, field.total_probability, np.empty(n))
     return WaveField(out, tgt, field.wavelength)

@@ -285,6 +285,29 @@ def test_a_non_finite_mask_is_refused(monkeypatch):
         simulate_throughput(fast_config(n_sources=2), 0.0)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_g1_that_passes_no_sample_gives_an_all_zero_fringe(monkeypatch, workers):
+    # no flux leaves G1, so every source's weight has a zero denominator
+    use_workers(monkeypatch, workers)
+    grating = GratingSpec(period=D, extent=1e-10)
+    cfg = fast_config(n_sources=4, gratings=(replace(grating, offset=5e-8), grating, grating))
+    x = beamline_grid(cfg).x
+    assert not np.any(transmission(x, cfg.gratings[0], cfg.phase_model, plane_index=1))
+    curve = scan_fringe(cfg, 8)
+    assert np.array_equal(curve.throughput, np.zeros(8))
+
+
+def test_a_non_finite_leg_spectrum_is_refused(monkeypatch):
+    def nan_in_spectrum(*args):
+        spectrum = _transfer(*args).copy()
+        spectrum[1] = np.nan
+        return spectrum
+
+    monkeypatch.setattr(interferometer, "_transfer", nan_in_spectrum)
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        simulate_throughput(fast_config(n_sources=2), 0.0)
+
+
 def test_slit2_opening_one_sample_matches_the_full_grid_loop():
     # the fast config's grid has a sample at x = 0 and a 1 nm step
     cfg = fast_config(second_slit=ApertureSpec(0.5e-9), n_sources=4)
