@@ -2,11 +2,13 @@
 
 A scalar 1-D wavefield is carried plane to plane by one path-summation
 kernel, ``propagate`` (a fast paraxial FFT convolution; tests check it
-against the direct reference quadrature ``propagate_direct``), modulated
-by slits and absorption gratings, and incoherently averaged over point
-sources to produce throughput fringes, contrast-vs-energy curves and a
-magnetometry analysis layer (field generation, deflection, shot-noise
-sensitivity, device scaling).
+against the direct reference quadrature ``propagate_direct``, which
+carries the Fresnel prefactor), modulated by slits and absorption
+gratings, and incoherently averaged over point sources to produce
+throughput fringes, contrast-vs-energy curves and a magnetometry analysis
+layer (field generation, deflection, shot-noise sensitivity, device
+scaling). Both kernels are linear and neither rescales its output; the
+fringe scan alone normalizes, per unit of flux at the first grating.
 """
 
 from .config import (

@@ -144,7 +144,7 @@ def _cmd_validate(cfg: RunConfig):
     grid = beamline_grid(beamline)
     rows = [
         (name, grid.dx, need, "pass" if grid.dx <= need else "fail")
-        for name, need in leg_required_dx(beamline, grid)
+        for name, need in leg_required_dx(beamline, grid.span)
     ]
     return ("leg", "dx_m", "required_dx_m", "status"), rows
 

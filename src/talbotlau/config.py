@@ -153,7 +153,7 @@ def _field_types(section):
     }
 
 
-def _convert(raw, type_name, where):
+def _convert(raw, type_name, default, where):
     if type_name == "float":
         try:
             value = float(raw)
@@ -161,6 +161,9 @@ def _convert(raw, type_name, where):
             raise ConfigError(f"{where}: malformed number {raw!r}") from None
         if math.isnan(value):
             raise ConfigError(f"{where}: NaN is not a valid value")
+        # only a key whose default is infinite (grating_extent) takes inf
+        if math.isinf(value) and math.isfinite(default):
+            raise ConfigError(f"{where}: value must be finite (got {raw})")
         return value
     if type_name == "int":
         try:
@@ -216,7 +219,8 @@ def parse_config(text: str) -> RunConfig:
         if key not in types:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in section [{section}]")
         where = f"line {lineno}: key '{key}'"
-        cfg = override(cfg, section, key, _convert(raw_value.strip(), types[key], where), where)
+        default = getattr(getattr(_DEFAULTS, section), key)
+        cfg = override(cfg, section, key, _convert(raw_value.strip(), types[key], default, where), where)
         lines[section, key] = lineno
     _cross_checks(cfg.sweep, lines)
     return cfg

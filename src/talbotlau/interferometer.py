@@ -34,7 +34,7 @@ import numpy as np
 
 from .elements import ApertureSpec, GratingSpec, PhaseModel, comb_throughput, transmission
 from .kinematics import ELECTRON, BeamEnergy, ParticleSpec, de_broglie_wavelength
-from .propagation import GridSpec, SamplingError, _carry, _flux, _transfer, required_dx
+from .propagation import GridSpec, SamplingError, _carry, _transfer, required_dx
 
 __all__ = [
     "GUN_ENERGY_RANGE_EV",
@@ -53,6 +53,9 @@ __all__ = [
 GUN_ENERGY_RANGE_EV = (4500.0, 10000.0)
 
 _DEFAULT_GRATING = GratingSpec(period=1e-7)
+
+# most samples the shared grid may have
+_MAX_SAMPLES = 64_000_000
 
 
 @dataclass(frozen=True)
@@ -157,20 +160,22 @@ def beamline_grid(cfg: BeamlineConfig) -> GridSpec:
         if cfg.grid_step is not None:
             dx = cfg.grid_step
         else:
-            dx = min(1e-9, 0.8 * min(need for _, need in _leg_bounds(cfg, span)))
-        count = int(math.ceil(span / dx)) + 1
+            dx = min(1e-9, 0.8 * min(need for _, need in leg_required_dx(cfg, span)))
+        # compared as a product: on a huge geometry span / dx overflows to
+        # inf, or dx underflows to 0, before int() could see it
+        count = int(math.ceil(span / dx)) + 1 if span <= _MAX_SAMPLES * dx else math.inf
         if count % 2 == 0:
             count += 1
-    if count > 64_000_000:
+    if count > _MAX_SAMPLES:
         raise ValueError(
-            f"beamline grid would need {count} samples; "
+            f"beamline grid would need {count} samples, more than {_MAX_SAMPLES}; "
             "the geometry (slit centers/widths) is likely misconfigured"
         )
     x_start = -0.5 * (count - 1) * dx
     return GridSpec(x_start=x_start, dx=dx, count=count)
 
 
-def _leg_bounds(cfg: BeamlineConfig, span: float) -> list[tuple[str, float]]:
+def leg_required_dx(cfg: BeamlineConfig, span: float) -> list[tuple[str, float]]:
     """``required_dx`` of every propagation leg on a window ``span`` wide.
 
     A leg's reach is its widest source-target offset: half the window from
@@ -186,13 +191,8 @@ def _leg_bounds(cfg: BeamlineConfig, span: float) -> list[tuple[str, float]]:
     return [(name, required_dx(lam, dz, reach)) for name, dz, reach in legs]
 
 
-def leg_required_dx(cfg: BeamlineConfig, grid: GridSpec) -> list[tuple[str, float]]:
-    """``required_dx`` of every propagation leg onto ``grid``."""
-    return _leg_bounds(cfg, grid.span)
-
-
 def _require_sampling(cfg: BeamlineConfig, grid: GridSpec):
-    for name, need in leg_required_dx(cfg, grid):
+    for name, need in leg_required_dx(cfg, grid.span):
         if grid.dx > need:
             raise SamplingError(
                 f"leg {name}: grid step {grid.dx:.4e} m too coarse; "
@@ -242,6 +242,18 @@ def _batch_rows(n_sources: int, workers: int, fft_len: int) -> int:
     fit = max(1, _BATCH_BYTES // (np.dtype(complex).itemsize * fft_len))
     rounds = math.ceil(n_sources / (workers * fit))
     return math.ceil(n_sources / (workers * rounds))
+
+
+def _flux(a: np.ndarray, dx: float, scratch: np.ndarray) -> np.ndarray:
+    """Total probability sum |a|^2 dx of each row, squaring into ``scratch``.
+
+    A row is the last axis; the result keeps it with length 1, so that it
+    broadcasts against ``a``.
+    """
+    sq = scratch[..., : a.shape[-1]]
+    np.abs(a, out=sq)
+    np.square(sq, out=sq)
+    return np.sum(sq, axis=-1, keepdims=True) * dx
 
 
 def _require_finite(amplitudes: np.ndarray):

@@ -16,15 +16,17 @@ same bits as a row carried alone. ``propagate`` passes one 1-D row; the
 fringe scan passes each worker's batch of sources.
 ``propagate_direct`` is the reference that tests compare against: a full
 quadrature of exp(i 2 pi r / lambda) over every source sample, with r the
-exact point-to-point path length, O(N_src * N_tgt).
+exact point-to-point path length, times the 1-D Fresnel prefactor
+1 / sqrt(i lambda dz), O(N_src * N_tgt).
 ``required_dx(wavelength, delta_z, reach)`` is the one sampling
 criterion: the largest step that keeps the direct kernel's phase change
 below pi per sample at ``reach``, the widest source-target offset.
 ``propagate_direct`` refuses a source grid coarser than that, and the
 beamline checks every leg against it.
-Both kernels drop the Huygens amplitude prefactor, and ``propagate`` and
-``propagate_direct`` rescale their output to the input's total probability
-unless asked not to; every downstream observable is a flux ratio.
+Both kernels approximate one linear operator, the Fresnel propagator, which
+keeps the flux of a field that stays inside the window; neither rescales
+its output. Every downstream observable is a flux ratio, and only the
+fringe scan normalizes, by one weight per source.
 """
 
 from dataclasses import dataclass
@@ -118,37 +120,18 @@ def required_dx(wavelength, delta_z, reach):
     return wavelength * delta_z / (2.0 * reach)
 
 
-def _flux(a: np.ndarray, dx: float, scratch: np.ndarray) -> np.ndarray:
-    """Total probability sum |a|^2 dx of each row, squaring into ``scratch``.
-
-    A row is the last axis; the result keeps it with length 1, so that it
-    broadcasts against ``a``.
-    """
-    sq = scratch[..., : a.shape[-1]]
-    np.abs(a, out=sq)
-    np.square(sq, out=sq)
-    return np.sum(sq, axis=-1, keepdims=True) * dx
-
-
-def _rescale(out: np.ndarray, dx: float, p_in: np.ndarray, scratch: np.ndarray):
-    """Scale each row of ``out`` in place to its total probability ``p_in``."""
-    p_out = _flux(out, dx, scratch)
-    factor = np.ones_like(p_out)
-    np.divide(p_in, p_out, out=factor, where=(p_in > 0.0) & (p_out > 0.0))
-    out *= np.sqrt(factor, out=factor)
-
-
 def propagate_direct(
     field: WaveField,
     delta_z: float,
     target: GridSpec | None = None,
-    renormalize: bool = True,
 ) -> WaveField:
     """Quadrature of the exact path-length phase onto ``target``.
 
-    ``target`` defaults to the field's own grid. O(N_src * N_tgt); use it
-    as the oracle on small grids. Refuses to run when the source step
-    exceeds ``required_dx`` at the widest offset between the two grids.
+    With the Fresnel prefactor 1 / sqrt(i lambda dz) it approximates the
+    same linear operator as ``propagate``. ``target`` defaults to the field's own grid.
+    O(N_src * N_tgt); use it as the oracle on small grids. Refuses to run
+    when the source step exceeds ``required_dx`` at the widest offset
+    between the two grids.
     """
     if not delta_z > 0.0:
         raise ValueError("delta_z must be positive")
@@ -171,9 +154,7 @@ def propagate_direct(
         rows = slice(i0, min(i0 + block, tgt.count))
         r = np.hypot(x_tgt[rows, None] - x_src[None, :], delta_z)
         out[rows] = np.exp(1j * k * r) @ field.amplitudes
-    out *= src.dx
-    if renormalize:
-        _rescale(out, tgt.dx, field.total_probability, np.empty(tgt.count))
+    out *= src.dx / np.sqrt(1j * field.wavelength * delta_z)
     return WaveField(out, tgt, field.wavelength)
 
 
@@ -272,7 +253,6 @@ def propagate(
     field: WaveField,
     delta_z: float,
     target: GridSpec | None = None,
-    renormalize: bool = True,
 ) -> WaveField:
     """Fast quadratic-phase convolution onto ``target``.
 
@@ -285,8 +265,8 @@ def propagate(
     four times its length, so it is wrap-free for content that stays
     inside the window. It is computed from the n + s - 1 kernel taps that
     s inputs and n target outputs touch, on an FFT of length
-    ``next_fast_len(n + s - 1, real=True)`` (see ``_transfer``), and
-    rescaled to the field's total probability unless ``renormalize`` is False.
+    ``next_fast_len(n + s - 1, real=True)`` (see ``_transfer``). The
+    operator is linear, and the output is not rescaled.
     """
     if not delta_z > 0.0:
         raise ValueError("delta_z must be positive")
@@ -297,7 +277,4 @@ def propagate(
     transfer = _transfer(n, tgt.dx, field.wavelength, delta_z, lo, s)
     buf = np.empty(transfer.size, dtype=complex)
     buf[:s] = field.amplitudes
-    out = _carry(buf, s, transfer, n)
-    if renormalize:
-        _rescale(out, tgt.dx, field.total_probability, np.empty(n))
-    return WaveField(out, tgt, field.wavelength)
+    return WaveField(_carry(buf, s, transfer, n), tgt, field.wavelength)

@@ -230,6 +230,22 @@ def test_sweep_energy_outside_the_gun_range_exits_naming_key_and_line(tmp_path, 
     assert "line 2: key 'energy_min_ev'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, command, message",
+    [
+        ("[beamline]\nenergy_ev = inf\n", "fringe", "line 2: key 'energy_ev'"),
+        # a geometry whose grid count overflows a float: refused before ceil
+        ("[beamline]\ngrating_gap = 1e300\n", "validate", "beamline grid would need"),
+    ],
+)
+def test_infinite_or_huge_input_exits_with_an_error_line(tmp_path, capsys, text, command, message):
+    path = tmp_path / "huge.cfg"
+    path.write_text(text)
+    assert run_cli([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_missing_config_file_exits_nonzero(capsys):
     assert run_cli(["kinematics", "--config", "/nonexistent/path.cfg"]) == 1
     assert "error" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 import re
@@ -88,6 +89,28 @@ def test_nan_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config("[cradle]\nedge_length = nan\n")
     assert "edge_length" in str(err.value)
+
+
+def _float_keys():
+    cfg = default_config()
+    return [
+        (section.name, f.name)
+        for section in dataclasses.fields(cfg)
+        for f in dataclasses.fields(getattr(cfg, section.name))
+        if isinstance(getattr(getattr(cfg, section.name), f.name), float)
+    ]
+
+
+@pytest.mark.parametrize("section, key", _float_keys())
+def test_infinity_rejected_where_the_default_is_finite(section, key):
+    # an infinite energy, region or count rate would crash a command or
+    # print NaN; only grating_extent defaults to, and accepts, inf
+    text = f"[{section}]\n{key} = inf\n"
+    if math.isinf(getattr(getattr(default_config(), section), key)):
+        assert math.isinf(getattr(getattr(parse_config(text), section), key))
+    else:
+        with pytest.raises(ConfigError, match=f"line 2: key '{key}'.*finite"):
+            parse_config(text)
 
 
 def test_malformed_number_rejected():

@@ -100,21 +100,29 @@ def test_direct_kernel_scan_tracks_paraxial():
 def full_grid_totals(cfg, offsets, grid, kernel=propagate):
     # the scan as a loop over the whole grid: every source's field is built
     # on all samples, slit 2 is applied as a 0/1 mask, and each leg
-    # propagates with ``kernel`` on the grid it was given
+    # propagates with the linear ``kernel`` on the grid it was given, then
+    # is rescaled to the flux it received; the throughput is read per unit
+    # of flux at G1, which that rescaling makes the flux through slit 2
     x = grid.x
     lam = de_broglie_wavelength(cfg.energy, cfg.particle)
     g1, g2, g3 = cfg.gratings
     slit2 = transmission(x, cfg.second_slit)
     t1 = transmission(x, g1, cfg.phase_model, plane_index=1)
     t2 = transmission(x, g2, cfg.phase_model, plane_index=2)
+
+    def leg(amp, dz):
+        out = kernel(WaveField(amp, grid, lam), dz).amplitudes
+        p_out = np.sum(np.abs(out) ** 2)
+        return out * math.sqrt(np.sum(np.abs(amp) ** 2) / p_out) if p_out > 0.0 else out
+
     intensity = np.zeros(grid.count)
     for x_s in _source_positions(cfg):
         amp = np.exp(2j * np.pi * np.hypot(x - x_s, cfg.slit_separation) / lam) * slit2
-        psi = kernel(WaveField(amp, grid, lam), cfg.slit2_to_g1)
-        p_in = psi.total_probability
-        psi = kernel(WaveField(psi.amplitudes * t1, grid, lam), cfg.grating_gap)
-        psi = kernel(WaveField(psi.amplitudes * t2, grid, lam), cfg.grating_gap)
-        intensity += np.abs(psi.amplitudes) ** 2 * (grid.dx / p_in)
+        p_in = np.sum(np.abs(amp) ** 2)
+        psi = leg(amp, cfg.slit2_to_g1)
+        psi = leg(psi * t1, cfg.grating_gap)
+        psi = leg(psi * t2, cfg.grating_gap)
+        intensity += np.abs(psi) ** 2 / p_in
     return comb_throughput(x, intensity, g3, offsets) / cfg.n_sources
 
 
@@ -461,7 +469,7 @@ def test_beamline_grid_satisfies_sampling():
     # a slit-2-to-G1 leg shorter than the grating gap sets the automatic step
     for cfg in (fast_config(), BeamlineConfig(n_sources=2), BeamlineConfig(n_sources=2, slit2_to_g1=1e-3)):
         grid = beamline_grid(cfg)
-        for name, need in leg_required_dx(cfg, grid):
+        for name, need in leg_required_dx(cfg, grid.span):
             assert grid.dx <= need, name
 
 

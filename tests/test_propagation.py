@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -71,26 +72,25 @@ def test_paraxial_matches_direct_on_2048_point_double_slit():
     grid = centered_grid(2048, 4.2e-6 / 2048)
     field = double_slit_field(grid, 0.6e-6, 1.5e-6)
     dz = 3.06e-3
-    direct = propagate_direct(field, dz)
-    paraxial = propagate(field, dz)
-    i_d = np.abs(direct.amplitudes) ** 2
-    i_p = np.abs(paraxial.amplitudes) ** 2
-    err = np.linalg.norm(i_p - i_d) / np.linalg.norm(i_d)
-    assert err < 1e-3
+    # both kernels approximate the same linear operator, so their raw
+    # complex amplitudes agree, the Fresnel prefactor and axial phase included
+    direct = propagate_direct(field, dz).amplitudes
+    paraxial = propagate(field, dz).amplitudes
+    assert np.linalg.norm(paraxial - direct) / np.linalg.norm(direct) <= 1e-4
 
 
 def test_paraxial_is_linear_before_renormalization():
+    # neither kernel rescales: both are linear in the field
     grid = centered_grid(2048, 2e-9)
     rng = np.random.default_rng(7)
     a1 = rng.normal(size=2048) + 1j * rng.normal(size=2048)
     a2 = rng.normal(size=2048) + 1j * rng.normal(size=2048)
     ca, cb = 0.7 - 0.2j, -1.3 + 0.5j
-    f = lambda amp: propagate(
-        WaveField(amp, grid, LAM), 1e-3, renormalize=False
-    ).amplitudes
-    combined = f(ca * a1 + cb * a2)
-    superposed = ca * f(a1) + cb * f(a2)
-    assert np.linalg.norm(combined - superposed) / np.linalg.norm(combined) < 1e-12
+    for kernel in (propagate, propagate_direct):
+        f = lambda amp: kernel(WaveField(amp, grid, LAM), 3.06e-3).amplitudes
+        combined = f(ca * a1 + cb * a2)
+        superposed = ca * f(a1) + cb * f(a2)
+        assert np.linalg.norm(combined - superposed) / np.linalg.norm(combined) < 1e-12, kernel
 
 
 def padded_cyclic_convolution(field, dz):
@@ -120,18 +120,18 @@ def sub_grid_field(grid, lo, s, rng):
     return sub, zero_filled
 
 
-@pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize("zero_filled", [False, True])
 @pytest.mark.parametrize("dz", [1e-4, 0.05])
 @pytest.mark.parametrize("n", [2, 3, 16, 17, 1000, 1001])
-def test_paraxial_equals_the_padded_cyclic_convolution(n, dz, renormalize):
+def test_paraxial_equals_the_padded_cyclic_convolution(n, dz, zero_filled):
+    # the field is carried from its sub-grid onto the grid, or as given
+    # zero-filled on the whole grid; both are the same operator
     grid = centered_grid(n, 0.26e-9)
     rng = np.random.default_rng(n)
     for lo, s in sub_grid_cases(n):
-        sub, zero_filled = sub_grid_field(grid, lo, s, rng)
-        expected = padded_cyclic_convolution(zero_filled, dz)
-        if renormalize:
-            expected *= math.sqrt(sub.total_probability / (np.sum(np.abs(expected) ** 2) * grid.dx))
-        out = propagate(sub, dz, grid, renormalize=renormalize)
+        sub, whole = sub_grid_field(grid, lo, s, rng)
+        expected = padded_cyclic_convolution(whole, dz)
+        out = propagate(whole, dz) if zero_filled else propagate(sub, dz, grid)
         assert out.grid == grid
         assert np.max(np.abs(out.amplitudes - expected)) / np.max(np.abs(expected)) <= 1e-12
         assert _transfer(n, grid.dx, LAM, dz, lo, s).size == fft.next_fast_len(n + s - 1, real=True)
@@ -177,15 +177,15 @@ def test_a_leg_runs_in_the_buffer_it_is_given():
         buf = np.empty((rows, gap.size), dtype=complex)
         for row, field in zip(buf, fields):
             row[:s] = field.amplitudes
-        # a leg is linear: each row equals its field propagated alone with
-        # no rescaling. Leg 1 transforms a view shorter than the rows
+        # each row equals its field propagated alone. Leg 1 transforms a
+        # view shorter than the rows
         out = _carry(buf, s, first, n)
         assert np.shares_memory(out, buf[:, :n])
-        alone = [propagate(field, 0.05, grid, renormalize=False) for field in fields]
+        alone = [propagate(field, 0.05, grid) for field in fields]
         assert all(np.array_equal(got, want.amplitudes) for got, want in zip(out, alone))
         out = _carry(buf, n, gap, n)
         assert np.shares_memory(out, buf[:, :n])
-        alone = [propagate(field, 1e-3, renormalize=False) for field in alone]
+        alone = [propagate(field, 1e-3) for field in alone]
         assert all(np.array_equal(got, want.amplitudes) for got, want in zip(out, alone))
 
 
@@ -195,11 +195,10 @@ def test_direct_from_a_sub_grid_equals_the_zero_filled_field(dz):
     rng = np.random.default_rng(5)
     for lo, s in sub_grid_cases(grid.count):
         sub, zero_filled = sub_grid_field(grid, lo, s, rng)
-        for renormalize in (False, True):
-            expected = propagate_direct(zero_filled, dz, grid, renormalize).amplitudes
-            out = propagate_direct(sub, dz, grid, renormalize)
-            assert out.grid == grid
-            assert np.max(np.abs(out.amplitudes - expected)) / np.max(np.abs(expected)) <= 1e-12
+        expected = propagate_direct(zero_filled, dz, grid).amplitudes
+        out = propagate_direct(sub, dz, grid)
+        assert out.grid == grid
+        assert np.max(np.abs(out.amplitudes - expected)) / np.max(np.abs(expected)) <= 1e-12
 
 
 def test_paraxial_target_needs_the_same_step():
@@ -228,14 +227,15 @@ def test_paraxial_target_must_contain_the_sub_grid(first):
 
 
 def test_flux_conservation():
+    # the Fresnel operator is unitary: a field that stays inside the window
+    # keeps its flux through either kernel, with no rescaling
     grid = centered_grid(4096, 2e-9)
     gauss = np.exp(-((grid.x / 1.5e-6) ** 2)).astype(complex)
     field = WaveField(gauss, grid, LAM)
-    renorm = propagate(field, 3.06e-3)
-    assert renorm.total_probability == pytest.approx(field.total_probability, rel=1e-12)
-    raw = propagate(field, 3.06e-3, renormalize=False)
-    drift = abs(raw.total_probability - field.total_probability) / field.total_probability
-    assert drift < 1e-6
+    for kernel in (propagate, propagate_direct):
+        out = kernel(field, 3.06e-3)
+        drift = abs(out.total_probability - field.total_probability) / field.total_probability
+        assert drift < 1e-6, kernel
 
 
 def test_sampling_check_reference_point():
@@ -283,9 +283,9 @@ def test_reciprocity_under_reflection():
     grid = centered_grid(4096, 2e-9)
     sym = np.exp(-((grid.x / 1e-6) ** 2)) * (1 + 0.3 * np.cos(2 * np.pi * grid.x / 5e-7))
     field = WaveField(sym.astype(complex), grid, LAM)
-    forward = propagate(field, 2e-3, renormalize=False).amplitudes
+    forward = propagate(field, 2e-3).amplitudes
     mirrored = WaveField(field.amplitudes[::-1], grid, LAM)
-    swapped = propagate(mirrored, 2e-3, renormalize=False).amplitudes
+    swapped = propagate(mirrored, 2e-3).amplitudes
     assert np.linalg.norm(forward[::-1] - swapped) / np.linalg.norm(forward) < 1e-10
 
 
@@ -295,6 +295,10 @@ def test_propagate_validation():
     for kernel in (propagate_direct, propagate):
         with pytest.raises(ValueError):
             kernel(field, 0.0)
+        # linear, so no argument switches a rescale on: only the scan normalizes
+        assert list(inspect.signature(kernel).parameters) == ["field", "delta_z", "target"]
+        with pytest.raises(TypeError):
+            kernel(field, 1e-3, None, True)
     # both kernels carry a sub-grid onto the target they are given
     sub = WaveField(np.ones(8, dtype=complex), GridSpec(grid.x[100], grid.dx, 8), LAM)
     for kernel in (propagate_direct, propagate):
