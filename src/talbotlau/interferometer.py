@@ -19,6 +19,16 @@ which every worker takes a batch: one row on the default grid, four on
 the 2 um slit's grid. Rows are added in source order, so the result does
 not depend on the number of workers or the batch size.
 
+A beamline that is exactly mirror-symmetric about x = 0 maps source x_s
+onto the mirror image of source -x_s, so a scan carries only the first
+ceil(N / 2) sources and adds each one's G3 intensity twice, as it is and
+reversed; the middle source of an odd N sits at x = 0 and is added once.
+The shortcut is taken only when the grid and the sources are exactly
+antisymmetric, slit 2's open run sits symmetrically on the grid, and the
+G1 and G2 transmissions are exact palindromes. An off-axis slit, a G1 or
+G2 offset, a random slit phase or an off-center grid breaks one of these,
+and the scan then carries every source.
+
 The magnetic field is not inserted into the wave propagation: a field
 shifts the fringe laterally, so it is emulated downstream by translating
 the third grating (see ``sensing``).
@@ -201,10 +211,15 @@ def _require_sampling(cfg: BeamlineConfig, grid: GridSpec):
 
 
 def _source_positions(cfg: BeamlineConfig) -> np.ndarray:
-    """Midpoints of n_sources equal strips across the source slit."""
+    """Midpoints of n_sources equal strips across the source slit.
+
+    Each is an exact half-integer offset from the slit's center times the
+    strip width, so a slit centered on 0 gives exactly antisymmetric
+    sources: ``sources == -sources[::-1]``.
+    """
     w = cfg.source_slit.width
-    k = np.arange(cfg.n_sources)
-    return cfg.source_slit.center - 0.5 * w + (k + 0.5) * (w / cfg.n_sources)
+    n = cfg.n_sources
+    return cfg.source_slit.center + (np.arange(n) + (0.5 - 0.5 * n)) * (w / n)
 
 
 def _plane_transmissions(cfg: BeamlineConfig, x: np.ndarray):
@@ -259,6 +274,24 @@ def _flux(a: np.ndarray, dx: float, scratch: np.ndarray) -> np.ndarray:
 def _require_finite(amplitudes: np.ndarray):
     if not np.all(np.isfinite(amplitudes)):
         raise ValueError("amplitudes must be finite")
+
+
+def _mirror_symmetric(x, lo, hi, t1, t2, sources) -> bool:
+    """Whether mirroring x -> -x maps the beamline onto itself bit for bit.
+
+    The grid and the sources are antisymmetric, slit 2's open run [lo, hi)
+    sits symmetrically on the grid, and G1 and G2 transmit palindromes.
+    Then source -x_s's field at slit 2 is source x_s's reversed, because
+    a - b is exactly -(b - a), and the even kernels carry the mirror image
+    through every leg.
+    """
+    return (
+        lo == x.size - hi
+        and np.array_equal(x, -x[::-1])
+        and np.array_equal(sources, -sources[::-1])
+        and np.array_equal(t1, t1[::-1])
+        and np.array_equal(t2, t2[::-1])
+    )
 
 
 def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
@@ -329,23 +362,30 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
         g3 *= weight
         return g3
 
+    sources = _source_positions(cfg)
+    # a mirror-symmetric beamline carries sources 0 .. ceil(N / 2) - 1 and
+    # adds each one's row again, reversed, for its partner N - 1 - k; the
+    # middle source of an odd N is its own partner
+    mirrored = _mirror_symmetric(x, lo, hi, t1, t2, sources)
+    carried = sources[: (sources.size + 1) // 2] if mirrored else sources
     # each round, the calling thread carries the first batch of sources and
     # one helper per further CPU carries one of the next batches; the rows
     # are added in source order, so the result does not depend on the
     # number of workers or the batch size
-    workers = _worker_count(cfg.n_sources)
-    rows = _batch_rows(cfg.n_sources, workers, gap.size)
-    workers = min(workers, math.ceil(cfg.n_sources / rows))
+    workers = _worker_count(carried.size)
+    rows = _batch_rows(carried.size, workers, gap.size)
+    workers = min(workers, math.ceil(carried.size / rows))
     spaces = [np.empty((rows, gap.size), dtype=complex) for _ in range(workers)]
-    sources = _source_positions(cfg)
     intensity = np.zeros(n)
     with ThreadPoolExecutor(max(1, workers - 1)) as helpers:
-        for k in range(0, sources.size, workers * rows):
-            batches = [sources[j : j + rows] for j in range(k, min(k + workers * rows, sources.size), rows)]
+        for k in range(0, carried.size, workers * rows):
+            batches = [carried[j : j + rows] for j in range(k, min(k + workers * rows, carried.size), rows)]
             pending = [helpers.submit(g3_intensity, ws, x_s) for ws, x_s in zip(spaces[1:], batches[1:])]
-            for g3 in [g3_intensity(spaces[0], batches[0])] + [job.result() for job in pending]:
-                for row in g3:
-                    intensity += row
+            results = [g3_intensity(spaces[0], batches[0])] + [job.result() for job in pending]
+            for i, row in enumerate((row for g3 in results for row in g3), start=k):
+                intensity += row
+                if mirrored and 2 * i + 1 != sources.size:
+                    intensity += row[::-1]
     return comb_throughput(x, intensity, cfg.gratings[2], offsets) / cfg.n_sources
 
 

@@ -74,7 +74,14 @@ class GridSpec:
 
     @property
     def x(self) -> np.ndarray:
-        return self.x_start + self.dx * np.arange(self.count)
+        """Sample positions, as offsets from the grid's midpoint.
+
+        Offset i - c, with c = (count - 1) / 2, is exact, and so is its
+        negation, so a grid centered on 0 is exactly antisymmetric:
+        ``x == -x[::-1]``.
+        """
+        c = 0.5 * (self.count - 1)
+        return (np.arange(self.count) - c) * self.dx + (self.x_start + c * self.dx)
 
     @property
     def span(self) -> float:

@@ -155,6 +155,7 @@ def test_scan_from_the_slit2_opening_matches_the_full_grid_loop(overrides):
 
 
 RANDOM_AND_IMAGE_PHASE = PhaseModel(image_charge_strength=1e-9, random_phase_max=0.5, rng_seed=3)
+IMAGE_PHASE = PhaseModel(image_charge_strength=1e-9)
 
 
 def use_workers(monkeypatch, workers):
@@ -165,11 +166,8 @@ def use_batch_rows(monkeypatch, rows):
     monkeypatch.setattr(interferometer, "_batch_rows", lambda n_sources, workers, fft_len: rows)
 
 
-@pytest.mark.parametrize("n_sources", [1, 4, 5])
-def test_scan_is_the_same_at_any_worker_count(monkeypatch, n_sources):
-    # 5 sources on 2 workers leave the last one without a partner, and
-    # batches of 2 or 3 rows leave a short last batch
-    cfg = fast_config(n_sources=n_sources, phase_model=RANDOM_AND_IMAGE_PHASE)
+def assert_same_at_any_worker_count(monkeypatch, cfg):
+    n_sources = cfg.n_sources
     offsets = np.arange(8) * (D / 8)
     totals = []
     for rows in sorted({1, 2, 3, n_sources}):
@@ -180,6 +178,90 @@ def test_scan_is_the_same_at_any_worker_count(monkeypatch, n_sources):
     assert all(np.array_equal(totals[0], other) for other in totals[1:])
     expected = full_grid_totals(cfg, offsets, beamline_grid(cfg))
     assert np.max(np.abs(totals[0] - expected)) <= 1e-12 * np.max(expected)
+
+
+@pytest.mark.parametrize("n_sources", [1, 4, 5])
+def test_scan_is_the_same_at_any_worker_count(monkeypatch, n_sources):
+    # 5 sources on 2 workers leave the last one alone in its round, and
+    # batches of 2 or 3 rows leave a short last batch
+    cfg = fast_config(n_sources=n_sources, phase_model=RANDOM_AND_IMAGE_PHASE)
+    assert_same_at_any_worker_count(monkeypatch, cfg)
+
+
+def carried_sources(monkeypatch, cfg, grid=None):
+    """Sources a scan of ``cfg`` carries: the rows its legs take, three legs each."""
+    rows = []
+    carry = interferometer._carry
+
+    def count(buf, *args):
+        rows.append(buf.shape[0])
+        return carry(buf, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(interferometer, "_carry", count)
+        if grid is not None:
+            patch.setattr(interferometer, "beamline_grid", lambda _: grid)
+        _fringe_totals(cfg, np.arange(8) * (D / 8))
+    assert sum(rows) % 3 == 0
+    return sum(rows) // 3
+
+
+def offset_gratings(cfg, *deltas):
+    return replace(cfg, gratings=tuple(translate_grating(g, d) for g, d in zip(cfg.gratings, deltas)))
+
+
+@pytest.mark.parametrize(
+    "n_sources, grid_points", [(1, None), (4, None), (5, None), (5, 6000)], ids=["1", "4", "5", "5-even-grid"]
+)
+def test_mirrored_scan_is_the_same_at_any_worker_count(monkeypatch, n_sources, grid_points):
+    # the image-charge phase keeps the beamline mirror-symmetric, so only
+    # ceil(N / 2) sources are carried; 5 sources carry 3, whose last is the
+    # middle source at x = 0, and the even grid has no sample at x = 0
+    cfg = fast_config(n_sources=n_sources, phase_model=IMAGE_PHASE, grid_points=grid_points)
+    assert carried_sources(monkeypatch, cfg) == (n_sources + 1) // 2
+    assert_same_at_any_worker_count(monkeypatch, cfg)
+
+
+@pytest.mark.parametrize("n_sources", [4, 5])
+def test_a_mirror_symmetric_scan_carries_half_the_sources(monkeypatch, n_sources):
+    # the G3 offset is read after the sources are summed, so it keeps the
+    # shortcut
+    base = fast_config(n_sources=n_sources)
+    for cfg in (base, replace(base, phase_model=IMAGE_PHASE), offset_gratings(base, 0.0, 0.0, 0.2 * D)):
+        assert carried_sources(monkeypatch, cfg) == (n_sources + 1) // 2
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda cfg: replace(cfg, source_slit=ApertureSpec(5e-6, center=0.2e-6)),
+        lambda cfg: replace(cfg, second_slit=ApertureSpec(2e-6, center=0.3e-6)),
+        lambda cfg: offset_gratings(cfg, 0.2 * D, 0.0, 0.0),
+        lambda cfg: offset_gratings(cfg, 0.0, 0.2 * D, 0.0),
+        lambda cfg: replace(cfg, phase_model=RANDOM_AND_IMAGE_PHASE),
+    ],
+    ids=["source-slit-center", "second-slit-center", "g1-offset", "g2-offset", "random-phase"],
+)
+def test_an_asymmetric_beamline_carries_every_source(monkeypatch, change):
+    cfg = change(fast_config(n_sources=5))
+    assert carried_sources(monkeypatch, cfg) == 5
+    assert_scan_matches_full_grid_loop(cfg, beamline_grid(cfg))
+
+
+def test_an_off_center_grid_carries_every_source(monkeypatch):
+    cfg = fast_config(n_sources=5)
+    grid = clipped_grid(cfg, 1.5e-6)
+    assert carried_sources(monkeypatch, cfg, grid) == 5
+
+
+@pytest.mark.parametrize("n_sources", [1, 2, 5, 32])
+@pytest.mark.parametrize("width", [5e-6, 3.7e-6])
+def test_sources_on_a_centered_slit_are_exactly_antisymmetric(n_sources, width):
+    sources = _source_positions(fast_config(source_slit=ApertureSpec(width), n_sources=n_sources))
+    assert np.array_equal(sources, -sources[::-1])
+    # the midpoints of n equal strips across the slit
+    assert sources[0] == pytest.approx((0.5 / n_sources - 0.5) * width, rel=1e-12)
+    assert np.allclose(np.diff(sources), width / n_sources, rtol=1e-12, atol=0.0)
 
 
 def test_more_workers_than_cpus_with_fast_thread_switching(monkeypatch):

@@ -1,6 +1,8 @@
 import inspect
 import math
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import fft
@@ -26,6 +28,26 @@ def double_slit_field(grid, slit_width, separation, wavelength=LAM):
     x = grid.x
     amp = (np.abs(x - separation / 2) <= slit_width / 2) | (np.abs(x + separation / 2) <= slit_width / 2)
     return WaveField(amp.astype(complex), grid, wavelength)
+
+
+@pytest.mark.parametrize("count", [219_607, 6_000, 2])
+def test_a_centered_grid_is_exactly_antisymmetric(count):
+    # the default beamline grid, an even count and the smallest grid; the
+    # step has no short binary expansion
+    dx = 2.608107e-10
+    x = GridSpec(-0.5 * (count - 1) * dx, dx, count).x
+    assert np.array_equal(x, -x[::-1])
+    if count % 2:
+        assert x[count // 2] == 0.0
+
+
+def test_an_off_center_grid_stays_within_one_ulp_of_its_exact_samples():
+    dx = 0.7e-9
+    for x_start, count in ((0.3e-6, 2001), (-2.9e-6, 4000), (-0.31e-6, 1001)):
+        x = GridSpec(x_start, dx, count).x
+        exact = [float(Fraction(x_start) + Fraction(dx) * i) for i in range(count)]
+        ulp = np.spacing(max(abs(exact[0]), abs(exact[-1])))
+        assert np.max(np.abs(x - exact)) <= ulp
 
 
 def test_point_source_gives_flat_magnitude():
