@@ -19,6 +19,13 @@ which every worker takes a batch: one row on the default grid, four on
 the 2 um slit's grid. Rows are added in source order, so the result does
 not depend on the number of workers or the batch size.
 
+The scan's set-up runs on the same helpers: while the calling thread
+finds slit 2's open run, builds the G1 and G2 transmissions and builds
+the leg spectrum from slit 2 to G1, one helper builds the grating gap's
+leg spectrum. Each spectrum goes through the same operations as on one
+thread, so the result is the same bits; with one CPU no helper thread
+starts and the set-up runs serially.
+
 A beamline that is exactly mirror-symmetric about x = 0 maps source x_s
 onto the mirror image of source -x_s, so a scan carries only the first
 ceil(N / 2) sources and adds each one's G3 intensity twice, as it is and
@@ -230,10 +237,10 @@ def _plane_transmissions(cfg: BeamlineConfig, x: np.ndarray):
     memory.
     """
     open_idx = np.flatnonzero(transmission(x, cfg.second_slit))
-    t1 = transmission(x, cfg.gratings[0], cfg.phase_model, plane_index=1)
-    t2 = transmission(x, cfg.gratings[1], cfg.phase_model, plane_index=2)
     if open_idx.size == 0:
         raise ValueError("no flux passes the second collimation slit; check geometry")
+    t1 = transmission(x, cfg.gratings[0], cfg.phase_model, plane_index=1)
+    t2 = transmission(x, cfg.gratings[1], cfg.phase_model, plane_index=2)
     return int(open_idx[0]), int(open_idx[-1]) + 1, t1, t2
 
 
@@ -301,83 +308,92 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
     x = grid.x
     n, dx = grid.count, grid.dx
     lam = _wavelength(cfg)
-    # each source's field is nonzero only where slit 2 is open, a contiguous
-    # run [lo, hi) of the grid on which slit 2 transmits exactly 1, so it is
-    # built and carried to G1 from that run alone; the phases come from the
-    # scan's x, so they equal those of the full grid
-    lo, hi, t1, t2 = _plane_transmissions(cfg, x)
-    s = hi - lo
-    x_sub = x[lo:hi]
-    # both spectra are built before any helper starts: lru_cache does not
-    # lock a missing key
-    first = _transfer(n, dx, lam, cfg.slit2_to_g1, lo, s)
-    gap = _transfer(n, dx, lam, cfg.grating_gap, 0, n)
-    # the legs are linear, so a non-finite value can only come in with an
-    # input: the chain's inputs are checked where they enter, not per leg
-    for plane in (t1, t2, first, gap):
-        _require_finite(plane)
+    # one helper per further CPU builds the grating gap's spectrum, and
+    # later carries sources. The pool starts a thread only when a job is
+    # submitted, so with one CPU none starts and the set-up runs serially.
+    # result() raises a helper's error here, and leaving the with block
+    # joins every helper, after an error too
+    spare = _worker_count(cfg.n_sources) - 1
+    with ThreadPoolExecutor(max(1, spare)) as helpers:
+        gap_args = (n, dx, lam, cfg.grating_gap, 0, n)
+        gap_build = helpers.submit(_transfer, *gap_args) if spare else None
+        # each source's field is nonzero only where slit 2 is open, a
+        # contiguous run [lo, hi) of the grid on which slit 2 transmits
+        # exactly 1, so it is built and carried to G1 from that run alone;
+        # the phases come from the scan's x, so they equal those of the
+        # full grid
+        lo, hi, t1, t2 = _plane_transmissions(cfg, x)
+        s = hi - lo
+        x_sub = x[lo:hi]
+        first = _transfer(n, dx, lam, cfg.slit2_to_g1, lo, s)
+        gap = _transfer(*gap_args) if gap_build is None else gap_build.result()
+        # the legs are linear, so a non-finite value can only come in with
+        # an input: the chain's inputs are checked where they enter, not
+        # per leg
+        for plane in (t1, t2, first, gap):
+            _require_finite(plane)
 
-    def g3_intensity(ws: np.ndarray, x_s: np.ndarray) -> np.ndarray:
-        """The intensity at G3 of the sources at ``x_s``, one per row of ``ws``.
+        def g3_intensity(ws: np.ndarray, x_s: np.ndarray) -> np.ndarray:
+            """The intensity at G3 of the sources at ``x_s``, one per row of ``ws``.
 
-        Every leg runs in place on the rows of ``ws``. Each row's tail past
-        n holds at least n floats, since a row is as long as the 2n - 1
-        tap FFT: that is the row's float scratch, and it holds the row's
-        returned intensity.
-        """
-        ws = ws[: x_s.size]
-        psi = ws[:, :n]
-        scratch = ws[:, n:].view(float)
-        # single-term direct kernel: unit-amplitude spherical wave from one point
-        amp = ws[:, :s]
-        r = scratch[:, :s]
-        np.subtract(x_sub, x_s[:, None], out=r)
-        np.hypot(r, cfg.slit_separation, out=r)
-        np.multiply(2j * np.pi, r, out=amp)
-        np.divide(amp, lam, out=amp)
-        np.exp(amp, out=amp)
-        _require_finite(amp)
-        # each leg leaves its outputs in psi. The scan reads them there, not
-        # from the view that _carry returns: given that view as the input of
-        # a ufunc that writes psi, numpy copies the whole batch into a
-        # temporary first (3.5 MB a leg on the default grid, which added
-        # 3.3 MB to field-readout's peak RSS)
-        _carry(ws, s, first, n)
-        arrived = _flux(psi, dx, scratch)
-        if np.any(arrived <= 0.0):
-            raise ValueError("no flux reaches the first grating; check geometry")
-        passed = dx
-        for t in (t1, t2):
-            psi *= t
-            passed = passed * _flux(psi, dx, scratch)
-            _carry(ws, n, gap, n)
-            arrived = arrived * _flux(psi, dx, scratch)
-        # a beamline that rescales each leg to its input flux, read per unit
-        # of flux at G1, scales the raw |r3|^2 by dx F(t1 r1) F(t2 r2) over
-        # F(r1) F(r2) F(r3), F the flux; a leg that receives none passes none
-        weight = np.divide(passed, arrived, out=np.zeros_like(arrived), where=arrived > 0.0)
-        g3 = scratch[:, :n]
-        np.abs(psi, out=g3)
-        np.square(g3, out=g3)
-        g3 *= weight
-        return g3
+            Every leg runs in place on the rows of ``ws``. Each row's tail
+            past n holds at least n floats, since a row is as long as the
+            2n - 1 tap FFT: that is the row's float scratch, and it holds
+            the row's returned intensity.
+            """
+            ws = ws[: x_s.size]
+            psi = ws[:, :n]
+            scratch = ws[:, n:].view(float)
+            # single-term direct kernel: unit-amplitude spherical wave from one point
+            amp = ws[:, :s]
+            r = scratch[:, :s]
+            np.subtract(x_sub, x_s[:, None], out=r)
+            np.hypot(r, cfg.slit_separation, out=r)
+            np.multiply(2j * np.pi, r, out=amp)
+            np.divide(amp, lam, out=amp)
+            np.exp(amp, out=amp)
+            _require_finite(amp)
+            # each leg leaves its outputs in psi. The scan reads them there,
+            # not from the view that _carry returns: given that view as the
+            # input of a ufunc that writes psi, numpy copies the whole batch
+            # into a temporary first (3.5 MB a leg on the default grid,
+            # which added 3.3 MB to field-readout's peak RSS)
+            _carry(ws, s, first, n)
+            arrived = _flux(psi, dx, scratch)
+            if np.any(arrived <= 0.0):
+                raise ValueError("no flux reaches the first grating; check geometry")
+            passed = dx
+            for t in (t1, t2):
+                psi *= t
+                passed = passed * _flux(psi, dx, scratch)
+                _carry(ws, n, gap, n)
+                arrived = arrived * _flux(psi, dx, scratch)
+            # a beamline that rescales each leg to its input flux, read per
+            # unit of flux at G1, scales the raw |r3|^2 by dx F(t1 r1)
+            # F(t2 r2) over F(r1) F(r2) F(r3), F the flux; a leg that
+            # receives none passes none
+            weight = np.divide(passed, arrived, out=np.zeros_like(arrived), where=arrived > 0.0)
+            g3 = scratch[:, :n]
+            np.abs(psi, out=g3)
+            np.square(g3, out=g3)
+            g3 *= weight
+            return g3
 
-    sources = _source_positions(cfg)
-    # a mirror-symmetric beamline carries sources 0 .. ceil(N / 2) - 1 and
-    # adds each one's row again, reversed, for its partner N - 1 - k; the
-    # middle source of an odd N is its own partner
-    mirrored = _mirror_symmetric(x, lo, hi, t1, t2, sources)
-    carried = sources[: (sources.size + 1) // 2] if mirrored else sources
-    # each round, the calling thread carries the first batch of sources and
-    # one helper per further CPU carries one of the next batches; the rows
-    # are added in source order, so the result does not depend on the
-    # number of workers or the batch size
-    workers = _worker_count(carried.size)
-    rows = _batch_rows(carried.size, workers, gap.size)
-    workers = min(workers, math.ceil(carried.size / rows))
-    spaces = [np.empty((rows, gap.size), dtype=complex) for _ in range(workers)]
-    intensity = np.zeros(n)
-    with ThreadPoolExecutor(max(1, workers - 1)) as helpers:
+        sources = _source_positions(cfg)
+        # a mirror-symmetric beamline carries sources 0 .. ceil(N / 2) - 1
+        # and adds each one's row again, reversed, for its partner
+        # N - 1 - k; the middle source of an odd N is its own partner
+        mirrored = _mirror_symmetric(x, lo, hi, t1, t2, sources)
+        carried = sources[: (sources.size + 1) // 2] if mirrored else sources
+        # each round, the calling thread carries the first batch of sources
+        # and one helper per further CPU carries one of the next batches; the
+        # rows are added in source order, so the result does not depend on
+        # the number of workers or the batch size
+        workers = _worker_count(carried.size)
+        rows = _batch_rows(carried.size, workers, gap.size)
+        workers = min(workers, math.ceil(carried.size / rows))
+        spaces = [np.empty((rows, gap.size), dtype=complex) for _ in range(workers)]
+        intensity = np.zeros(n)
         for k in range(0, carried.size, workers * rows):
             batches = [carried[j : j + rows] for j in range(k, min(k + workers * rows, carried.size), rows)]
             pending = [helpers.submit(g3_intensity, ws, x_s) for ws, x_s in zip(spaces[1:], batches[1:])]

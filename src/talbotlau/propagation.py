@@ -30,7 +30,6 @@ fringe scan normalizes, by one weight per source.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import math
 import mmap
@@ -170,7 +169,6 @@ def propagate_direct(
 _BLOCK = 1 << 13
 
 
-@lru_cache(maxsize=8)
 def _transfer(n, dx, wavelength, delta_z, lo, s):
     """Spectrum of the padded kernel's live taps on the short FFT length.
 
@@ -183,9 +181,9 @@ def _transfer(n, dx, wavelength, delta_z, lo, s):
     -(lo + s - 1) .. n - 1 - lo. Placed at offset + lo modulo a buffer of
     length M >= n + s - 1, they give the same sums without wrap-around.
     """
-    # a fringe scan reuses the same legs for every source, so cache the
-    # spectrum. The length-m arrays are the largest a scan allocates, so H
-    # is filled in blocks, each with the ops of
+    # a fringe scan builds each leg's spectrum once and carries every
+    # source with it. The length-m arrays are the largest a scan
+    # allocates, so H is filled in blocks, each with the ops of
     # exp(-1j * pi * lambda * dz * fftfreq(m, dx)**2) * axial, and the
     # taps overwrite it; it dies before the live-tap FFT needs scratch.
     # H gets its own anonymous map, whose pages go back to the OS when it

@@ -46,7 +46,3 @@ def test_retired_trace_target_is_absent(module_name, attr):
     assert (module_name, attr) in TRACED
     assert not hasattr(importlib.import_module(module_name), attr)
 
-
-def test_transfer_cache_reports_its_hits():
-    module_name, attr = LAYERS.TRANSFER_CACHE
-    assert callable(getattr(getattr(importlib.import_module(module_name), attr, None), "cache_info", None))

@@ -352,13 +352,58 @@ def test_a_helper_error_leaves_scan_fringe_with_no_thread_running(monkeypatch):
 
 
 def test_a_scan_builds_each_leg_spectrum_once(monkeypatch):
-    # both spectra exist before a helper starts, so no two threads build
-    # the same missing cache entry
+    # with a second CPU, a helper builds the grating gap's spectrum while
+    # the calling thread builds the leg to G1
     use_workers(monkeypatch, 2)
-    _transfer.cache_clear()
-    scan_fringe(fast_config(n_sources=4), 8)
-    info = _transfer.cache_info()
-    assert (info.misses, info.hits) == (2, 0)
+    cfg = fast_config(n_sources=4)
+    built = []
+
+    def count(*args):
+        built.append((args[3], threading.current_thread() is threading.main_thread()))
+        return _transfer(*args)
+
+    monkeypatch.setattr(interferometer, "_transfer", count)
+    scan_fringe(cfg, 8)
+    assert sorted(built) == sorted([(cfg.slit2_to_g1, True), (cfg.grating_gap, False)])
+
+
+def test_a_spectrum_build_that_fails_on_the_helper_reaches_the_caller(monkeypatch):
+    use_workers(monkeypatch, 2)
+    cfg = fast_config(n_sources=4)
+    gap_threads = []
+
+    def fail_the_gap(*args):
+        if args[3] == cfg.grating_gap:
+            gap_threads.append(threading.current_thread())
+            raise RuntimeError("gap spectrum failed")
+        return _transfer(*args)
+
+    monkeypatch.setattr(interferometer, "_transfer", fail_the_gap)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="gap spectrum failed"):
+        scan_fringe(cfg, 8)
+    assert threading.active_count() == threads
+    assert len(gap_threads) == 1 and gap_threads[0] is not threading.main_thread()
+
+
+def test_a_closed_second_slit_is_refused_before_the_gratings_are_built(monkeypatch):
+    # the 0.5 nm slit sits halfway between the samples at 0 and 1 nm; the
+    # calling thread fails while the helper builds the gap's spectrum
+    use_workers(monkeypatch, 2)
+    cfg = fast_config(second_slit=ApertureSpec(0.5e-9, center=0.5e-9), n_sources=2)
+    built = []
+    build = interferometer.transmission
+
+    def spy(x, spec, *args, **kwargs):
+        built.append(spec)
+        return build(x, spec, *args, **kwargs)
+
+    monkeypatch.setattr(interferometer, "transmission", spy)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="no flux passes the second collimation slit"):
+        simulate_throughput(cfg, 0.0)
+    assert threading.active_count() == threads
+    assert built == [cfg.second_slit]
 
 
 def test_a_non_finite_mask_is_refused(monkeypatch):

@@ -177,7 +177,7 @@ def test_blockwise_spectrum_equals_the_whole_array_build(n):
     # n = 19 pads to an odd length m = 77, the other cases to even ones
     for lo, s in ((0, n), (n // 3, n // 2)):
         for dz in (3.06e-3, 0.05):
-            built = _transfer.__wrapped__(n, 0.26e-9, LAM, dz, lo, s)
+            built = _transfer(n, 0.26e-9, LAM, dz, lo, s)
             assert np.array_equal(built, spectrum_built_whole(n, 0.26e-9, LAM, dz, lo, s))
 
 
