@@ -20,11 +20,11 @@ the 2 um slit's grid. Rows are added in source order, so the result does
 not depend on the number of workers or the batch size.
 
 The scan's set-up runs on the same helpers: while the calling thread
-finds slit 2's open run, builds the G1 and G2 transmissions and builds
-the leg spectrum from slit 2 to G1, one helper builds the grating gap's
-leg spectrum. Each spectrum goes through the same operations as on one
-thread, so the result is the same bits; with one CPU no helper thread
-starts and the set-up runs serially.
+finds slit 2's open run, builds the G1 transmission and builds the leg
+spectrum from slit 2 to G1, one helper builds the grating gap's leg
+spectrum and then the G2 transmission. Each goes through the same
+operations as on one thread, so the result is the same bits; with one
+CPU no helper thread starts and the set-up runs serially.
 
 A beamline that is exactly mirror-symmetric about x = 0 maps source x_s
 onto the mirror image of source -x_s, so a scan carries only the first
@@ -43,6 +43,7 @@ the third grating (see ``sensing``).
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import math
 import os
@@ -229,19 +230,16 @@ def _source_positions(cfg: BeamlineConfig) -> np.ndarray:
     return cfg.source_slit.center + (np.arange(n) + (0.5 - 0.5 * n)) * (w / n)
 
 
-def _plane_transmissions(cfg: BeamlineConfig, x: np.ndarray):
-    """Slit 2's open samples [lo, hi) and the G1 and G2 transmissions at ``x``.
+def _slit2_run(cfg: BeamlineConfig, x: np.ndarray) -> tuple[int, int]:
+    """Slit 2's open samples [lo, hi) on ``x``.
 
-    They do not depend on the source, so a scan builds them once; slit 2's
-    mask dies on return, before the source loop that sets the scan's peak
-    memory.
+    Slit 2's mask dies on return, before the source loop that sets the
+    scan's peak memory.
     """
     open_idx = np.flatnonzero(transmission(x, cfg.second_slit))
     if open_idx.size == 0:
         raise ValueError("no flux passes the second collimation slit; check geometry")
-    t1 = transmission(x, cfg.gratings[0], cfg.phase_model, plane_index=1)
-    t2 = transmission(x, cfg.gratings[1], cfg.phase_model, plane_index=2)
-    return int(open_idx[0]), int(open_idx[-1]) + 1, t1, t2
+    return int(open_idx[0]), int(open_idx[-1]) + 1
 
 
 def _worker_count(n_sources: int) -> int:
@@ -308,25 +306,32 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
     x = grid.x
     n, dx = grid.count, grid.dx
     lam = _wavelength(cfg)
-    # one helper per further CPU builds the grating gap's spectrum, and
-    # later carries sources. The pool starts a thread only when a job is
-    # submitted, so with one CPU none starts and the set-up runs serially.
-    # result() raises a helper's error here, and leaving the with block
-    # joins every helper, after an error too
+    # one helper per further CPU builds the grating gap's spectrum and then
+    # G2's transmission, and later carries sources. The pool starts a
+    # thread only when a job is submitted, so with one CPU none starts and
+    # each set-up job runs on the calling thread when its result is read.
+    # Reading a result raises a helper's error here, and leaving the with
+    # block joins every helper, after an error too
     spare = _worker_count(cfg.n_sources) - 1
     with ThreadPoolExecutor(max(1, spare)) as helpers:
-        gap_args = (n, dx, lam, cfg.grating_gap, 0, n)
-        gap_build = helpers.submit(_transfer, *gap_args) if spare else None
+
+        def start(fn, *args):
+            return helpers.submit(fn, *args).result if spare else partial(fn, *args)
+
+        gap = start(_transfer, n, dx, lam, cfg.grating_gap, 0, n)
         # each source's field is nonzero only where slit 2 is open, a
         # contiguous run [lo, hi) of the grid on which slit 2 transmits
         # exactly 1, so it is built and carried to G1 from that run alone;
         # the phases come from the scan's x, so they equal those of the
-        # full grid
-        lo, hi, t1, t2 = _plane_transmissions(cfg, x)
+        # full grid. The G1 and G2 transmissions do not depend on the
+        # source, so a scan builds them once, after slit 2 is found open
+        lo, hi = _slit2_run(cfg, x)
+        t2 = start(transmission, x, cfg.gratings[1], cfg.phase_model, 2)
+        t1 = transmission(x, cfg.gratings[0], cfg.phase_model, 1)
         s = hi - lo
         x_sub = x[lo:hi]
         first = _transfer(n, dx, lam, cfg.slit2_to_g1, lo, s)
-        gap = _transfer(*gap_args) if gap_build is None else gap_build.result()
+        gap, t2 = gap(), t2()
         # the legs are linear, so a non-finite value can only come in with
         # an input: the chain's inputs are checked where they enter, not
         # per leg

@@ -6,10 +6,10 @@ FFT convolution on a shared uniform grid. The operator is defined on a
 buffer padded to ``_PAD_FACTOR`` times the grid, but n samples in and n
 kept samples out touch only the 2n - 1 central taps of that padded kernel,
 so each leg runs on an FFT of the 5-smooth length
-``next_fast_len(2n - 1, real=True)``, about half the padded length, with
+``_next_fast_len(2n - 1, real=True)``, about half the padded length, with
 the same taps. A field that lives on a contiguous run of s samples of its
 n-sample target grid touches only n + s - 1 taps, and its FFT shrinks to
-``next_fast_len(n + s - 1, real=True)``. One leg is one linear in-place
+``_next_fast_len(n + s - 1, real=True)``. One leg is one linear in-place
 step, ``_carry``, on the rows of a buffer the caller supplies: each row is
 one field, and one FFT call along the last axis takes every row, with the
 same bits as a row carried alone. ``propagate`` passes one 1-D row; the
@@ -35,7 +35,6 @@ import math
 import mmap
 
 import numpy as np
-from scipy import fft as _fft
 
 __all__ = [
     "SamplingError",
@@ -164,6 +163,25 @@ def propagate_direct(
     return WaveField(out, tgt, field.wavelength)
 
 
+def _next_fast_len(target: int, real: bool = False) -> int:
+    """Smallest length >= ``target`` with prime factors 2, 3, 5, 7 and 11.
+
+    Only 2, 3 and 5 when ``real``: the lengths that pocketfft transforms
+    fastest, as ``scipy.fft.next_fast_len`` gives them. Each odd product
+    of the other primes below the power of two that covers ``target`` is
+    doubled up to ``target``; the smallest result wins.
+    """
+    best = 1 << (target - 1).bit_length()
+    odd = [1]
+    for p in (3, 5) if real else (3, 5, 7, 11):
+        for f in odd[:]:
+            f *= p
+            while f < best:
+                odd.append(f)
+                f *= p
+    return min(f << (-(-target // f) - 1).bit_length() for f in odd)
+
+
 # block length of the transfer-function build: small temporaries, and a
 # multiple of 8 so that every block starts on the same SIMD lane boundary
 _BLOCK = 1 << 13
@@ -184,15 +202,16 @@ def _transfer(n, dx, wavelength, delta_z, lo, s):
     # a fringe scan builds each leg's spectrum once and carries every
     # source with it. The length-m arrays are the largest a scan
     # allocates, so H is filled in blocks, each with the ops of
-    # exp(-1j * pi * lambda * dz * fftfreq(m, dx)**2) * axial, and the
-    # taps overwrite it; it dies before the live-tap FFT needs scratch.
+    # exp(-1j * pi * lambda * dz * fftfreq(m, dx)**2) * axial, and its
+    # inverse FFT is written back into it (``out=``), so the taps take no
+    # second length-m array; it dies before the live-tap FFT needs scratch.
     # H gets its own anonymous map, whose pages go back to the OS when it
     # dies: with glibc, the second H of a scan would otherwise come from
     # the heap and stay resident through the source loop (5 MB of peak
     # RSS on the default scan). Index j > m // 2 holds frequency
     # (j - m) step, whose square equals that of (m - j) step bit for bit,
     # so only 0 .. m // 2 take the exp and the rest is their mirror image
-    m = _fft.next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
+    m = _next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
     scale = -1j * math.pi * wavelength * delta_z
     axial = np.exp(2j * math.pi * delta_z / wavelength)
     step = 1.0 / (m * dx)
@@ -206,18 +225,18 @@ def _transfer(n, dx, wavelength, delta_z, lo, s):
         np.exp(block, out=block)
         block *= axial
     h[c + 1 :] = h[m - c - 1 : 0 : -1]
-    taps = _fft.ifft(h, overwrite_x=True)
+    taps = np.fft.ifft(h, out=h)
     del h
     # real=True restricts M to 5-smooth lengths: pocketfft's radix-11
     # passes are slow. On the default grid the 96 legs of a fringe scan
     # took 3.95 s at the complex-optimal 439,230 = 2*3*5*11^4 and 3.09 s
     # at 442,368 = 2^14*3^3 (2 vCPUs)
-    live = np.zeros(_fft.next_fast_len(n + s - 1, real=True), dtype=complex)
+    live = np.zeros(_next_fast_len(n + s - 1, real=True), dtype=complex)
     live[lo:n] = taps[: n - lo]
     live[:lo] = taps[m - lo :]
     live[live.size - (s - 1) :] = taps[m - lo - (s - 1) : m - lo]
     del taps
-    spectrum = _fft.fft(live, overwrite_x=True)
+    spectrum = np.fft.fft(live, out=live)
     spectrum.flags.writeable = False
     return spectrum
 
@@ -233,12 +252,12 @@ def _carry(buf, s, transfer, n) -> np.ndarray:
     """
     work = buf[..., : transfer.size]
     work[..., s:] = 0.0
-    # with overwrite_x, pocketfft writes the transform of a complex input
-    # into the input, so the outputs end up in buf[..., :n]; one call
-    # transforms every row
-    work = _fft.fft(work, axis=-1, overwrite_x=True)
+    # out=work writes each transform over its input, so the outputs end up
+    # in buf[..., :n]; one call transforms every row. np.fft is looked up
+    # at call time, so a wrapper put on numpy.fft.fft sees every leg
+    np.fft.fft(work, axis=-1, out=work)
     work *= transfer
-    return _fft.ifft(work, axis=-1, overwrite_x=True)[..., :n]
+    return np.fft.ifft(work, axis=-1, out=work)[..., :n]
 
 
 def _offset_in(grid: GridSpec, target: GridSpec) -> int:
@@ -270,7 +289,7 @@ def propagate(
     four times its length, so it is wrap-free for content that stays
     inside the window. It is computed from the n + s - 1 kernel taps that
     s inputs and n target outputs touch, on an FFT of length
-    ``next_fast_len(n + s - 1, real=True)`` (see ``_transfer``). The
+    ``_next_fast_len(n + s - 1, real=True)`` (see ``_transfer``). The
     operator is linear, and the output is not rescaled.
     """
     if not delta_z > 0.0:

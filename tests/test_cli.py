@@ -1,10 +1,17 @@
 import csv
+import importlib.util
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from talbotlau.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 FAST_CONFIG = """
 [beamline]
@@ -265,3 +272,32 @@ def test_out_of_range_flag_exits_nonzero_naming_it(flag, value, capsys):
     # kinematics builds no beamline, so only the override check can catch these
     assert run_cli(["kinematics", flag, value]) == 1
     assert flag in capsys.readouterr().err
+
+
+def test_a_fringe_run_imports_no_scipy(tmp_path):
+    # scipy is a test-only dependency: importing it cost a CLI process
+    # about 0.4 s of its start-up, so the package's FFTs are numpy.fft's
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    config = tmp_path / "tiny.ini"
+    config.write_text(workloads.WORKLOADS["fringe-wide"].config_text(7, tiny=True), encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from talbotlau import cli\n"
+        "assert cli.main(['fringe', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), path])))
+    out = tmp_path / "fringe.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(config), str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert out.read_text(encoding="utf-8").startswith("offset_m,")

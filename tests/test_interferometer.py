@@ -352,19 +352,27 @@ def test_a_helper_error_leaves_scan_fringe_with_no_thread_running(monkeypatch):
 
 
 def test_a_scan_builds_each_leg_spectrum_once(monkeypatch):
-    # with a second CPU, a helper builds the grating gap's spectrum while
-    # the calling thread builds the leg to G1
+    # with a second CPU, a helper builds the grating gap's spectrum and then
+    # G2's transmission while the calling thread builds G1's and the leg to G1
     use_workers(monkeypatch, 2)
     cfg = fast_config(n_sources=4)
     built = []
+    planes = []
+    build = interferometer.transmission
 
     def count(*args):
         built.append((args[3], threading.current_thread() is threading.main_thread()))
         return _transfer(*args)
 
+    def spy(x, spec, phase=None, plane_index=0):
+        planes.append((plane_index, threading.current_thread() is threading.main_thread()))
+        return build(x, spec, phase, plane_index)
+
     monkeypatch.setattr(interferometer, "_transfer", count)
+    monkeypatch.setattr(interferometer, "transmission", spy)
     scan_fringe(cfg, 8)
     assert sorted(built) == sorted([(cfg.slit2_to_g1, True), (cfg.grating_gap, False)])
+    assert sorted(planes) == [(0, True), (1, True), (2, False)]
 
 
 def test_a_spectrum_build_that_fails_on_the_helper_reaches_the_caller(monkeypatch):
@@ -407,15 +415,16 @@ def test_a_closed_second_slit_is_refused_before_the_gratings_are_built(monkeypat
 
 
 def test_a_non_finite_mask_is_refused(monkeypatch):
-    planes = interferometer._plane_transmissions
+    build = interferometer.transmission
 
-    def nan_in_g1(cfg, x):
-        lo, hi, t1, t2 = planes(cfg, x)
-        t1 = t1.astype(float)
-        t1[x.size // 2] = np.nan
-        return lo, hi, t1, t2
+    def nan_in_g1(x, spec, phase=None, plane_index=0):
+        t = build(x, spec, phase, plane_index)
+        if plane_index == 1:
+            t = t.astype(float)
+            t[x.size // 2] = np.nan
+        return t
 
-    monkeypatch.setattr(interferometer, "_plane_transmissions", nan_in_g1)
+    monkeypatch.setattr(interferometer, "transmission", nan_in_g1)
     with pytest.raises(ValueError, match="amplitudes must be finite"):
         simulate_throughput(fast_config(n_sources=2), 0.0)
 

@@ -15,7 +15,7 @@ from talbotlau import (
     propagate_direct,
     required_dx,
 )
-from talbotlau.propagation import _PAD_FACTOR, _carry, _transfer
+from talbotlau.propagation import _PAD_FACTOR, _carry, _next_fast_len, _transfer
 
 LAM = 13.1e-12
 
@@ -157,6 +157,13 @@ def test_paraxial_equals_the_padded_cyclic_convolution(n, dz, zero_filled):
         assert out.grid == grid
         assert np.max(np.abs(out.amplitudes - expected)) / np.max(np.abs(expected)) <= 1e-12
         assert _transfer(n, grid.dx, LAM, dz, lo, s).size == fft.next_fast_len(n + s - 1, real=True)
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_fast_length_is_scipys_next_fast_len(real):
+    # scipy is the oracle only: the package transforms with numpy.fft
+    targets = [*range(1, 20_001), 878_460, 442_368, 337_500]
+    assert [_next_fast_len(t, real) for t in targets] == [fft.next_fast_len(t, real=real) for t in targets]
 
 
 def spectrum_built_whole(n, dx, wavelength, delta_z, lo, s):
