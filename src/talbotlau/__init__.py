@@ -11,66 +11,17 @@ scaling). Both kernels are linear and neither rescales its output; the
 fringe scan alone normalizes, per unit of flux at the first grating.
 """
 
-from .config import (
-    ConfigError,
-    RunConfig,
-    build_beamline,
-    default_config,
-    override,
-    parse_config,
-    serialize_config,
-)
-from .elements import (
-    ApertureSpec,
-    GratingSpec,
-    PhaseModel,
-    comb_throughput,
-    translate_grating,
-    transmission,
-)
-from .interferometer import (
-    GUN_ENERGY_RANGE_EV,
-    BeamlineConfig,
-    FringeCurve,
-    beamline_grid,
-    contrast,
-    leg_required_dx,
-    misalignment_factor,
-    scan_fringe,
-    simulate_throughput,
-    sweep_energy,
-)
-from .kinematics import (
-    ELECTRON,
-    BeamEnergy,
-    ParticleSpec,
-    de_broglie_wavelength,
-    resonant_energies,
-    talbot_length,
-)
-from .propagation import (
-    GridSpec,
-    SamplingError,
-    WaveField,
-    propagate,
-    propagate_direct,
-    required_dx,
-)
-from .sensing import (
-    CradleSpec,
-    SensorReport,
-    ab_phase,
-    cradle_field,
-    deflection_per_field,
-    field_for_deflection,
-    fringe_slope,
-    predict_throughput,
-    scaled_sensitivity,
-    sensor_report,
-    shot_noise_sensitivity,
-    simulate_step_response,
-    sinusoid_fringe,
-    step_snr,
-)
+from . import config, elements, interferometer, kinematics, propagation, sensing
+from .config import *
+from .elements import *
+from .interferometer import *
+from .kinematics import *
+from .propagation import *
+from .sensing import *
 
+__all__ = [
+    name
+    for module in (config, elements, interferometer, kinematics, propagation, sensing)
+    for name in module.__all__
+]
 __version__ = "0.1.0"

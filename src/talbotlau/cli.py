@@ -24,6 +24,7 @@ from .kinematics import BeamEnergy, de_broglie_wavelength, resonant_energies, ta
 from .propagation import SamplingError
 from .sensing import (
     cradle_field,
+    deflection_per_field,
     predict_throughput,
     scaled_sensitivity,
     sensor_report,
@@ -81,21 +82,22 @@ def _cmd_sweep_field(cfg: RunConfig):
     s = cfg.sweep
     beamline = build_beamline(cfg)
     curve = scan_fringe(beamline, s.n_offsets)
+    per_field = deflection_per_field(cfg.field.region_length, beamline.energy, beamline.particle)
     rows = []
     for current in np.linspace(s.current_min, s.current_max, s.current_points):
         field = cradle_field(cfg.cradle, current)
-        thr = predict_throughput(curve, field, cfg.field.region_length, beamline.energy, beamline.particle)
-        rows.append((current, field, thr))
+        rows.append((current, field, predict_throughput(curve, field, per_field)))
     return ("current_A", "B_T", "throughput"), rows
 
 
 def _operating_point(cfg: RunConfig):
+    """The assumed sinusoid fringe and the fringe shift per tesla [m/T]."""
     curve = sinusoid_fringe(cfg.beamline.grating_period, cfg.sensing.fringe_contrast)
-    return curve, BeamEnergy(cfg.beamline.energy_ev)
+    return curve, deflection_per_field(cfg.field.region_length, BeamEnergy(cfg.beamline.energy_ev))
 
 
 def _cmd_step(cfg: RunConfig):
-    curve, energy = _operating_point(cfg)
+    curve, per_field = _operating_point(cfg)
     s = cfg.sensing
     counts = simulate_step_response(
         curve,
@@ -104,17 +106,16 @@ def _cmd_step(cfg: RunConfig):
         rate_scale=s.count_rate,
         seconds=s.seconds,
         seed=cfg.run.seed,
-        region_length=cfg.field.region_length,
-        energy=energy,
+        per_field=per_field,
         block_seconds=s.block_seconds,
     )
     return ("t_s", "counts"), list(enumerate(counts))
 
 
 def _cmd_sensitivity(cfg: RunConfig):
-    curve, energy = _operating_point(cfg)
+    curve, per_field = _operating_point(cfg)
     s = cfg.sensing
-    report = sensor_report(curve, s.bias_offset, s.count_rate, cfg.field.region_length, energy)
+    report = sensor_report(curve, s.bias_offset, s.count_rate, per_field)
     rows = [
         ("count_rate", report.count_rate, "s^-1"),
         ("fringe_contrast", s.fringe_contrast, "1"),

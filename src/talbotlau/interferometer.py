@@ -378,9 +378,9 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
             # F(t2 r2) over F(r1) F(r2) F(r3), F the flux; a leg that
             # receives none passes none
             weight = np.divide(passed, arrived, out=np.zeros_like(arrived), where=arrived > 0.0)
+            # the last _flux squared r3 into scratch[:, :n], and nothing has
+            # written there since, so it already holds |r3|^2
             g3 = scratch[:, :n]
-            np.abs(psi, out=g3)
-            np.square(g3, out=g3)
             g3 *= weight
             return g3
 

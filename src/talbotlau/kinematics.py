@@ -23,25 +23,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ParticleSpec:
-    """Charge [C], mass [kg] and rest energy [J] of the beam particle."""
+    """Charge [C] and mass [kg] of the beam particle."""
 
     charge: float
     mass: float
-    rest_energy: float
 
     def __post_init__(self):
         if not self.mass > 0.0:
             raise ValueError("particle mass must be positive")
-        expected = self.mass * const.C**2
-        if abs(self.rest_energy - expected) > 1e-12 * expected:
-            raise ValueError("rest_energy must equal mass*c^2")
+
+    @property
+    def rest_energy(self) -> float:
+        """m c^2 [J]."""
+        return self.mass * const.C**2
 
 
-ELECTRON = ParticleSpec(
-    charge=-const.E_CHARGE,
-    mass=const.ELECTRON_MASS,
-    rest_energy=const.ELECTRON_MASS * const.C**2,
-)
+ELECTRON = ParticleSpec(charge=-const.E_CHARGE, mass=const.ELECTRON_MASS)
 
 
 @dataclass(frozen=True)

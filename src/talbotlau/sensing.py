@@ -5,9 +5,10 @@ field per current, the impulse-approximation beam deflection per field,
 the enclosed-flux quantum phase, fringe-curve readout at a deflection,
 Poisson-limited sensitivity, a seeded on/off step-response simulator, and
 the geometric scaling of sensitivity to larger devices. The field region
-enters only through its length L along the beam: every function that needs
-it takes ``region_length`` [m], and the configuration's ``[field]`` section
-holds its default.
+enters only through its length L along the beam, which the configuration's
+``[field]`` section holds: ``deflection_per_field`` turns it into the
+fringe shift per tesla, ``per_field`` [m/T], and every readout takes that
+scale.
 
 Two field-per-fringe conventions coexist: the classical deflection formula
 and the enclosed-flux phase disagree by roughly a factor of two at these
@@ -115,6 +116,11 @@ def ab_phase(field: float, region_length: float, wavelength: float, period: floa
     return particle.charge / const.HBAR * field * region_length**2 * (wavelength / period)
 
 
+def _require_finite_scale(per_field: float):
+    if not math.isfinite(per_field):
+        raise ValueError(f"per_field must be finite, got {per_field}")
+
+
 def _interp_periodic(curve: FringeCurve, x):
     xs = curve.offsets
     ys = curve.throughput
@@ -125,19 +131,13 @@ def _interp_periodic(curve: FringeCurve, x):
     return np.interp(u, xs_wrap, ys_wrap)
 
 
-def predict_throughput(
-    curve: FringeCurve,
-    field: float,
-    region_length: float,
-    energy: BeamEnergy,
-    particle: ParticleSpec = ELECTRON,
-) -> float:
-    """Fringe-curve readout at the offset a field deflects the beam by.
+def predict_throughput(curve: FringeCurve, field: float, per_field: float) -> float:
+    """Fringe-curve readout at the offset ``field`` times ``per_field`` [m/T].
 
     Linear interpolation with wrap-around at the curve's period.
     """
-    s = field * deflection_per_field(region_length, energy, particle)
-    return float(_interp_periodic(curve, s))
+    _require_finite_scale(per_field)
+    return float(_interp_periodic(curve, field * per_field))
 
 
 def fringe_slope(curve: FringeCurve, offset: float) -> float:
@@ -156,23 +156,17 @@ def shot_noise_sensitivity(count_rate: float, slope: float) -> float:
     return math.sqrt(count_rate) / abs(slope)
 
 
-def sensor_report(
-    curve: FringeCurve,
-    bias_offset: float,
-    rate_scale: float,
-    region_length: float,
-    energy: BeamEnergy,
-    particle: ParticleSpec = ELECTRON,
-) -> SensorReport:
+def sensor_report(curve: FringeCurve, bias_offset: float, rate_scale: float, per_field: float) -> SensorReport:
     """Count rate, field slope and shot-noise sensitivity at a bias point.
 
-    ``rate_scale`` converts curve throughput to counts per second.
+    ``rate_scale`` converts curve throughput to counts per second, and
+    ``per_field`` [m/T] a field to a fringe shift.
     """
     if not rate_scale > 0.0:
         raise ValueError("rate_scale must be positive")
+    _require_finite_scale(per_field)
     rate = rate_scale * float(_interp_periodic(curve, bias_offset))
-    dx_per_field = deflection_per_field(region_length, energy, particle)
-    slope = rate_scale * fringe_slope(curve, bias_offset) * dx_per_field
+    slope = rate_scale * fringe_slope(curve, bias_offset) * per_field
     return SensorReport(
         slope=slope,
         count_rate=rate,
@@ -195,20 +189,20 @@ def simulate_step_response(
     rate_scale: float,
     seconds: int,
     seed: int,
-    region_length: float,
-    energy: BeamEnergy,
-    particle: ParticleSpec = ELECTRON,
+    per_field: float,
     block_seconds: int = 10,
 ) -> np.ndarray:
     """Per-second Poisson counts while a field step toggles on and off.
 
     The field is on for ``block_seconds``, off for ``block_seconds``,
-    repeating, starting on. The bias offset places the operating point;
-    counts are drawn from a generator seeded with ``seed``.
+    repeating, starting on; it shifts the fringe by ``per_field`` [m/T].
+    The bias offset places the operating point; counts are drawn from a
+    generator seeded with ``seed``.
     """
     if seconds < 1 or block_seconds < 1:
         raise ValueError("seconds and block_seconds must be at least 1")
-    shift = field_step * deflection_per_field(region_length, energy, particle)
+    _require_finite_scale(per_field)
+    shift = field_step * per_field
     t = np.arange(seconds)
     on = (t // block_seconds) % 2 == 0
     offsets = bias_offset + np.where(on, shift, 0.0)

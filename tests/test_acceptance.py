@@ -22,6 +22,7 @@ from talbotlau import (
     contrast,
     cradle_field,
     de_broglie_wavelength,
+    deflection_per_field,
     field_for_deflection,
     misalignment_factor,
     propagate,
@@ -158,20 +159,19 @@ def test_criterion_6_misalignment_factor():
 
 
 def test_criterion_7_sensitivity_chain():
-    region_length = 6.12e-3
-    energy = BeamEnergy(1e4)
+    per_field = deflection_per_field(6.12e-3, BeamEnergy(1e4))
     curve = sinusoid_fringe(D, 0.06)
     bias = D / 4
     rate = 2.5e5
 
     snrs = [
-        step_snr(simulate_step_response(curve, bias, 43e-9, rate, 40, seed, region_length=region_length, energy=energy))
+        step_snr(simulate_step_response(curve, bias, 43e-9, rate, 40, seed, per_field=per_field))
         for seed in range(20)
     ]
     mean_snr = float(np.mean(snrs))
     assert mean_snr == pytest.approx(4.5, abs=1.0)
 
-    report = sensor_report(curve, bias, rate, region_length, energy)
+    report = sensor_report(curve, bias, rate, per_field)
     assert report.sensitivity == pytest.approx(9.5e-9, rel=0.15)
 
     projected = scaled_sensitivity(9.5e-9, 10.0 / 3.0, 20.0, 1e4)

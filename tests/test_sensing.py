@@ -25,6 +25,7 @@ from talbotlau import (
 D = 1e-7
 L = 6.12e-3
 E10 = BeamEnergy(1e4)
+PER_FIELD = deflection_per_field(L, E10)
 
 
 def test_cradle_field_reference_currents():
@@ -94,24 +95,23 @@ def test_phase_and_deflection_ratio_constant_in_field():
 
 def test_predict_throughput_at_zero_field_reads_curve_origin():
     curve = sinusoid_fringe(D, 0.3)
-    assert predict_throughput(curve, 0.0, L, E10) == pytest.approx(curve.throughput[0], rel=1e-12)
+    assert predict_throughput(curve, 0.0, PER_FIELD) == pytest.approx(curve.throughput[0], rel=1e-12)
 
 
 def test_predict_throughput_periodic_in_field():
     curve = sinusoid_fringe(D, 0.3)
     b_period = field_for_deflection(D, L, E10)
-    v0 = predict_throughput(curve, 0.0, L, E10)
-    v1 = predict_throughput(curve, b_period, L, E10)
+    v0 = predict_throughput(curve, 0.0, PER_FIELD)
+    v1 = predict_throughput(curve, b_period, PER_FIELD)
     assert v1 == pytest.approx(v0, abs=1e-6)
 
 
 def test_field_sweep_reproduces_fringe_shape():
     curve = sinusoid_fringe(D, 0.3)
-    per_field = deflection_per_field(L, E10)
     for k in range(0, 256, 16):
         offset = curve.offsets[k]
-        b = offset / per_field
-        assert predict_throughput(curve, b, L, E10) == pytest.approx(curve.throughput[k], rel=1e-9)
+        b = offset / PER_FIELD
+        assert predict_throughput(curve, b, PER_FIELD) == pytest.approx(curve.throughput[k], rel=1e-9)
 
 
 def test_shot_noise_scaling():
@@ -131,7 +131,7 @@ def test_sensitivity_composition_matches_analytic_sinusoid():
     # delta_B = B_period / (2 pi c sqrt(R))
     c, rate = 0.06, 2.5e5
     curve = sinusoid_fringe(D, c)
-    report = sensor_report(curve, D / 4, rate, L, E10)
+    report = sensor_report(curve, D / 4, rate, PER_FIELD)
     b_period = abs(field_for_deflection(D, L, E10))
     oracle = b_period / (2 * math.pi * c * math.sqrt(rate))
     assert report.sensitivity == pytest.approx(oracle, rel=0.05)
@@ -140,7 +140,7 @@ def test_sensitivity_composition_matches_analytic_sinusoid():
 
 def test_operating_point_sensitivity_near_quoted_value():
     curve = sinusoid_fringe(D, 0.06)
-    report = sensor_report(curve, D / 4, 2.5e5, L, E10)
+    report = sensor_report(curve, D / 4, 2.5e5, PER_FIELD)
     assert report.sensitivity == pytest.approx(9.5e-9, rel=0.15)
 
 
@@ -152,7 +152,7 @@ def test_fringe_slope_central_difference():
 
 def test_step_response_deterministic():
     curve = sinusoid_fringe(D, 0.06)
-    kwargs = dict(region_length=L, energy=E10)
+    kwargs = dict(per_field=PER_FIELD)
     a = simulate_step_response(curve, D / 4, 4.3e-8, 2.5e5, 40, 11, **kwargs)
     b = simulate_step_response(curve, D / 4, 4.3e-8, 2.5e5, 40, 11, **kwargs)
     assert np.array_equal(a, b)
@@ -162,7 +162,7 @@ def test_step_response_deterministic():
 
 def test_step_response_alternates_blocks():
     curve = sinusoid_fringe(D, 0.5)
-    counts = simulate_step_response(curve, D / 4, 2e-6, 1e5, 40, 1, region_length=L, energy=E10)
+    counts = simulate_step_response(curve, D / 4, 2e-6, 1e5, 40, 1, per_field=PER_FIELD)
     assert counts.shape == (40,)
     snr = step_snr(counts)
     assert snr > 10  # huge step, must be obvious
@@ -170,13 +170,13 @@ def test_step_response_alternates_blocks():
 
 def test_null_step_has_no_signal():
     curve = sinusoid_fringe(D, 0.06)
-    counts = simulate_step_response(curve, D / 4, 0.0, 2.5e5, 400, 3, region_length=L, energy=E10)
+    counts = simulate_step_response(curve, D / 4, 0.0, 2.5e5, 400, 3, per_field=PER_FIELD)
     assert step_snr(counts) < 1.0
 
 
 def test_single_second_step_snr_within_band():
     curve = sinusoid_fringe(D, 0.06)
-    snr = step_snr(simulate_step_response(curve, D / 4, 4.3e-8, 2.5e5, 40, 0, region_length=L, energy=E10))
+    snr = step_snr(simulate_step_response(curve, D / 4, 4.3e-8, 2.5e5, 40, 0, per_field=PER_FIELD))
     assert 3.0 < snr < 6.5
 
 
@@ -213,6 +213,22 @@ def test_predict_throughput_periodic_with_uneven_offsets():
     offsets = D * np.array([0.0, 0.05, 0.2, 0.35, 0.5, 0.6, 0.75, 0.9])
     curve = FringeCurve(offsets, 1.0 + 0.3 * np.cos(2 * np.pi * offsets / D), D)
     b_period = field_for_deflection(D, L, E10)
-    v0 = predict_throughput(curve, 0.0, L, E10)
+    v0 = predict_throughput(curve, 0.0, PER_FIELD)
     assert v0 == pytest.approx(1.3, rel=1e-12)
-    assert predict_throughput(curve, b_period, L, E10) == pytest.approx(v0, rel=1e-12)
+    assert predict_throughput(curve, b_period, PER_FIELD) == pytest.approx(v0, rel=1e-12)
+
+
+READOUTS = {
+    "predict_throughput": lambda curve, per_field: predict_throughput(curve, 1e-7, per_field),
+    "sensor_report": lambda curve, per_field: sensor_report(curve, D / 4, 2.5e5, per_field),
+    "simulate_step_response": lambda curve, per_field: simulate_step_response(
+        curve, D / 4, 4.3e-8, 2.5e5, 40, 0, per_field=per_field
+    ),
+}
+
+
+@pytest.mark.parametrize("per_field", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("readout", sorted(READOUTS))
+def test_a_non_finite_shift_per_field_is_refused(readout, per_field):
+    with pytest.raises(ValueError, match="per_field"):
+        READOUTS[readout](sinusoid_fringe(D, 0.06), per_field)
