@@ -1,9 +1,11 @@
 """Desk-scale three-grating near-field interferometer simulator.
 
 A scalar 1-D wavefield is carried plane to plane by one path-summation
-kernel, ``propagate`` (a fast paraxial FFT convolution; tests check it
-against the direct reference quadrature ``propagate_direct``, which
-carries the Fresnel prefactor), modulated by slits and absorption
+kernel, a fast paraxial FFT convolution: the fringe scan carries each leg
+in place on a batch of sources (``propagation._carry``), and
+``propagate`` is the 1-D entry to the same kernel. Tests check it against
+the direct reference quadrature ``propagate_direct``, which carries the
+Fresnel prefactor. The field is modulated by slits and absorption
 gratings, and incoherently averaged over point sources to produce
 throughput fringes, contrast-vs-energy curves and a magnetometry analysis
 layer (field generation, deflection, shot-noise sensitivity, device

@@ -82,7 +82,7 @@ def _cmd_sweep_field(cfg: RunConfig):
     s = cfg.sweep
     beamline = build_beamline(cfg)
     curve = scan_fringe(beamline, s.n_offsets)
-    per_field = deflection_per_field(cfg.field.region_length, beamline.energy, beamline.particle)
+    per_field = deflection_per_field(cfg.field.region_length, beamline.energy)
     rows = []
     for current in np.linspace(s.current_min, s.current_max, s.current_points):
         field = cradle_field(cfg.cradle, current)
@@ -186,9 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="configuration file (key = value with [section] headers)")
     common.add_argument("--out", metavar="PATH", help="output CSV path (default: stdout)")
-    common.add_argument("--seed", type=int, help="override [run] seed")
-    common.add_argument("--sources", type=int, help="override [beamline] n_sources")
-    common.add_argument("--grid", type=int, help="override [beamline] grid_points (0 = automatic)")
+    for flag, section, key in _OVERRIDES:
+        common.add_argument(f"--{flag}", type=int, help=f"override [{section}] {key}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _DISPATCH:
         sub.add_parser(name, parents=[common], help=f"run the {name} command")

@@ -60,7 +60,7 @@ class BeamlineSettings:
     image_charge_range: float = _PHASE.image_charge_range
     random_phase_max: float = _PHASE.random_phase_max
     n_sources: int = _BEAMLINE.n_sources
-    grid_points: int = 0  # 0 = automatic step
+    grid_points: int = _BEAMLINE.grid_points  # 0 = automatic step
     window_factor: float = _BEAMLINE.window_factor
 
 
@@ -286,6 +286,6 @@ def build_beamline(cfg: RunConfig) -> BeamlineConfig:
         phase_model=phase,
         energy=BeamEnergy(b.energy_ev),
         n_sources=b.n_sources,
-        grid_points=b.grid_points if b.grid_points else None,
+        grid_points=b.grid_points,
         window_factor=b.window_factor,
     )

@@ -51,7 +51,7 @@ import os
 import numpy as np
 
 from .elements import ApertureSpec, GratingSpec, PhaseModel, comb_throughput, transmission
-from .kinematics import ELECTRON, BeamEnergy, ParticleSpec, de_broglie_wavelength
+from .kinematics import BeamEnergy, de_broglie_wavelength
 from .propagation import GridSpec, SamplingError, _carry, _transfer, required_dx
 
 __all__ = [
@@ -111,10 +111,9 @@ class BeamlineConfig:
 
     Distances in meters: the two collimation slits sit ``slit_separation``
     apart, the first grating ``slit2_to_g1`` behind the second slit, and
-    the three gratings ``grating_gap`` apart. ``grid_step`` or
-    ``grid_points`` (at most one) pins the shared transverse grid; when
-    both are None the step is chosen automatically from the sampling
-    criterion (at most 1 nm).
+    the three gratings ``grating_gap`` apart. A nonzero ``grid_points``
+    pins the sample count of the shared transverse grid; 0 chooses the
+    step automatically from the sampling criterion (at most 1 nm).
     """
 
     source_slit: ApertureSpec = ApertureSpec(width=5e-6)
@@ -125,10 +124,8 @@ class BeamlineConfig:
     gratings: tuple = (_DEFAULT_GRATING, _DEFAULT_GRATING, _DEFAULT_GRATING)
     phase_model: PhaseModel = PhaseModel()
     energy: BeamEnergy = BeamEnergy(1e4)
-    particle: ParticleSpec = ELECTRON
     n_sources: int = 32
-    grid_step: float | None = None
-    grid_points: int | None = None
+    grid_points: int = 0
     window_factor: float = 1.5
 
     def __post_init__(self):
@@ -139,18 +136,10 @@ class BeamlineConfig:
             raise ValueError("exactly three gratings are required")
         if self.n_sources < 1:
             raise ValueError("n_sources must be at least 1")
-        if self.grid_step is not None and self.grid_points is not None:
-            raise ValueError("set grid_step or grid_points, not both")
-        if self.grid_step is not None and not self.grid_step > 0.0:
-            raise ValueError("grid_step must be positive")
-        if self.grid_points is not None and self.grid_points < 16:
-            raise ValueError("grid_points must be at least 16")
+        if self.grid_points and self.grid_points < 16:
+            raise ValueError("grid_points must be 0 (automatic) or at least 16")
         if not self.window_factor >= 1.0:
             raise ValueError("window_factor must be at least 1")
-
-
-def _wavelength(cfg: BeamlineConfig) -> float:
-    return de_broglie_wavelength(cfg.energy, cfg.particle)
 
 
 def beamline_grid(cfg: BeamlineConfig) -> GridSpec:
@@ -171,14 +160,11 @@ def beamline_grid(cfg: BeamlineConfig) -> GridSpec:
             half = max(half, abs(e + (e - s) * z_after / cfg.slit_separation))
     half = max(half, 4.0 * cfg.gratings[0].period)
     span = 2.0 * half * cfg.window_factor
-    if cfg.grid_points is not None:
+    if cfg.grid_points:
         count = cfg.grid_points
         dx = span / (count - 1)
     else:
-        if cfg.grid_step is not None:
-            dx = cfg.grid_step
-        else:
-            dx = min(1e-9, 0.8 * min(need for _, need in leg_required_dx(cfg, span)))
+        dx = min(1e-9, 0.8 * min(need for _, need in leg_required_dx(cfg, span)))
         # compared as a product: on a huge geometry span / dx overflows to
         # inf, or dx underflows to 0, before int() could see it
         count = int(math.ceil(span / dx)) + 1 if span <= _MAX_SAMPLES * dx else math.inf
@@ -199,7 +185,7 @@ def leg_required_dx(cfg: BeamlineConfig, span: float) -> list[tuple[str, float]]
     A leg's reach is its widest source-target offset: half the window from
     the on-axis source to slit 2, the whole window on the grid-to-grid legs.
     """
-    lam = _wavelength(cfg)
+    lam = de_broglie_wavelength(cfg.energy)
     legs = (
         ("source_to_slit2", cfg.slit_separation, 0.5 * span),
         ("slit2_to_g1", cfg.slit2_to_g1, span),
@@ -305,7 +291,7 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
     _require_sampling(cfg, grid)
     x = grid.x
     n, dx = grid.count, grid.dx
-    lam = _wavelength(cfg)
+    lam = de_broglie_wavelength(cfg.energy)
     # one helper per further CPU builds the grating gap's spectrum and then
     # G2's transmission, and later carries sources. The pool starts a
     # thread only when a job is submitted, so with one CPU none starts and
@@ -454,23 +440,19 @@ def sweep_energy(
     return out
 
 
-def misalignment_factor(
-    beam_height: float,
-    misalignment: float,
-    period: float,
-    c_geom: float = 2.0,
-) -> float:
+def misalignment_factor(beam_height: float, misalignment: float, period: float) -> float:
     """Contrast multiplier for a relative roll between the gratings.
 
     A roll angle spreads the fringe phase across the beam height; the
-    fringe displacement span is c_geom * angle * height and the surviving
-    contrast is |sinc| of that span over the period.
+    fringe displacement span is 2 * angle * height, the x1 - 2 x2 + x3
+    weighting of the three gratings, and the surviving contrast is |sinc|
+    of that span over the period.
     """
     if not beam_height > 0.0 or not period > 0.0:
         raise ValueError("beam height and period must be positive")
     if misalignment < 0.0:
         raise ValueError("misalignment angle must be nonnegative")
-    u = math.pi * c_geom * misalignment * beam_height / period
+    u = math.pi * 2.0 * misalignment * beam_height / period
     if u == 0.0:
         return 1.0
     return abs(math.sin(u) / u)

@@ -1,8 +1,9 @@
 """Beam kinematics: de Broglie wavelength, Talbot length, resonance energies.
 
-Energies are kinetic and quoted in electron-volts; everything else is SI.
-Wavelengths keep the first relativistic correction, which shifts electron
-values by a few tenths of a percent in the keV range.
+The beam is made of electrons. Energies are kinetic and quoted in
+electron-volts; everything else is SI. Wavelengths keep the first
+relativistic correction, which shifts electron values by a few tenths of a
+percent in the keV range.
 """
 
 from dataclasses import dataclass
@@ -12,33 +13,18 @@ import math
 from . import constants as const
 
 __all__ = [
-    "ParticleSpec",
     "BeamEnergy",
-    "ELECTRON",
     "de_broglie_wavelength",
     "talbot_length",
     "resonant_energies",
 ]
 
 
-@dataclass(frozen=True)
-class ParticleSpec:
-    """Charge [C] and mass [kg] of the beam particle."""
+# electron rest energy m c^2 [J]
+_REST_ENERGY = const.ELECTRON_MASS * const.C**2
 
-    charge: float
-    mass: float
-
-    def __post_init__(self):
-        if not self.mass > 0.0:
-            raise ValueError("particle mass must be positive")
-
-    @property
-    def rest_energy(self) -> float:
-        """m c^2 [J]."""
-        return self.mass * const.C**2
-
-
-ELECTRON = ParticleSpec(charge=-const.E_CHARGE, mass=const.ELECTRON_MASS)
+# longest wavelength [m] that ``resonant_energies`` reports
+_MAX_WAVELENGTH = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,14 +42,14 @@ class BeamEnergy:
         return self.kinetic_energy_ev * const.EV
 
 
-def de_broglie_wavelength(energy: BeamEnergy, particle: ParticleSpec = ELECTRON) -> float:
+def de_broglie_wavelength(energy: BeamEnergy) -> float:
     """Matter wavelength [m] for a kinetic energy.
 
     Uses lambda = h / sqrt(2 m E (1 + E / (2 m c^2))), i.e. h/p with the
     relativistic momentum.
     """
     e_j = energy.joules
-    p = math.sqrt(2.0 * particle.mass * e_j * (1.0 + e_j / (2.0 * particle.rest_energy)))
+    p = math.sqrt(2.0 * const.ELECTRON_MASS * e_j * (1.0 + e_j / (2.0 * _REST_ENERGY)))
     return const.H / p
 
 
@@ -76,29 +62,23 @@ def talbot_length(period: float, wavelength: float) -> float:
     return 2.0 * period * period / wavelength
 
 
-def _energy_for_wavelength(wavelength, particle):
+def _energy_for_wavelength(wavelength):
     """Kinetic energy [eV] whose ``de_broglie_wavelength`` is ``wavelength``.
 
     Exact inverse of p = h / lambda: E = (pc)^2 / (sqrt((pc)^2 + (mc^2)^2) + mc^2),
     a form that keeps full precision for E << mc^2.
     """
     pc = const.H * const.C / wavelength
-    rest = particle.rest_energy
+    rest = _REST_ENERGY
     return pc * pc / (math.sqrt(pc * pc + rest * rest) + rest) / const.EV
 
 
-def resonant_energies(
-    separation: float,
-    period: float,
-    n_max: int,
-    particle: ParticleSpec = ELECTRON,
-    max_wavelength: float = 1e-9,
-) -> list[tuple[int, float]]:
+def resonant_energies(separation: float, period: float, n_max: int) -> list[tuple[int, float]]:
     """Energies at which the gap equals n half self-imaging lengths.
 
     Solves separation = n * L_T(E) / 2, i.e. lambda_n = n d^2 / L, for each
     integer n in [1, n_max]. Returns (n, energy_ev) pairs; orders whose
-    wavelength exceeds ``max_wavelength`` are skipped.
+    wavelength exceeds 1 nm are skipped.
     """
     if not separation > 0.0:
         raise ValueError("grating separation must be positive")
@@ -109,7 +89,7 @@ def resonant_energies(
     out = []
     for n in range(1, n_max + 1):
         lam = n * period * period / separation
-        if lam > max_wavelength:
+        if lam > _MAX_WAVELENGTH:
             continue
-        out.append((n, _energy_for_wavelength(lam, particle)))
+        out.append((n, _energy_for_wavelength(lam)))
     return out

@@ -1,8 +1,8 @@
 """Plane-to-plane propagation of a 1-D scalar complex wavefield.
 
-``propagate`` is the beamline kernel: convolution with the quadratic-phase
-kernel exp(i pi (x - x')^2 / (lambda dz)), evaluated as a padded cyclic
-FFT convolution on a shared uniform grid. The operator is defined on a
+The beamline kernel is convolution with the quadratic-phase kernel
+exp(i pi (x - x')^2 / (lambda dz)), evaluated as a padded cyclic FFT
+convolution on a shared uniform grid. The operator is defined on a
 buffer padded to ``_PAD_FACTOR`` times the grid, but n samples in and n
 kept samples out touch only the 2n - 1 central taps of that padded kernel,
 so each leg runs on an FFT of the 5-smooth length
@@ -12,8 +12,9 @@ n-sample target grid touches only n + s - 1 taps, and its FFT shrinks to
 ``_next_fast_len(n + s - 1, real=True)``. One leg is one linear in-place
 step, ``_carry``, on the rows of a buffer the caller supplies: each row is
 one field, and one FFT call along the last axis takes every row, with the
-same bits as a row carried alone. ``propagate`` passes one 1-D row; the
-fringe scan passes each worker's batch of sources.
+same bits as a row carried alone. ``propagate`` passes one 1-D row on the
+field's own grid; the fringe scan passes each worker's batch of sources,
+and carries slit 2's open run onto the whole grid.
 ``propagate_direct`` is the reference that tests compare against: a full
 quadrature of exp(i 2 pi r / lambda) over every source sample, with r the
 exact point-to-point path length, times the 1-D Fresnel prefactor
@@ -260,45 +261,23 @@ def _carry(buf, s, transfer, n) -> np.ndarray:
     return np.fft.ifft(work, axis=-1, out=work)[..., :n]
 
 
-def _offset_in(grid: GridSpec, target: GridSpec) -> int:
-    """Index of ``grid``'s first sample on ``target``'s lattice."""
-    if grid.dx != target.dx:
-        raise ValueError("field and target grids must share the step dx")
-    offset = (grid.x_start - target.x_start) / target.dx
-    lo = round(offset)
-    if abs(offset - lo) > 1e-6:
-        raise ValueError("field grid is not on the target grid's lattice")
-    if lo < 0 or lo + grid.count > target.count:
-        raise ValueError("field grid runs past the target grid")
-    return lo
+def propagate(field: WaveField, delta_z: float) -> WaveField:
+    """Fast quadratic-phase convolution of ``field`` on its own grid.
 
-
-def propagate(
-    field: WaveField,
-    delta_z: float,
-    target: GridSpec | None = None,
-) -> WaveField:
-    """Fast quadratic-phase convolution onto ``target``.
-
-    ``target`` defaults to the field's own grid; otherwise the field's grid
-    must be a contiguous run of the target's samples (same dx, on its
-    lattice, inside it), and the result is the propagation of the field
-    zero-filled to the target. The operator is the cyclic convolution with
-    the kernel spectrum exp(-i pi lambda dz f^2), times the axial phase
-    exp(i 2 pi dz / lambda), on the target grid zero-padded to at least
-    four times its length, so it is wrap-free for content that stays
-    inside the window. It is computed from the n + s - 1 kernel taps that
-    s inputs and n target outputs touch, on an FFT of length
-    ``_next_fast_len(n + s - 1, real=True)`` (see ``_transfer``). The
+    The 1-D entry to the kernel that the fringe scan carries in batches.
+    The operator is the cyclic convolution with the kernel spectrum
+    exp(-i pi lambda dz f^2), times the axial phase exp(i 2 pi dz / lambda),
+    on the grid zero-padded to at least four times its length, so it is
+    wrap-free for content that stays inside the window. It is computed from
+    the 2n - 1 kernel taps that n inputs and n outputs touch, on an FFT of
+    length ``_next_fast_len(2n - 1, real=True)`` (see ``_transfer``). The
     operator is linear, and the output is not rescaled.
     """
     if not delta_z > 0.0:
         raise ValueError("delta_z must be positive")
     grid = field.grid
-    tgt = target or grid
-    lo = _offset_in(grid, tgt)
-    n, s = tgt.count, grid.count
-    transfer = _transfer(n, tgt.dx, field.wavelength, delta_z, lo, s)
+    n = grid.count
+    transfer = _transfer(n, grid.dx, field.wavelength, delta_z, 0, n)
     buf = np.empty(transfer.size, dtype=complex)
-    buf[:s] = field.amplitudes
-    return WaveField(_carry(buf, s, transfer, n), tgt, field.wavelength)
+    buf[:n] = field.amplitudes
+    return WaveField(_carry(buf, n, transfer, n), grid, field.wavelength)

@@ -1,19 +1,18 @@
-"""Magnetometry layer: field generation, deflection, phase, sensitivity.
+"""Magnetometry layer: field generation, deflection, sensitivity.
 
 Closed-form pieces around the fringe curve: the cube-edge coil ("cradle")
 field per current, the impulse-approximation beam deflection per field,
-the enclosed-flux quantum phase, fringe-curve readout at a deflection,
-Poisson-limited sensitivity, a seeded on/off step-response simulator, and
-the geometric scaling of sensitivity to larger devices. The field region
-enters only through its length L along the beam, which the configuration's
-``[field]`` section holds: ``deflection_per_field`` turns it into the
-fringe shift per tesla, ``per_field`` [m/T], and every readout takes that
-scale.
+fringe-curve readout at a deflection, Poisson-limited sensitivity, a
+seeded on/off step-response simulator, and the geometric scaling of
+sensitivity to larger devices. The field region enters only through its
+length L along the beam, which the configuration's ``[field]`` section
+holds: ``deflection_per_field`` turns it into the fringe shift per tesla,
+``per_field`` [m/T], and every readout takes that scale.
 
-Two field-per-fringe conventions coexist: the classical deflection formula
-and the enclosed-flux phase disagree by roughly a factor of two at these
-parameters. Fringe readout uses the classical deflection; the phase
-formula is provided alongside for comparison.
+Every readout uses one convention: a field B shifts the fringe by B times
+the classical deflection q L^2 / (2 p) of the beam. A field applied inside
+the simulated wave moves the fringe by about half that; the README's field
+caveat gives the measured ratio, 2.01-2.04.
 """
 
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import constants as const
 from .interferometer import FringeCurve
-from .kinematics import ELECTRON, BeamEnergy, ParticleSpec
+from .kinematics import BeamEnergy
 
 __all__ = [
     "CradleSpec",
@@ -32,7 +31,6 @@ __all__ = [
     "cradle_field",
     "deflection_per_field",
     "field_for_deflection",
-    "ab_phase",
     "predict_throughput",
     "fringe_slope",
     "sensor_report",
@@ -79,41 +77,22 @@ def cradle_field(cradle: CradleSpec, current: float) -> float:
     return cradle.efficiency * nominal
 
 
-def deflection_per_field(region_length: float, energy: BeamEnergy, particle: ParticleSpec = ELECTRON) -> float:
+def deflection_per_field(region_length: float, energy: BeamEnergy) -> float:
     """Impulse-approximation lateral displacement per tesla [m/T].
 
-    q L^2 / (2 sqrt(2 m E)), nonrelativistic momentum, for a uniform field
-    over ``region_length`` L [m] along the beam; a field B [T] deflects the
-    beam by B times this.
+    q L^2 / (2 sqrt(2 m E)) for an electron, nonrelativistic momentum, for
+    a uniform field over ``region_length`` L [m] along the beam; a field
+    B [T] deflects the beam by B times this.
     """
     if not region_length > 0.0:
         raise ValueError("field region length must be positive")
-    if particle.charge == 0.0:
-        raise ValueError("deflection requires a charged particle")
-    momentum = math.sqrt(2.0 * particle.mass * energy.joules)
-    return particle.charge * region_length**2 / (2.0 * momentum)
+    momentum = math.sqrt(2.0 * const.ELECTRON_MASS * energy.joules)
+    return -const.E_CHARGE * region_length**2 / (2.0 * momentum)
 
 
-def field_for_deflection(
-    displacement: float,
-    region_length: float,
-    energy: BeamEnergy,
-    particle: ParticleSpec = ELECTRON,
-) -> float:
+def field_for_deflection(displacement: float, region_length: float, energy: BeamEnergy) -> float:
     """Field [T] that produces a given lateral displacement."""
-    return displacement / deflection_per_field(region_length, energy, particle)
-
-
-def ab_phase(field: float, region_length: float, wavelength: float, period: float, particle: ParticleSpec = ELECTRON) -> float:
-    """Enclosed-flux phase between neighboring diffraction paths [rad].
-
-    (q/hbar) B L^2 sin(theta) with the first-order angle sin(theta) =
-    lambda / d.
-    """
-    for name, val in (("region_length", region_length), ("wavelength", wavelength), ("period", period)):
-        if not val > 0.0:
-            raise ValueError(f"{name} must be positive")
-    return particle.charge / const.HBAR * field * region_length**2 * (wavelength / period)
+    return displacement / deflection_per_field(region_length, energy)
 
 
 def _require_finite_scale(per_field: float):
@@ -174,12 +153,17 @@ def sensor_report(curve: FringeCurve, bias_offset: float, rate_scale: float, per
     )
 
 
-def sinusoid_fringe(period: float, contrast: float, mean: float = 1.0, n: int = 256) -> FringeCurve:
-    """Analytic cosine fringe over one period, for operating-point studies."""
+# offsets per period of ``sinusoid_fringe``
+_SINUSOID_OFFSETS = 256
+
+
+def sinusoid_fringe(period: float, contrast: float) -> FringeCurve:
+    """Analytic unit-mean cosine fringe at 256 offsets over one period, for
+    operating-point studies."""
     if not 0.0 <= contrast < 1.0:
         raise ValueError("contrast must lie in [0, 1)")
-    offsets = np.arange(n) * (period / n)
-    return FringeCurve(offsets, mean * (1.0 + contrast * np.cos(2.0 * np.pi * offsets / period)), period)
+    offsets = np.arange(_SINUSOID_OFFSETS) * (period / _SINUSOID_OFFSETS)
+    return FringeCurve(offsets, 1.0 + contrast * np.cos(2.0 * np.pi * offsets / period), period)
 
 
 def simulate_step_response(

@@ -153,7 +153,7 @@ def test_criterion_5_contrast_resonances():
 
 
 def test_criterion_6_misalignment_factor():
-    factor = misalignment_factor(33e-6, 1e-3, D, c_geom=2.0)
+    factor = misalignment_factor(33e-6, 1e-3, D)
     assert factor == pytest.approx(0.42, abs=0.02)
     _report(6, f"contrast multiplier {factor:.4f} (reduction {1/factor:.2f})")
 

@@ -7,6 +7,7 @@ import pytest
 
 from dataclasses import replace
 
+from talbotlau import config
 from talbotlau import (
     BeamlineConfig,
     ConfigError,
@@ -179,7 +180,21 @@ seed = 7
 
 def test_build_beamline_auto_grid_when_zero():
     cfg = parse_config("[beamline]\ngrid_points = 0\n")
-    assert build_beamline(cfg).grid_points is None
+    assert build_beamline(cfg).grid_points == 0
+
+
+def test_every_beamline_field_is_set_from_the_config(monkeypatch):
+    # a BeamlineConfig field that no config key reaches is a knob that
+    # only code can turn
+    passed = {}
+
+    def record(**kwargs):
+        passed.update(kwargs)
+        return BeamlineConfig(**kwargs)
+
+    monkeypatch.setattr(config, "BeamlineConfig", record)
+    build_beamline(default_config())
+    assert set(passed) == {f.name for f in dataclasses.fields(BeamlineConfig)}
 
 
 def test_build_cradle_and_region():

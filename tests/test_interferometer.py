@@ -48,6 +48,11 @@ def fast_config(**overrides):
     return BeamlineConfig(**kwargs)
 
 
+def at_step(cfg, step):
+    # cfg with grid_points pinned so that its window has a step of at most ``step``
+    return replace(cfg, grid_points=math.ceil(beamline_grid(cfg).span / step) + 1)
+
+
 def translated(cfg, delta):
     return replace(cfg, gratings=tuple(translate_grating(g, delta) for g in cfg.gratings))
 
@@ -78,7 +83,7 @@ def test_nearly_open_gratings_pass_beam():
     # the 0.1 nm bars need a sub-bar grid step or mask quantization
     # swallows a full sample per period
     open_grating = GratingSpec(period=D, open_fraction=0.999)
-    cfg = fast_config(gratings=(open_grating,) * 3, n_sources=4, grid_step=2.5e-10)
+    cfg = at_step(fast_config(gratings=(open_grating,) * 3, n_sources=4), 2.5e-10)
     assert simulate_throughput(cfg, 0.0) >= 0.99
 
 
@@ -109,12 +114,12 @@ def full_grid_totals(cfg, offsets, grid, kernel=propagate, field=0.0):
     # q B dz before and half after, exp(i q B (dz / 2) x / hbar), which is
     # exact up to a global phase for a force uniform in x
     x = grid.x
-    lam = de_broglie_wavelength(cfg.energy, cfg.particle)
+    lam = de_broglie_wavelength(cfg.energy)
     g1, g2, g3 = cfg.gratings
     slit2 = transmission(x, cfg.second_slit)
     t1 = transmission(x, g1, cfg.phase_model, plane_index=1)
     t2 = transmission(x, g2, cfg.phase_model, plane_index=2)
-    kick = np.exp(1j * cfg.particle.charge * field * (cfg.grating_gap / 2) * x / const.HBAR)
+    kick = np.exp(1j * -const.E_CHARGE * field * (cfg.grating_gap / 2) * x / const.HBAR)
 
     def leg(amp, dz):
         out = kernel(WaveField(amp, grid, lam), dz).amplitudes
@@ -143,11 +148,11 @@ def test_a_field_inside_the_wave_shifts_the_fringe_by_q_b_gap_squared_over_p():
     grid = beamline_grid(cfg)
     wave = np.exp(-2j * np.pi * offsets / D)
     at_rest = np.sum(full_grid_totals(cfg, offsets, grid) * wave)
-    p = const.H / de_broglie_wavelength(cfg.energy, cfg.particle)
+    p = const.H / de_broglie_wavelength(cfg.energy)
     for field in (1.81e-7, 3.62e-7):
         shifted = np.sum(full_grid_totals(cfg, offsets, grid, field=field) * wave)
         shift = -np.angle(shifted / at_rest) * D / (2 * np.pi)
-        assert shift / (cfg.particle.charge * field * cfg.grating_gap**2 / p) == pytest.approx(1.0, abs=0.02)
+        assert shift / (-const.E_CHARGE * field * cfg.grating_gap**2 / p) == pytest.approx(1.0, abs=0.02)
 
 
 def clipped_grid(cfg, last_x):
@@ -634,7 +639,7 @@ def test_beamline_grid_satisfies_sampling():
 
 
 def test_explicit_coarse_grid_refused_with_diagnostic():
-    cfg = fast_config(grid_step=5e-9)
+    cfg = at_step(fast_config(), 5e-9)
     with pytest.raises(SamplingError) as err:
         simulate_throughput(cfg, 0.0)
     assert "required dx" in str(err.value)
@@ -665,8 +670,9 @@ def test_beamline_validation():
         BeamlineConfig(propagator="angular")  # one kernel: no kernel choice
     with pytest.raises(ValueError):
         BeamlineConfig(window_factor=0.5)
-    with pytest.raises(ValueError):
-        BeamlineConfig(second_slit=ApertureSpec(2e-6), grid_step=2.5e-10, grid_points=4097)
+    for count in (-1, 15):
+        with pytest.raises(ValueError, match="grid_points"):
+            BeamlineConfig(grid_points=count)
 
 
 def test_fringe_curve_validation():

@@ -7,9 +7,7 @@ from talbotlau import (
     BeamEnergy,
     CradleSpec,
     FringeCurve,
-    ab_phase,
     cradle_field,
-    de_broglie_wavelength,
     deflection_per_field,
     field_for_deflection,
     fringe_slope,
@@ -66,31 +64,6 @@ def test_field_for_one_period_deflection():
     field = field_for_deflection(D, 6.12e-3, E10)
     assert abs(field) == pytest.approx(1.8e-6, abs=0.05e-6)
     assert field * deflection_per_field(L, E10) == pytest.approx(D, rel=1e-12)
-
-
-def test_ab_phase_linear_and_zero():
-    lam = de_broglie_wavelength(E10)
-    assert ab_phase(0.0, 6.12e-3, lam, D) == 0.0
-    p1 = ab_phase(1e-6, 6.12e-3, lam, D)
-    assert ab_phase(2e-6, 6.12e-3, lam, D) == pytest.approx(2 * p1, rel=1e-12)
-
-
-def test_ab_phase_full_turn_field():
-    # frozen: B for phi = 2 pi at 12.2 pm, 6.12 mm, 100 nm is 0.905 uT,
-    # about half the classical one-period value 1.8 uT
-    lam = de_broglie_wavelength(E10)
-    b = 2 * math.pi / abs(ab_phase(1.0, 6.12e-3, lam, D))
-    assert b == pytest.approx(0.905e-6, rel=0.01)
-
-
-def test_phase_and_deflection_ratio_constant_in_field():
-    lam = de_broglie_wavelength(E10)
-    ratios = []
-    for b in (1e-7, 5e-7, 2e-6):
-        phi = ab_phase(b, 6.12e-3, lam, D) / (2 * math.pi)
-        s = b * deflection_per_field(L, E10) / D
-        ratios.append(phi / s)
-    assert np.ptp(ratios) < 1e-12 * abs(ratios[0])
 
 
 def test_predict_throughput_at_zero_field_reads_curve_origin():
@@ -195,9 +168,10 @@ def test_scaled_sensitivity():
 
 
 def test_sinusoid_fringe_contrast_exact():
-    curve = sinusoid_fringe(D, 0.25, mean=3.0, n=128)
-    assert curve.throughput.max() == pytest.approx(3.0 * 1.25, rel=1e-12)
-    assert len(curve.offsets) == 128
+    curve = sinusoid_fringe(D, 0.25)
+    assert curve.throughput.max() == pytest.approx(1.25, rel=1e-12)
+    assert curve.throughput.min() == pytest.approx(0.75, rel=1e-12)
+    assert len(curve.offsets) == 256
     with pytest.raises(ValueError):
         sinusoid_fringe(D, 1.5)
 
