@@ -9,15 +9,16 @@ grating is read by folding: the summed intensity is sorted once per scan
 by its phase under the comb, and every offset reads its open slits from
 one prefix sum (``elements.comb_throughput``), with no per-offset mask.
 
-The sources are independent, so a scan carries them in batches on every
-available CPU. Each worker, the calling thread and one helper thread per
-further CPU, owns one workspace of FFT rows as long as the grating legs'
-FFT, one source per row; every leg runs in place on a whole batch with
-one FFT call. A batch holds as many rows as fit a 1 MiB workspace (about
-one core's L2 cache), at least one, spread evenly over the rounds in
-which every worker takes a batch: one row on the default grid, four on
-the 2 um slit's grid. Rows are added in source order, so the result does
-not depend on the number of workers or the batch size.
+The sources are independent, so a scan carries them in batches on the
+CPUs it is given, every available CPU by default. Each worker, the
+calling thread and one helper thread per further CPU, owns one workspace
+of FFT rows as long as the grating legs' FFT, one source per row; every
+leg runs in place on a whole batch with one FFT call. A batch holds as
+many rows as fit a 1 MiB workspace (about one core's L2 cache), at least
+one, spread evenly over the rounds in which every worker takes a batch:
+one row on the default grid, four on the 2 um slit's grid. Rows are
+added in source order, so the result does not depend on the number of
+workers or the batch size.
 
 The scan's set-up runs on the same helpers: while the calling thread
 finds slit 2's open run, builds the G1 transmission and builds the leg
@@ -25,6 +26,14 @@ spectrum from slit 2 to G1, one helper builds the grating gap's leg
 spectrum and then the G2 transmission. Each goes through the same
 operations as on one thread, so the result is the same bits; with one
 CPU no helper thread starts and the set-up runs serially.
+
+A sweep runs its energies side by side: ``w`` of them at a time, ``w``
+the CPUs capped by the energies, each scan on ``cpus // w`` CPUs. On two
+CPUs that is two serial scans at once, which saves each small scan its
+helper's start and joins. With one energy, or one CPU, the energies run
+in order on the calling thread, each scan on every CPU. The contrasts
+come back in input order, and every scan is the same bits at any worker
+count, so the sweep is too.
 
 A beamline that is exactly mirror-symmetric about x = 0 maps source x_s
 onto the mirror image of source -x_s, so a scan carries only the first
@@ -228,13 +237,14 @@ def _slit2_run(cfg: BeamlineConfig, x: np.ndarray) -> tuple[int, int]:
     return int(open_idx[0]), int(open_idx[-1]) + 1
 
 
-def _worker_count(n_sources: int) -> int:
-    """Threads that carry sources: one per available CPU, at most n_sources."""
+def _worker_count(n_jobs) -> int:
+    """Threads that run n_jobs independent jobs: one per available CPU, at
+    most n_jobs; ``math.inf`` jobs give every available CPU."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_sources))
+    return max(1, min(cpus, n_jobs))
 
 
 # workspace bytes of one worker's batch of FFT rows: about one core's L2
@@ -285,8 +295,11 @@ def _mirror_symmetric(x, lo, hi, t1, t2, sources) -> bool:
     )
 
 
-def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
-    """Mean throughput over point sources at each third-grating offset."""
+def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray, cpus=math.inf) -> np.ndarray:
+    """Mean throughput over point sources at each third-grating offset.
+
+    The scan runs on at most ``cpus`` threads, the calling thread included.
+    """
     grid = beamline_grid(cfg)
     _require_sampling(cfg, grid)
     x = grid.x
@@ -298,7 +311,7 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
     # each set-up job runs on the calling thread when its result is read.
     # Reading a result raises a helper's error here, and leaving the with
     # block joins every helper, after an error too
-    spare = _worker_count(cfg.n_sources) - 1
+    spare = min(cpus, _worker_count(cfg.n_sources)) - 1
     with ThreadPoolExecutor(max(1, spare)) as helpers:
 
         def start(fn, *args):
@@ -380,7 +393,7 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray) -> np.ndarray:
         # and one helper per further CPU carries one of the next batches; the
         # rows are added in source order, so the result does not depend on
         # the number of workers or the batch size
-        workers = _worker_count(carried.size)
+        workers = min(cpus, _worker_count(carried.size))
         rows = _batch_rows(carried.size, workers, gap.size)
         workers = min(workers, math.ceil(carried.size / rows))
         spaces = [np.empty((rows, gap.size), dtype=complex) for _ in range(workers)]
@@ -405,17 +418,24 @@ def simulate_throughput(cfg: BeamlineConfig, g3_offset: float) -> float:
     return float(_fringe_totals(cfg, np.array([g3_offset]))[0])
 
 
+def _offsets(cfg: BeamlineConfig, n_offsets: int) -> np.ndarray:
+    """n_offsets uniform third-grating offsets over [0, d)."""
+    if n_offsets < 8:
+        raise ValueError("n_offsets must be at least 8")
+    return np.arange(n_offsets) * (cfg.gratings[2].period / n_offsets)
+
+
+def _scan(cfg: BeamlineConfig, offsets: np.ndarray, cpus=math.inf) -> FringeCurve:
+    return FringeCurve(offsets=offsets, throughput=_fringe_totals(cfg, offsets, cpus), period=cfg.gratings[2].period)
+
+
 def scan_fringe(cfg: BeamlineConfig, n_offsets: int = 16) -> FringeCurve:
     """Throughput at n_offsets uniform third-grating offsets over [0, d).
 
     The sources are propagated once; every offset is read from the same
     folded G3 intensity, so more offsets cost only a binary search each.
     """
-    if n_offsets < 8:
-        raise ValueError("n_offsets must be at least 8")
-    d = cfg.gratings[2].period
-    offsets = np.arange(n_offsets) * (d / n_offsets)
-    return FringeCurve(offsets=offsets, throughput=_fringe_totals(cfg, offsets), period=d)
+    return _scan(cfg, _offsets(cfg, n_offsets))
 
 
 def contrast(curve: FringeCurve) -> float:
@@ -432,12 +452,32 @@ def sweep_energy(
     energies_ev,
     n_offsets: int = 16,
 ) -> list[tuple[float, float]]:
-    """Fringe contrast at each beam energy, all other parameters fixed."""
-    out = []
-    for e_ev in energies_ev:
-        curve = scan_fringe(replace(cfg, energy=BeamEnergy(e_ev)), n_offsets)
-        out.append((float(e_ev), contrast(curve)))
-    return out
+    """Fringe contrast at each beam energy, all other parameters fixed.
+
+    Every argument is checked before the first scan starts. The energies
+    run side by side, each scan on an equal share of the CPUs; if scans
+    fail, the first failing energy's error is raised once every running
+    scan has ended.
+    """
+    offsets = _offsets(cfg, n_offsets)
+    energies = list(energies_ev)
+    configs = [replace(cfg, energy=BeamEnergy(e_ev)) for e_ev in energies]
+    cpus = _worker_count(math.inf)
+    workers = _worker_count(len(configs))
+
+    def sweep_contrast(config):
+        return contrast(_scan(config, offsets, cpus // workers))
+
+    if workers == 1:
+        contrasts = [sweep_contrast(config) for config in configs]
+    else:
+        # each scan owns its helpers, if it has any, so no pool worker waits
+        # on this pool. map raises the first error in input order and
+        # cancels the energies not yet started; leaving the with block
+        # joins every worker
+        with ThreadPoolExecutor(workers) as pool:
+            contrasts = list(pool.map(sweep_contrast, configs))
+    return [(float(e_ev), c) for e_ev, c in zip(energies, contrasts)]
 
 
 def misalignment_factor(beam_height: float, misalignment: float, period: float) -> float:

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -619,6 +620,105 @@ def test_sweep_energy_guards_gun_range():
     cfg = fast_config(n_sources=2)
     out = sweep_energy(cfg, [3000.0], n_offsets=8)
     assert len(out) == 1 and out[0][0] == 3000.0
+
+
+# the automatic grids of these energies have 14,791, 5,457, 9,697, 5,457
+# and 6,571 points, so the pool's workers finish out of input order
+UNEVEN_ENERGIES = [400e3, 5e3, 200e3, 10e3, 100e3]
+
+
+def count_thread_starts(monkeypatch):
+    """The threads started from now on, each with the thread that started it."""
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(threading.current_thread())
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+@pytest.mark.parametrize("phase_model", [PhaseModel(), RANDOM_AND_IMAGE_PHASE], ids=["mirrored", "random-phase"])
+def test_sweep_is_the_same_at_any_worker_count(monkeypatch, phase_model):
+    cfg = fast_config(n_sources=5, phase_model=phase_model)
+    sweeps = []
+    for workers in (1, 2, 3):
+        use_workers(monkeypatch, workers)
+        sweeps.append(sweep_energy(cfg, UNEVEN_ENERGIES, n_offsets=8))
+    assert sweeps[0] == sweeps[1] == sweeps[2]
+    assert [e for e, _ in sweeps[0]] == UNEVEN_ENERGIES
+    use_workers(monkeypatch, 1)
+    for e_ev, c in sweeps[0]:
+        assert c == contrast(scan_fringe(replace(cfg, energy=BeamEnergy(e_ev)), 8))
+
+
+def test_a_sweep_on_two_cpus_runs_two_serial_scans(monkeypatch):
+    # each scan gets one CPU, so only the sweep's two pool workers start
+    use_workers(monkeypatch, 2)
+    started = count_thread_starts(monkeypatch)
+    sweep_energy(fast_config(n_sources=4), UNEVEN_ENERGIES, n_offsets=8)
+    assert started == [threading.main_thread()] * 2
+
+
+def test_a_one_cpu_sweep_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def refuse(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert len(sweep_energy(fast_config(n_sources=4), [5e3, 1e4], n_offsets=8)) == 2
+
+
+def test_a_one_energy_sweep_on_two_cpus_starts_its_scans_helper(monkeypatch):
+    use_workers(monkeypatch, 2)
+    started = count_thread_starts(monkeypatch)
+    sweep_energy(fast_config(n_sources=4), [1e4], n_offsets=8)
+    assert started == [threading.main_thread()]
+
+
+def test_the_first_failing_energy_in_input_order_leaves_sweep_energy(monkeypatch):
+    # the fourth energy fails at once, the third only after a while; the
+    # third's error is raised, once no scan is running
+    use_workers(monkeypatch, 2)
+    energies = [5e3, 6e3, 7e3, 8e3, 9e3]
+    totals = interferometer._fringe_totals
+
+    def fail_third_and_fourth(cfg, *args):
+        e_ev = cfg.energy.kinetic_energy_ev
+        if e_ev == energies[2]:
+            time.sleep(0.2)
+            raise RuntimeError("third energy failed")
+        if e_ev == energies[3]:
+            raise RuntimeError("fourth energy failed")
+        return totals(cfg, *args)
+
+    monkeypatch.setattr(interferometer, "_fringe_totals", fail_third_and_fourth)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="third energy failed"):
+        sweep_energy(fast_config(n_sources=4), energies, n_offsets=8)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize(
+    "energies, n_offsets, message",
+    [([5e3] * 19 + [0.0], 8, "beam energy must be positive"), ([5e3] * 20, 4, "n_offsets must be at least 8")],
+    ids=["bad-last-energy", "too-few-offsets"],
+)
+def test_bad_sweep_arguments_are_refused_before_any_scan(monkeypatch, energies, n_offsets, message):
+    scans = []
+    totals = interferometer._fringe_totals
+
+    def count(*args):
+        scans.append(args)
+        return totals(*args)
+
+    monkeypatch.setattr(interferometer, "_fringe_totals", count)
+    with pytest.raises(ValueError, match=message):
+        sweep_energy(fast_config(n_sources=2), energies, n_offsets=n_offsets)
+    assert scans == []
 
 
 def test_misalignment_factor_values():
