@@ -219,6 +219,8 @@ def parse_config(text: str) -> RunConfig:
         if key not in types:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in section [{section}]")
         where = f"line {lineno}: key '{key}'"
+        if (section, key) in lines:
+            raise ConfigError(f"{where} in section [{section}] is already set on line {lines[section, key]}")
         default = getattr(getattr(_DEFAULTS, section), key)
         cfg = override(cfg, section, key, _convert(raw_value.strip(), types[key], default, where), where)
         lines[section, key] = lineno

@@ -27,13 +27,13 @@ spectrum and then the G2 transmission. Each goes through the same
 operations as on one thread, so the result is the same bits; with one
 CPU no helper thread starts and the set-up runs serially.
 
-A sweep runs its energies side by side: ``w`` of them at a time, ``w``
-the CPUs capped by the energies, each scan on ``cpus // w`` CPUs. On two
-CPUs that is two serial scans at once, which saves each small scan its
-helper's start and joins. With one energy, or one CPU, the energies run
-in order on the calling thread, each scan on every CPU. The contrasts
-come back in input order, and every scan is the same bits at any worker
-count, so the sweep is too.
+A sweep runs its energies side by side on one pool of ``w`` workers,
+``w`` the CPUs capped by the energies, each scan on ``cpus // w`` CPUs.
+On two CPUs that is two serial scans at once, which saves each small scan
+its helper's start and joins. On one CPU the pool's one worker runs the
+energies in order, each scan with no helper; a single energy's scan
+takes every CPU. The contrasts come back in input order, and every scan
+is the same bits at any worker count, so the sweep is too.
 
 A beamline that is exactly mirror-symmetric about x = 0 maps source x_s
 onto the mirror image of source -x_s, so a scan carries only the first
@@ -69,7 +69,6 @@ __all__ = [
     "FringeCurve",
     "beamline_grid",
     "leg_required_dx",
-    "simulate_throughput",
     "scan_fringe",
     "contrast",
     "sweep_energy",
@@ -409,15 +408,6 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray, cpus=math.inf) -> n
     return comb_throughput(x, intensity, cfg.gratings[2], offsets) / cfg.n_sources
 
 
-def simulate_throughput(cfg: BeamlineConfig, g3_offset: float) -> float:
-    """Source-flux-normalized throughput at one third-grating offset.
-
-    Per point source, the flux just behind G3 divided by the flux arriving
-    at G1; sources are averaged with equal weight.
-    """
-    return float(_fringe_totals(cfg, np.array([g3_offset]))[0])
-
-
 def _offsets(cfg: BeamlineConfig, n_offsets: int) -> np.ndarray:
     """n_offsets uniform third-grating offsets over [0, d)."""
     if n_offsets < 8:
@@ -462,21 +452,18 @@ def sweep_energy(
     offsets = _offsets(cfg, n_offsets)
     energies = list(energies_ev)
     configs = [replace(cfg, energy=BeamEnergy(e_ev)) for e_ev in energies]
-    cpus = _worker_count(math.inf)
     workers = _worker_count(len(configs))
+    cpus = _worker_count(math.inf) // workers
 
     def sweep_contrast(config):
-        return contrast(_scan(config, offsets, cpus // workers))
+        return contrast(_scan(config, offsets, cpus))
 
-    if workers == 1:
-        contrasts = [sweep_contrast(config) for config in configs]
-    else:
-        # each scan owns its helpers, if it has any, so no pool worker waits
-        # on this pool. map raises the first error in input order and
-        # cancels the energies not yet started; leaving the with block
-        # joins every worker
-        with ThreadPoolExecutor(workers) as pool:
-            contrasts = list(pool.map(sweep_contrast, configs))
+    # each scan owns its helpers, if it has any, so no pool worker waits
+    # on this pool. map raises the first error in input order and cancels
+    # the energies not yet started; leaving the with block joins every
+    # worker
+    with ThreadPoolExecutor(workers) as pool:
+        contrasts = list(pool.map(sweep_contrast, configs))
     return [(float(e_ev), c) for e_ev, c in zip(energies, contrasts)]
 
 

@@ -9,25 +9,21 @@ so each leg runs on an FFT of the 5-smooth length
 ``_next_fast_len(2n - 1, real=True)``, about half the padded length, with
 the same taps. A field that lives on a contiguous run of s samples of its
 n-sample target grid touches only n + s - 1 taps, and its FFT shrinks to
-``_next_fast_len(n + s - 1, real=True)``. One leg is one linear in-place
-step, ``_carry``, on the rows of a buffer the caller supplies: each row is
-one field, and one FFT call along the last axis takes every row, with the
-same bits as a row carried alone. ``propagate`` passes one 1-D row on the
-field's own grid; the fringe scan passes each worker's batch of sources,
-and carries slit 2's open run onto the whole grid.
-``propagate_direct`` is the reference that tests compare against: a full
-quadrature of exp(i 2 pi r / lambda) over every source sample, with r the
-exact point-to-point path length, times the 1-D Fresnel prefactor
-1 / sqrt(i lambda dz), O(N_src * N_tgt).
+``_next_fast_len(n + s - 1, real=True)``. ``_transfer`` builds a leg's
+spectrum once; one leg is one linear in-place step, ``_carry``, on the
+rows of a buffer the caller supplies: each row is one field, and one FFT
+call along the last axis takes every row, with the same bits as a row
+carried alone. The fringe scan carries each worker's batch of sources,
+and slit 2's open run onto the whole grid.
 ``required_dx(wavelength, delta_z, reach)`` is the one sampling
-criterion: the largest step that keeps the direct kernel's phase change
-below pi per sample at ``reach``, the widest source-target offset.
-``propagate_direct`` refuses a source grid coarser than that, and the
-beamline checks every leg against it.
-Both kernels approximate one linear operator, the Fresnel propagator, which
-keeps the flux of a field that stays inside the window; neither rescales
-its output. Every downstream observable is a flux ratio, and only the
-fringe scan normalizes, by one weight per source.
+criterion: the largest step that keeps the direct path-length kernel's
+phase change below pi per sample at ``reach``, the widest source-target
+offset. The beamline checks every leg against it, and so does the direct
+quadrature that tests compare the legs against.
+The leg approximates a linear operator, the Fresnel propagator, which
+keeps the flux of a field that stays inside the window; it does not
+rescale its output. Every downstream observable is a flux ratio, and only
+the fringe scan normalizes, by one weight per source.
 """
 
 from dataclasses import dataclass
@@ -39,11 +35,8 @@ import numpy as np
 
 __all__ = [
     "SamplingError",
-    "WaveField",
     "GridSpec",
     "required_dx",
-    "propagate",
-    "propagate_direct",
 ]
 
 # zero-padding that defines the paraxial operator: its kernel is the
@@ -88,32 +81,6 @@ class GridSpec:
         return (self.count - 1) * self.dx
 
 
-@dataclass(frozen=True)
-class WaveField:
-    """Complex amplitude sampled on a uniform transverse grid.
-
-    ``amplitudes[i]`` is the amplitude at ``grid.x[i]``; lengths in meters.
-    """
-
-    amplitudes: np.ndarray
-    grid: GridSpec
-    wavelength: float
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.ndim != 1 or amp.size != self.grid.count:
-            raise ValueError("amplitudes must be a 1-D array with one sample per grid point")
-        if not np.all(np.isfinite(amp)):
-            raise ValueError("amplitudes must be finite")
-        if not self.wavelength > 0.0:
-            raise ValueError("wavelength must be positive")
-        object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def total_probability(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx)
-
-
 def required_dx(wavelength, delta_z, reach):
     """Largest grid step that keeps the kernel phase change per sample < pi.
 
@@ -124,44 +91,6 @@ def required_dx(wavelength, delta_z, reach):
     if reach <= 0.0:
         return math.inf
     return wavelength * delta_z / (2.0 * reach)
-
-
-def propagate_direct(
-    field: WaveField,
-    delta_z: float,
-    target: GridSpec | None = None,
-) -> WaveField:
-    """Quadrature of the exact path-length phase onto ``target``.
-
-    With the Fresnel prefactor 1 / sqrt(i lambda dz) it approximates the
-    same linear operator as ``propagate``. ``target`` defaults to the field's own grid.
-    O(N_src * N_tgt); use it as the oracle on small grids. Refuses to run
-    when the source step exceeds ``required_dx`` at the widest offset
-    between the two grids.
-    """
-    if not delta_z > 0.0:
-        raise ValueError("delta_z must be positive")
-    src = field.grid
-    tgt = target or src
-    reach = max(tgt.x_start + tgt.span - src.x_start, src.x_start + src.span - tgt.x_start)
-    need = required_dx(field.wavelength, delta_z, reach)
-    if src.dx > need:
-        raise SamplingError(
-            f"grid step {src.dx:.4e} m too coarse for a direct propagation "
-            f"over {delta_z:.4e} m; required dx <= {need:.4e} m"
-        )
-    k = 2.0 * math.pi / field.wavelength
-    x_src = src.x
-    x_tgt = tgt.x
-    out = np.empty(tgt.count, dtype=complex)
-    # evaluate the (targets x sources) kernel in row blocks to bound memory
-    block = max(1, 4_000_000 // src.count)
-    for i0 in range(0, tgt.count, block):
-        rows = slice(i0, min(i0 + block, tgt.count))
-        r = np.hypot(x_tgt[rows, None] - x_src[None, :], delta_z)
-        out[rows] = np.exp(1j * k * r) @ field.amplitudes
-    out *= src.dx / np.sqrt(1j * field.wavelength * delta_z)
-    return WaveField(out, tgt, field.wavelength)
 
 
 def _next_fast_len(target: int, real: bool = False) -> int:
@@ -260,24 +189,3 @@ def _carry(buf, s, transfer, n) -> np.ndarray:
     work *= transfer
     return np.fft.ifft(work, axis=-1, out=work)[..., :n]
 
-
-def propagate(field: WaveField, delta_z: float) -> WaveField:
-    """Fast quadratic-phase convolution of ``field`` on its own grid.
-
-    The 1-D entry to the kernel that the fringe scan carries in batches.
-    The operator is the cyclic convolution with the kernel spectrum
-    exp(-i pi lambda dz f^2), times the axial phase exp(i 2 pi dz / lambda),
-    on the grid zero-padded to at least four times its length, so it is
-    wrap-free for content that stays inside the window. It is computed from
-    the 2n - 1 kernel taps that n inputs and n outputs touch, on an FFT of
-    length ``_next_fast_len(2n - 1, real=True)`` (see ``_transfer``). The
-    operator is linear, and the output is not rescaled.
-    """
-    if not delta_z > 0.0:
-        raise ValueError("delta_z must be positive")
-    grid = field.grid
-    n = grid.count
-    transfer = _transfer(n, grid.dx, field.wavelength, delta_z, 0, n)
-    buf = np.empty(transfer.size, dtype=complex)
-    buf[:n] = field.amplitudes
-    return WaveField(_carry(buf, n, transfer, n), grid, field.wavelength)

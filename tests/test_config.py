@@ -132,6 +132,18 @@ def test_key_before_section_rejected():
     assert "before any" in str(err.value)
 
 
+def test_a_key_given_twice_is_rejected_naming_both_lines():
+    # a repeated section header is legal; a repeated key would silently
+    # keep its last value
+    text = "[beamline]\ngrating_gap = 1e-3\n[sweep]\nn_offsets = 8\n[beamline]\ngrating_gap = 3.06e-3\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    msg = str(err.value)
+    assert "line 6: key 'grating_gap'" in msg and "line 2" in msg
+    cfg = parse_config("[beamline]\ngrating_gap = 1e-3\n[sweep]\nn_offsets = 8\n[beamline]\nn_sources = 4\n")
+    assert (cfg.beamline.grating_gap, cfg.beamline.n_sources, cfg.sweep.n_offsets) == (1e-3, 4, 8)
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# run setup\n\n[beamline]\nenergy_ev = 5600  # resonance\n"
     cfg = parse_config(text)

@@ -19,17 +19,13 @@ from talbotlau import (
     GridSpec,
     PhaseModel,
     SamplingError,
-    WaveField,
     beamline_grid,
     comb_throughput,
     contrast,
     de_broglie_wavelength,
     leg_required_dx,
     misalignment_factor,
-    propagate,
-    propagate_direct,
     scan_fringe,
-    simulate_throughput,
     sweep_energy,
     translate_grating,
     transmission,
@@ -38,6 +34,8 @@ from talbotlau import constants as const
 from talbotlau import interferometer
 from talbotlau.interferometer import _fringe_totals, _source_positions
 from talbotlau.propagation import _transfer
+
+from kernels import carried_from_run, propagate_direct
 
 D = 1e-7
 
@@ -58,25 +56,29 @@ def translated(cfg, delta):
     return replace(cfg, gratings=tuple(translate_grating(g, delta) for g in cfg.gratings))
 
 
+def throughput_at(cfg, offset):
+    return _fringe_totals(cfg, np.array([offset]))[0]
+
+
 def test_throughput_periodic_in_grating_period():
     cfg = fast_config()
-    t0 = simulate_throughput(cfg, 0.3 * D)
-    t1 = simulate_throughput(cfg, 1.3 * D)
+    t0 = throughput_at(cfg, 0.3 * D)
+    t1 = throughput_at(cfg, 1.3 * D)
     assert abs(t1 - t0) <= 1e-9 * t0
 
 
 def test_translation_by_one_period_is_identity():
     cfg = fast_config()
-    t0 = simulate_throughput(cfg, 0.3 * D)
-    t1 = simulate_throughput(translated(cfg, D), 0.3 * D)
+    t0 = throughput_at(cfg, 0.3 * D)
+    t1 = throughput_at(translated(cfg, D), 0.3 * D)
     assert abs(t1 - t0) <= 1e-12 * t0
 
 
 def test_fractional_translation_shifts_fringe_with_comb():
     # fixed slit envelope and binary-mask quantization limit this to ~1e-3
     cfg = fast_config()
-    t0 = simulate_throughput(cfg, 0.3 * D)
-    t1 = simulate_throughput(translated(cfg, D / 3), 0.3 * D)
+    t0 = throughput_at(cfg, 0.3 * D)
+    t1 = throughput_at(translated(cfg, D / 3), 0.3 * D)
     assert abs(t1 - t0) <= 1e-2 * t0
 
 
@@ -85,7 +87,7 @@ def test_nearly_open_gratings_pass_beam():
     # swallows a full sample per period
     open_grating = GratingSpec(period=D, open_fraction=0.999)
     cfg = at_step(fast_config(gratings=(open_grating,) * 3, n_sources=4), 2.5e-10)
-    assert simulate_throughput(cfg, 0.0) >= 0.99
+    assert throughput_at(cfg, 0.0) >= 0.99
 
 
 def test_direct_kernel_scan_tracks_paraxial():
@@ -104,7 +106,7 @@ def test_direct_kernel_scan_tracks_paraxial():
     assert abs(contrast(direct) - contrast(paraxial)) <= 0.01
 
 
-def full_grid_totals(cfg, offsets, grid, kernel=propagate, field=0.0):
+def full_grid_totals(cfg, offsets, grid, kernel=carried_from_run, field=0.0):
     # the scan as a loop over the whole grid: every source's field is built
     # on all samples, slit 2 is applied as a 0/1 mask, and each leg
     # propagates with the linear ``kernel`` on the grid it was given, then
@@ -123,7 +125,7 @@ def full_grid_totals(cfg, offsets, grid, kernel=propagate, field=0.0):
     kick = np.exp(1j * -const.E_CHARGE * field * (cfg.grating_gap / 2) * x / const.HBAR)
 
     def leg(amp, dz):
-        out = kernel(WaveField(amp, grid, lam), dz).amplitudes
+        out = kernel(amp, grid, lam, dz)
         p_out = np.sum(np.abs(out) ** 2)
         return out * math.sqrt(np.sum(np.abs(amp) ** 2) / p_out) if p_out > 0.0 else out
 
@@ -439,7 +441,7 @@ def test_a_closed_second_slit_is_refused_before_the_gratings_are_built(monkeypat
     monkeypatch.setattr(interferometer, "transmission", spy)
     threads = threading.active_count()
     with pytest.raises(ValueError, match="no flux passes the second collimation slit"):
-        simulate_throughput(cfg, 0.0)
+        throughput_at(cfg, 0.0)
     assert threading.active_count() == threads
     assert built == [cfg.second_slit]
 
@@ -456,7 +458,7 @@ def test_a_non_finite_mask_is_refused(monkeypatch):
 
     monkeypatch.setattr(interferometer, "transmission", nan_in_g1)
     with pytest.raises(ValueError, match="amplitudes must be finite"):
-        simulate_throughput(fast_config(n_sources=2), 0.0)
+        throughput_at(fast_config(n_sources=2), 0.0)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -479,7 +481,7 @@ def test_a_non_finite_leg_spectrum_is_refused(monkeypatch):
 
     monkeypatch.setattr(interferometer, "_transfer", nan_in_spectrum)
     with pytest.raises(ValueError, match="amplitudes must be finite"):
-        simulate_throughput(fast_config(n_sources=2), 0.0)
+        throughput_at(fast_config(n_sources=2), 0.0)
 
 
 def test_slit2_opening_one_sample_matches_the_full_grid_loop():
@@ -506,20 +508,20 @@ def test_slit2_off_the_window_is_refused(monkeypatch):
     grid = clipped_grid(cfg, -1.5e-6)
     monkeypatch.setattr(interferometer, "beamline_grid", lambda _: grid)
     with pytest.raises(ValueError, match="aperture does not overlap the field grid"):
-        simulate_throughput(cfg, 0.0)
+        throughput_at(cfg, 0.0)
 
 
 def test_slit2_between_two_samples_is_refused():
     # the 0.5 nm slit sits halfway between the samples at 0 and 1 nm
     cfg = fast_config(second_slit=ApertureSpec(0.5e-9, center=0.5e-9), n_sources=2)
     with pytest.raises(ValueError, match="no flux passes the second collimation slit"):
-        simulate_throughput(cfg, 0.0)
+        throughput_at(cfg, 0.0)
 
 
 def test_single_centered_source_bounded_by_open_fraction():
     cfg = fast_config(n_sources=1)
     for off in (0.0, 0.25 * D, 0.5 * D):
-        t = simulate_throughput(cfg, off)
+        t = throughput_at(cfg, off)
         assert 0.0 < t <= 0.35
 
 
@@ -535,7 +537,7 @@ def test_single_offset_throughput_is_its_scan_point():
     cfg = fast_config(n_sources=2)
     curve = scan_fringe(cfg, 8)
     for k in (0, 3, 7):
-        assert simulate_throughput(cfg, curve.offsets[k]) == curve.throughput[k]
+        assert throughput_at(cfg, curve.offsets[k]) == curve.throughput[k]
 
 
 def test_scan_needs_at_least_8_offsets():
@@ -662,21 +664,20 @@ def test_a_sweep_on_two_cpus_runs_two_serial_scans(monkeypatch):
     assert started == [threading.main_thread()] * 2
 
 
-def test_a_one_cpu_sweep_starts_no_thread(monkeypatch):
+def test_a_one_cpu_sweep_starts_one_pool_worker_and_no_scan_helper(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-
-    def refuse(thread):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading.Thread, "start", refuse)
+    started = count_thread_starts(monkeypatch)
     assert len(sweep_energy(fast_config(n_sources=4), [5e3, 1e4], n_offsets=8)) == 2
+    assert started == [threading.main_thread()]
 
 
 def test_a_one_energy_sweep_on_two_cpus_starts_its_scans_helper(monkeypatch):
+    # the pool's one worker runs the scan, on both CPUs
     use_workers(monkeypatch, 2)
     started = count_thread_starts(monkeypatch)
     sweep_energy(fast_config(n_sources=4), [1e4], n_offsets=8)
-    assert started == [threading.main_thread()]
+    assert len(started) == 2 and started[0] is threading.main_thread()
+    assert started[1] is not threading.main_thread()
 
 
 def test_the_first_failing_energy_in_input_order_leaves_sweep_energy(monkeypatch):
@@ -741,7 +742,7 @@ def test_beamline_grid_satisfies_sampling():
 def test_explicit_coarse_grid_refused_with_diagnostic():
     cfg = at_step(fast_config(), 5e-9)
     with pytest.raises(SamplingError) as err:
-        simulate_throughput(cfg, 0.0)
+        throughput_at(cfg, 0.0)
     assert "required dx" in str(err.value)
 
 
@@ -758,7 +759,7 @@ def test_misconfigured_slit_errors():
     # (test_slit2_off_the_window_is_refused)
     cfg = fast_config(second_slit=ApertureSpec(width=2e-6, center=1.0))
     with pytest.raises(ValueError, match="beamline grid would need"):
-        simulate_throughput(cfg, 0.0)
+        throughput_at(cfg, 0.0)
 
 
 def test_beamline_validation():

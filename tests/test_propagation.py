@@ -7,15 +7,10 @@ import numpy as np
 import pytest
 from scipy import fft
 
-from talbotlau import (
-    GridSpec,
-    SamplingError,
-    WaveField,
-    propagate,
-    propagate_direct,
-    required_dx,
-)
+from talbotlau import GridSpec, SamplingError, required_dx
 from talbotlau.propagation import _PAD_FACTOR, _carry, _next_fast_len, _transfer
+
+from kernels import carried_from_run, propagate_direct
 
 LAM = 13.1e-12
 
@@ -24,10 +19,14 @@ def centered_grid(count, dx):
     return GridSpec(-(count - 1) / 2 * dx, dx, count)
 
 
-def double_slit_field(grid, slit_width, separation, wavelength=LAM):
+def double_slit_field(grid, slit_width, separation):
     x = grid.x
     amp = (np.abs(x - separation / 2) <= slit_width / 2) | (np.abs(x + separation / 2) <= slit_width / 2)
-    return WaveField(amp.astype(complex), grid, wavelength)
+    return amp.astype(complex)
+
+
+def flux(amplitudes, dx):
+    return float(np.sum(np.abs(amplitudes) ** 2) * dx)
 
 
 @pytest.mark.parametrize("count", [219_607, 6_000, 2])
@@ -53,10 +52,9 @@ def test_an_off_center_grid_stays_within_one_ulp_of_its_exact_samples():
 def test_point_source_gives_flat_magnitude():
     amp = np.zeros(512, dtype=complex)
     amp[200] = 1.0
-    field = WaveField(amp, GridSpec(-256e-9, 1e-9, 512), LAM)
     target = centered_grid(512, 8e-9)
-    out = propagate_direct(field, 1e-3, target)
-    mag = np.abs(out.amplitudes)
+    out = propagate_direct(amp, GridSpec(-256e-9, 1e-9, 512), LAM, 1e-3, target)
+    mag = np.abs(out)
     assert (mag.max() - mag.min()) / mag.mean() < 1e-12
 
 
@@ -67,9 +65,9 @@ def test_double_slit_far_field_period_matches_analytic():
     field = double_slit_field(src, 0.3e-6, separation)
     target = GridSpec(-60e-6, 30e-9, 4001)
     # co-centred grids: the widest offset is the sum of the half-spans
-    assert field.grid.dx <= required_dx(LAM, dz, 0.5 * src.span + 0.5 * target.span)
-    out = propagate_direct(field, dz, target)
-    intensity = np.abs(out.amplitudes) ** 2
+    assert src.dx <= required_dx(LAM, dz, 0.5 * src.span + 0.5 * target.span)
+    out = propagate_direct(field, src, LAM, dz, target)
+    intensity = np.abs(out) ** 2
     peaks = [
         i
         for i in range(1, intensity.size - 1)
@@ -84,9 +82,8 @@ def test_double_slit_far_field_period_matches_analytic():
 
 def test_plane_wave_central_region_stays_flat():
     grid = centered_grid(4096, 2e-9)
-    field = WaveField(np.ones(4096, dtype=complex), grid, LAM)
-    out = propagate(field, 1e-4)
-    center = np.abs(out.amplitudes[1548:2548]) ** 2
+    out = carried_from_run(np.ones(4096, dtype=complex), grid, LAM, 1e-4)
+    center = np.abs(out[1548:2548]) ** 2
     assert center.max() / center.min() - 1 < 0.01
 
 
@@ -96,8 +93,8 @@ def test_paraxial_matches_direct_on_2048_point_double_slit():
     dz = 3.06e-3
     # both kernels approximate the same linear operator, so their raw
     # complex amplitudes agree, the Fresnel prefactor and axial phase included
-    direct = propagate_direct(field, dz).amplitudes
-    paraxial = propagate(field, dz).amplitudes
+    direct = propagate_direct(field, grid, LAM, dz)
+    paraxial = carried_from_run(field, grid, LAM, dz)
     assert np.linalg.norm(paraxial - direct) / np.linalg.norm(direct) <= 1e-4
 
 
@@ -108,21 +105,21 @@ def test_paraxial_is_linear_before_renormalization():
     a1 = rng.normal(size=2048) + 1j * rng.normal(size=2048)
     a2 = rng.normal(size=2048) + 1j * rng.normal(size=2048)
     ca, cb = 0.7 - 0.2j, -1.3 + 0.5j
-    for kernel in (propagate, propagate_direct):
-        f = lambda amp: kernel(WaveField(amp, grid, LAM), 3.06e-3).amplitudes
+    for kernel in (carried_from_run, propagate_direct):
+        f = lambda amp: kernel(amp, grid, LAM, 3.06e-3)
         combined = f(ca * a1 + cb * a2)
         superposed = ca * f(a1) + cb * f(a2)
         assert np.linalg.norm(combined - superposed) / np.linalg.norm(combined) < 1e-12, kernel
 
 
-def padded_cyclic_convolution(field, dz):
+def padded_cyclic_convolution(amplitudes, dx, dz):
     # the paraxial operator by definition: zero-pad to 4x, multiply the
     # spectrum by the transfer function and keep the first n samples
-    n, dx = field.grid.count, field.grid.dx
+    n = amplitudes.size
     m = fft.next_fast_len(math.ceil(4.0 * n))
     freq = fft.fftfreq(m, d=dx)
     h = np.exp(-1j * math.pi * LAM * dz * freq**2) * np.exp(2j * math.pi * dz / LAM)
-    return fft.ifft(fft.fft(np.pad(field.amplitudes, (0, m - n))) * h)[:n]
+    return fft.ifft(fft.fft(np.pad(amplitudes, (0, m - n))) * h)[:n]
 
 
 def sub_grid_cases(n):
@@ -134,22 +131,11 @@ def sub_grid_cases(n):
 
 def sub_grid_field(grid, lo, s, rng):
     # support reaches both ends of the sub-grid, so the extreme taps
-    # -(lo + s - 1) and n - 1 - lo are used
+    # -(lo + s - 1) and n - 1 - lo are used; returns the field on the
+    # sub-grid and zero-filled on the whole grid
     amp = rng.normal(size=s) + 1j * rng.normal(size=s)
     amp[[0, -1]] = [1.0 + 0.5j, -0.7 + 1.0j]
-    sub = WaveField(amp, GridSpec(grid.x[lo], grid.dx, s), LAM)
-    zero_filled = WaveField(np.pad(amp, (lo, grid.count - lo - s)), grid, LAM)
-    return sub, zero_filled
-
-
-def carried_from_run(amp, n, dx, dz, lo):
-    # the scan's first leg: a field on the s = amp.size samples from lo
-    # carried onto the whole n-sample grid
-    s = amp.size
-    transfer = _transfer(n, dx, LAM, dz, lo, s)
-    buf = np.empty(transfer.size, dtype=complex)
-    buf[:s] = amp
-    return _carry(buf, s, transfer, n)
+    return amp, np.pad(amp, (lo, grid.count - lo - s))
 
 
 @pytest.mark.parametrize("zero_filled", [False, True])
@@ -163,13 +149,11 @@ def test_paraxial_equals_the_padded_cyclic_convolution(n, dz, zero_filled):
     rng = np.random.default_rng(n)
     for lo, s in sub_grid_cases(n):
         sub, whole = sub_grid_field(grid, lo, s, rng)
-        expected = padded_cyclic_convolution(whole, dz)
+        expected = padded_cyclic_convolution(whole, grid.dx, dz)
         if zero_filled:
-            out = propagate(whole, dz)
-            assert out.grid == grid
-            out = out.amplitudes
+            out = carried_from_run(whole, grid, LAM, dz)
         else:
-            out = carried_from_run(sub.amplitudes, n, grid.dx, dz, lo)
+            out = carried_from_run(sub, grid, LAM, dz, lo)
         assert np.max(np.abs(out - expected)) / np.max(np.abs(expected)) <= 1e-12
         assert _transfer(n, grid.dx, LAM, dz, lo, s).size == fft.next_fast_len(n + s - 1, real=True)
 
@@ -210,27 +194,26 @@ def test_a_leg_runs_in_the_buffer_it_is_given():
     grid = centered_grid(1001, 0.26e-9)
     n = grid.count
     lo, s = n // 3, n // 2
-    sub = GridSpec(grid.x[lo], grid.dx, s)
     first = _transfer(n, grid.dx, LAM, 0.05, lo, s)
     gap = _transfer(n, grid.dx, LAM, 1e-3, 0, n)
     assert first.size < gap.size
     rng = np.random.default_rng(9)
     for rows in (1, 3, 9):
-        fields = [WaveField(rng.normal(size=s) + 1j * rng.normal(size=s), sub, LAM) for _ in range(rows)]
+        fields = [rng.normal(size=s) + 1j * rng.normal(size=s) for _ in range(rows)]
         # rows as long as the longer leg's FFT
         buf = np.empty((rows, gap.size), dtype=complex)
         for row, field in zip(buf, fields):
-            row[:s] = field.amplitudes
+            row[:s] = field
         # each row equals its field propagated alone. Leg 1 transforms a
         # view shorter than the rows
         out = _carry(buf, s, first, n)
         assert np.shares_memory(out, buf[:, :n])
-        alone = [carried_from_run(field.amplitudes, n, grid.dx, 0.05, lo) for field in fields]
+        alone = [carried_from_run(field, grid, LAM, 0.05, lo) for field in fields]
         assert all(np.array_equal(got, want) for got, want in zip(out, alone))
         out = _carry(buf, n, gap, n)
         assert np.shares_memory(out, buf[:, :n])
-        alone = [propagate(WaveField(amp, grid, LAM), 1e-3) for amp in alone]
-        assert all(np.array_equal(got, want.amplitudes) for got, want in zip(out, alone))
+        alone = [carried_from_run(amp, grid, LAM, 1e-3) for amp in alone]
+        assert all(np.array_equal(got, want) for got, want in zip(out, alone))
 
 
 @pytest.mark.parametrize("dz", [1e-4, 0.05])
@@ -239,10 +222,10 @@ def test_direct_from_a_sub_grid_equals_the_zero_filled_field(dz):
     rng = np.random.default_rng(5)
     for lo, s in sub_grid_cases(grid.count):
         sub, zero_filled = sub_grid_field(grid, lo, s, rng)
-        expected = propagate_direct(zero_filled, dz, grid).amplitudes
-        out = propagate_direct(sub, dz, grid)
-        assert out.grid == grid
-        assert np.max(np.abs(out.amplitudes - expected)) / np.max(np.abs(expected)) <= 1e-12
+        expected = propagate_direct(zero_filled, grid, LAM, dz, grid)
+        out = propagate_direct(sub, GridSpec(grid.x[lo], grid.dx, s), LAM, dz, grid)
+        assert out.shape == (grid.count,)
+        assert np.max(np.abs(out - expected)) / np.max(np.abs(expected)) <= 1e-12
 
 
 def test_flux_conservation():
@@ -250,19 +233,18 @@ def test_flux_conservation():
     # keeps its flux through either kernel, with no rescaling
     grid = centered_grid(4096, 2e-9)
     gauss = np.exp(-((grid.x / 1.5e-6) ** 2)).astype(complex)
-    field = WaveField(gauss, grid, LAM)
-    for kernel in (propagate, propagate_direct):
-        out = kernel(field, 3.06e-3)
-        drift = abs(out.total_probability - field.total_probability) / field.total_probability
+    for kernel in (carried_from_run, propagate_direct):
+        out = kernel(gauss, grid, LAM, 3.06e-3)
+        drift = abs(flux(out, grid.dx) - flux(gauss, grid.dx)) / flux(gauss, grid.dx)
         assert drift < 1e-6, kernel
 
 
 def test_sampling_check_reference_point():
     # 13.1 pm over 3.06 mm with 10 um + 10 um half-spans needs about 1.0 nm
-    field = WaveField(np.ones(2001, dtype=complex), GridSpec(-10e-6, 10e-9, 2001), LAM)
-    need = required_dx(LAM, 3.06e-3, 0.5 * field.grid.span + 0.5 * 20e-6)
+    grid = GridSpec(-10e-6, 10e-9, 2001)
+    need = required_dx(LAM, 3.06e-3, 0.5 * grid.span + 0.5 * 20e-6)
     assert need == pytest.approx(1.0e-9, rel=0.01)
-    assert not field.grid.dx <= need
+    assert not grid.dx <= need
 
 
 def test_sampling_bound_linear_in_distance():
@@ -272,18 +254,18 @@ def test_sampling_bound_linear_in_distance():
 
 
 def test_sampling_check_passes_fine_grid():
-    field = WaveField(np.ones(2001, dtype=complex), GridSpec(-1e-6, 1e-9, 2001), LAM)
-    need = required_dx(LAM, 3.06e-3, 0.5 * field.grid.span + 0.5 * 2e-6)
+    grid = GridSpec(-1e-6, 1e-9, 2001)
+    need = required_dx(LAM, 3.06e-3, 0.5 * grid.span + 0.5 * 2e-6)
     # the direct kernel applies the same criterion and runs
-    assert propagate_direct(field, 3.06e-3).grid == field.grid
-    assert field.grid.dx <= need
+    assert propagate_direct(np.ones(2001, dtype=complex), grid, LAM, 3.06e-3).shape == (2001,)
+    assert grid.dx <= need
 
 
 def test_direct_refuses_coarse_grid_and_names_required_dx():
-    field = WaveField(np.ones(2001, dtype=complex), GridSpec(-10e-6, 10e-9, 2001), LAM)
+    grid = GridSpec(-10e-6, 10e-9, 2001)
     target = GridSpec(-10e-6, 10e-9, 2001)
     with pytest.raises(SamplingError) as err:
-        propagate_direct(field, 3.06e-3, target)
+        propagate_direct(np.ones(2001, dtype=complex), grid, LAM, 3.06e-3, target)
     assert "required dx" in str(err.value)
 
 
@@ -292,53 +274,38 @@ def test_direct_checks_the_widest_offset_of_an_off_centre_sub_grid():
     # twice the sum of the half-spans: the bound is 1.0021e-9, not 2.0023e-9
     target = GridSpec(-10e-6, 2e-9, 10001)
     src = GridSpec(target.x[-11], target.dx, 11)
-    field = WaveField(np.ones(11, dtype=complex), src, LAM)
     assert required_dx(LAM, 3.06e-3, target.span) == pytest.approx(1.0021e-9, rel=1e-4)
     with pytest.raises(SamplingError, match="required dx"):
-        propagate_direct(field, 3.06e-3, target)
+        propagate_direct(np.ones(11, dtype=complex), src, LAM, 3.06e-3, target)
 
 
 def test_reciprocity_under_reflection():
     grid = centered_grid(4096, 2e-9)
     sym = np.exp(-((grid.x / 1e-6) ** 2)) * (1 + 0.3 * np.cos(2 * np.pi * grid.x / 5e-7))
-    field = WaveField(sym.astype(complex), grid, LAM)
-    forward = propagate(field, 2e-3).amplitudes
-    mirrored = WaveField(field.amplitudes[::-1], grid, LAM)
-    swapped = propagate(mirrored, 2e-3).amplitudes
+    field = sym.astype(complex)
+    forward = carried_from_run(field, grid, LAM, 2e-3)
+    swapped = carried_from_run(field[::-1], grid, LAM, 2e-3)
     assert np.linalg.norm(forward[::-1] - swapped) / np.linalg.norm(forward) < 1e-10
 
 
 def test_propagate_validation():
     grid = centered_grid(256, 1e-9)
-    field = WaveField(np.ones(256, dtype=complex), grid, LAM)
+    field = np.ones(256, dtype=complex)
     # linear, so no argument switches a rescale on: only the scan normalizes
-    for kernel, params in ((propagate_direct, ["field", "delta_z", "target"]), (propagate, ["field", "delta_z"])):
-        with pytest.raises(ValueError):
-            kernel(field, 0.0)
-        assert list(inspect.signature(kernel).parameters) == params
-        with pytest.raises(TypeError):
-            kernel(field, 1e-3, None, True)
-    # the direct kernel carries a sub-grid onto the target it is given;
-    # the fast one runs on the field's own grid
-    sub = WaveField(np.ones(8, dtype=complex), GridSpec(grid.x[100], grid.dx, 8), LAM)
-    assert propagate_direct(sub, 1e-3, target=grid).grid == grid
+    with pytest.raises(ValueError):
+        propagate_direct(field, grid, LAM, 0.0)
+    params = ["amplitudes", "grid", "wavelength", "delta_z", "target"]
+    assert list(inspect.signature(propagate_direct).parameters) == params
     with pytest.raises(TypeError):
-        propagate(sub, 1e-3, target=grid)
-    with pytest.raises(ValueError):
+        propagate_direct(field, grid, LAM, 1e-3, None, True)
+    # the direct kernel carries a sub-grid onto the target it is given
+    sub = GridSpec(grid.x[100], grid.dx, 8)
+    assert propagate_direct(np.ones(8, dtype=complex), sub, LAM, 1e-3, target=grid).shape == (256,)
+
+
+def test_gridspec_validation():
+    with pytest.raises(ValueError, match="at least 2 samples"):
         GridSpec(0.0, 1e-9, 1)
-
-
-def test_wavefield_validation():
-    with pytest.raises(ValueError):
-        WaveField(np.array([1.0 + 0j]), GridSpec(0.0, 1e-9, 1), LAM)
-    with pytest.raises(ValueError):
-        WaveField(np.array([1.0, np.inf]), GridSpec(0.0, 1e-9, 2), LAM)
-    with pytest.raises(ValueError):
-        WaveField(np.ones(4), GridSpec(0.0, -1e-9, 4), LAM)
-    with pytest.raises(ValueError):
-        WaveField(np.ones(4), GridSpec(0.0, 1e-9, 4), 0.0)
-    # one amplitude per grid sample, in a flat array
-    with pytest.raises(ValueError):
-        WaveField(np.ones(3), GridSpec(0.0, 1e-9, 4), LAM)
-    with pytest.raises(ValueError):
-        WaveField(np.ones((2, 2)), GridSpec(0.0, 1e-9, 4), LAM)
+    for dx in (0.0, -1e-9):
+        with pytest.raises(ValueError, match="dx must be positive"):
+            GridSpec(0.0, dx, 4)
