@@ -227,8 +227,9 @@ def _source_positions(cfg: BeamlineConfig) -> np.ndarray:
 def _slit2_run(cfg: BeamlineConfig, x: np.ndarray) -> tuple[int, int]:
     """Slit 2's open samples [lo, hi) on ``x``.
 
-    Slit 2's mask dies on return, before the source loop that sets the
-    scan's peak memory.
+    Slit 2's mask dies on return, before the source loop. The loop sets
+    a default scan's peak memory: the set-up's two spectrum builds, run
+    at once, stay below it.
     """
     open_idx = np.flatnonzero(transmission(x, cfg.second_slit))
     if open_idx.size == 0:

@@ -10,7 +10,12 @@ so each leg runs on an FFT of the 5-smooth length
 the same taps. A field that lives on a contiguous run of s samples of its
 n-sample target grid touches only n + s - 1 taps, and its FFT shrinks to
 ``_next_fast_len(n + s - 1, real=True)``. ``_transfer`` builds a leg's
-spectrum once; one leg is one linear in-place step, ``_carry``, on the
+spectrum once. The kernel's taps are even, and at most n of them are
+live, so the build takes them from p = gcd(m, 4) interleaved inverse
+FFTs of length m / p, m the padded length, never from one of length m.
+On the default grid that is a quarter of m, and a scan's set-up, which
+builds two spectra at once, then needs less memory than its source
+loop. One leg is one linear in-place step, ``_carry``, on the
 rows of a buffer the caller supplies: each row is one field, and one FFT
 call along the last axis takes every row, with the same bits as a row
 carried alone. The fringe scan carries each worker's batch of sources,
@@ -29,7 +34,6 @@ the fringe scan normalizes, by one weight per source.
 from dataclasses import dataclass
 
 import math
-import mmap
 
 import numpy as np
 
@@ -129,46 +133,93 @@ def _transfer(n, dx, wavelength, delta_z, lo, s):
     -(lo + s - 1) .. n - 1 - lo. Placed at offset + lo modulo a buffer of
     length M >= n + s - 1, they give the same sums without wrap-around.
     """
-    # a fringe scan builds each leg's spectrum once and carries every
-    # source with it. The length-m arrays are the largest a scan
-    # allocates, so H is filled in blocks, each with the ops of
-    # exp(-1j * pi * lambda * dz * fftfreq(m, dx)**2) * axial, and its
-    # inverse FFT is written back into it (``out=``), so the taps take no
-    # second length-m array; it dies before the live-tap FFT needs scratch.
-    # H gets its own anonymous map, whose pages go back to the OS when it
-    # dies: with glibc, the second H of a scan would otherwise come from
-    # the heap and stay resident through the source loop (5 MB of peak
-    # RSS on the default scan). Index j > m // 2 holds frequency
-    # (j - m) step, whose square equals that of (m - j) step bit for bit,
-    # so only 0 .. m // 2 take the exp and the rest is their mirror image
+    # the build's work area and every view of it die when _live_taps
+    # returns, before this FFT allocates its own scratch
+    live = _live_taps(n, dx, wavelength, delta_z, lo, s)
+    spectrum = np.fft.fft(live, out=live)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def _live_taps(n, dx, wavelength, delta_z, lo, s):
+    """The live taps of ``_transfer``'s kernel, placed on the zero-filled
+    short FFT length M.
+
+    H is even, H_j = H_(m-j), so its taps are even too, and the live ones
+    are t_k for k < count = max(n - lo, lo + s) <= n. With
+    p = gcd(m, 4), the inverse FFT splits into p interleaved ones of
+    length m / p:
+    t_k = (1/p) sum_(r<p) e^(2 pi i r k / m) ifft_(m/p)(H[r::p])[k], and
+    m >= 4n puts every live k below m / p, so no sub-transform wraps. Odd
+    m gives p = 1: one transform, as long as H.
+    """
     m = _next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
+    p = math.gcd(m, 4)
+    size = m // p
+    c = m // 2
+    count = max(n - lo, lo + s)
+    # e^(2 pi i r k / m) is coarse[k // fine] * fine[k % fine], from two
+    # tables of about sqrt(count) values: an exp over all count values
+    # takes 4 ms or more per sub-transform on the default grid (2 vCPUs)
+    fine = math.isqrt(count - 1) + 1
+    coarse = -(-count // fine)
+    # the build's whole work area is one array: H's m // 2 + 1 distinct
+    # values, one sub-transform, the taps and their twiddles, 17.6 MB on
+    # the default grid. It must be one array, longer than the buffers each
+    # leg's FFT allocates (plan and scratch, 7.1 MB apiece there; on any
+    # grid the area holds more than 3n values, a leg's FFT fewer). numpy
+    # takes an array that large from a map of its own, and glibc, on
+    # unmapping it, raises its mmap threshold to the map's size and its
+    # trim threshold to twice that, so the legs' buffers then stay in the
+    # heap from call to call instead of being mapped and faulted in again.
+    # Split into separate arrays (the largest 7.03 MB), or mapped with
+    # mmap, the area left a default fringe 148k-155k page faults against
+    # 35k, and 20-30% more wall time (2 vCPUs)
+    work = np.empty(c + 1 + size + count + coarse * fine, dtype=complex)
+    half = work[: c + 1]
+    row = work[c + 1 : c + 1 + size]
+    taps = work[c + 1 + size : c + 1 + size + count]
+    twiddles = work[c + 1 + size + count :].reshape(coarse, fine)
+    # each block of H takes the ops of
+    # exp(-1j * pi * lambda * dz * fftfreq(m, dx)**2) * axial. Index
+    # j > m // 2 holds frequency (j - m) step, whose square equals that of
+    # (m - j) step bit for bit, so only 0 .. m // 2 take the exp, and each
+    # H[r::p] reads the rest as their mirror image
     scale = -1j * math.pi * wavelength * delta_z
     axial = np.exp(2j * math.pi * delta_z / wavelength)
     step = 1.0 / (m * dx)
-    c = m // 2
-    h = np.frombuffer(mmap.mmap(-1, m * np.dtype(complex).itemsize), dtype=complex)
     for start in range(0, c + 1, _BLOCK):
         f = np.arange(start, min(start + _BLOCK, c + 1)) * step
         np.square(f, out=f)
-        block = h[start : start + f.size]
+        block = half[start : start + f.size]
         np.multiply(scale, f, out=block)
         np.exp(block, out=block)
         block *= axial
-    h[c + 1 :] = h[m - c - 1 : 0 : -1]
-    taps = np.fft.ifft(h, out=h)
-    del h
+    taps[:] = 0.0
+    angle = 2.0 * math.pi / m
+    for r in range(p):
+        head = (c - r) // p + 1
+        row[:head] = half[r : c + 1 : p]
+        row[head:] = half[m - r - p * head :: -p][: size - head]
+        np.fft.ifft(row, out=row)
+        np.multiply(
+            np.exp(1j * angle * (r * fine * np.arange(coarse) % m))[:, None],
+            np.exp(1j * angle * (r * np.arange(fine))),
+            out=twiddles,
+        )
+        twisted = twiddles.reshape(-1)[:count]
+        twisted *= row[:count]
+        taps += twisted
+    taps /= p
     # real=True restricts M to 5-smooth lengths: pocketfft's radix-11
     # passes are slow. On the default grid the 96 legs of a fringe scan
     # took 3.95 s at the complex-optimal 439,230 = 2*3*5*11^4 and 3.09 s
     # at 442,368 = 2^14*3^3 (2 vCPUs)
     live = np.zeros(_next_fast_len(n + s - 1, real=True), dtype=complex)
     live[lo:n] = taps[: n - lo]
-    live[:lo] = taps[m - lo :]
-    live[live.size - (s - 1) :] = taps[m - lo - (s - 1) : m - lo]
-    del taps
-    spectrum = np.fft.fft(live, out=live)
-    spectrum.flags.writeable = False
-    return spectrum
+    live[:lo] = taps[lo:0:-1]
+    live[live.size - (s - 1) :] = taps[lo + s - 1 : lo : -1]
+    return live
 
 
 def _carry(buf, s, transfer, n) -> np.ndarray:
