@@ -1,9 +1,9 @@
 """Command-line front end: experiment commands writing CSV.
 
-Every command reads one configuration (file plus flag overrides), runs a
-deterministic computation and writes a single CSV table with a header row,
-LF line endings and floats in 9-significant-digit scientific notation.
-Identical (config, seed, command) triples produce byte-identical output.
+Every command reads one configuration file, runs a deterministic
+computation and writes a single CSV table with a header row, LF line
+endings and floats in 9-significant-digit scientific notation. Identical
+(config, command) pairs produce byte-identical output.
 """
 
 import argparse
@@ -11,14 +11,7 @@ import sys
 
 import numpy as np
 
-from .config import (
-    ConfigError,
-    RunConfig,
-    build_beamline,
-    default_config,
-    override,
-    parse_config,
-)
+from .config import ConfigError, RunConfig, build_beamline, parse_config
 from .interferometer import beamline_grid, leg_required_dx, scan_fringe, sweep_energy
 from .kinematics import BeamEnergy, de_broglie_wavelength, resonant_energies, talbot_length
 from .propagation import SamplingError
@@ -162,22 +155,6 @@ _DISPATCH = {
 }
 
 
-# (flag, section, key): each flag sets one configuration key
-_OVERRIDES = (
-    ("seed", "run", "seed"),
-    ("sources", "beamline", "n_sources"),
-    ("grid", "beamline", "grid_points"),
-)
-
-
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    for flag, section, key in _OVERRIDES:
-        value = getattr(args, flag)
-        if value is not None:
-            cfg = override(cfg, section, key, value, f"--{flag}")
-    return cfg
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="talbotlau",
@@ -186,8 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="configuration file (key = value with [section] headers)")
     common.add_argument("--out", metavar="PATH", help="output CSV path (default: stdout)")
-    for flag, section, key in _OVERRIDES:
-        common.add_argument(f"--{flag}", type=int, help=f"override [{section}] {key}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _DISPATCH:
         sub.add_parser(name, parents=[common], help=f"run the {name} command")
@@ -197,12 +172,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        cfg = RunConfig()
         if args.config is not None:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = parse_config(fh.read())
-        else:
-            cfg = default_config()
-        cfg = _apply_overrides(cfg, args)
         header, rows = _DISPATCH[args.command](cfg)
         _write_csv(args.out, header, rows)
     except (ConfigError, SamplingError, ValueError, OSError) as exc:

@@ -4,8 +4,6 @@ Defaults and range checks belong to the domain types: a key is valid when
 its section and the beamline still build with that one key changed from
 the defaults. Unknown sections or keys, malformed numbers and
 out-of-range values are rejected with the offending key and line named.
-``serialize_config`` emits a canonical file that parses back to an equal
-configuration.
 """
 
 import dataclasses
@@ -14,19 +12,21 @@ import math
 from dataclasses import dataclass, replace
 
 from .elements import ApertureSpec, GratingSpec, PhaseModel
-from .interferometer import GUN_ENERGY_RANGE_EV, BeamlineConfig
+from .interferometer import BeamlineConfig
 from .kinematics import BeamEnergy
 from .sensing import CradleSpec
 
 __all__ = [
+    "GUN_ENERGY_RANGE_EV",
     "ConfigError",
     "RunConfig",
     "parse_config",
-    "serialize_config",
-    "default_config",
-    "override",
     "build_beamline",
 ]
+
+# energy reach of the thermionic gun the defaults are modeled on; a sweep
+# outside it is refused
+GUN_ENERGY_RANGE_EV = (4500.0, 10000.0)
 
 
 class ConfigError(ValueError):
@@ -177,7 +177,7 @@ def _with(cfg: RunConfig, section: str, key: str, value) -> RunConfig:
     return replace(cfg, **{section: replace(getattr(cfg, section), **{key: value})})
 
 
-def override(cfg: RunConfig, section: str, key: str, value, where: str) -> RunConfig:
+def _override(cfg: RunConfig, section: str, key: str, value, where: str) -> RunConfig:
     """``cfg`` with one key set, after checking that key alone on the defaults.
 
     The check builds the section and every domain object from the defaults
@@ -222,7 +222,7 @@ def parse_config(text: str) -> RunConfig:
         if (section, key) in lines:
             raise ConfigError(f"{where} in section [{section}] is already set on line {lines[section, key]}")
         default = getattr(getattr(_DEFAULTS, section), key)
-        cfg = override(cfg, section, key, _convert(raw_value.strip(), types[key], default, where), where)
+        cfg = _override(cfg, section, key, _convert(raw_value.strip(), types[key], default, where), where)
         lines[section, key] = lineno
     _cross_checks(cfg.sweep, lines)
     return cfg
@@ -237,30 +237,6 @@ def _cross_checks(sweep: SweepSettings, lines):
         if not ok:
             lineno = lines.get(("sweep", hi)) or lines[("sweep", lo)]
             raise ConfigError(f"line {lineno}: key '{hi}' must be {requirement} {lo}")
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        raise TypeError("booleans are not part of the configuration schema")
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; round-trips exactly through parse_config."""
-    chunks = []
-    for name in _SECTIONS:
-        chunks.append(f"[{name}]")
-        part = getattr(cfg, name)
-        for f in dataclasses.fields(part):
-            chunks.append(f"{f.name} = {_format_value(getattr(part, f.name))}")
-        chunks.append("")
-    return "\n".join(chunks)
-
-
-def default_config() -> RunConfig:
-    return _DEFAULTS
 
 
 def build_beamline(cfg: RunConfig) -> BeamlineConfig:

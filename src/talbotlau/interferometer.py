@@ -64,7 +64,6 @@ from .kinematics import BeamEnergy, de_broglie_wavelength
 from .propagation import GridSpec, SamplingError, _carry, _transfer, required_dx
 
 __all__ = [
-    "GUN_ENERGY_RANGE_EV",
     "BeamlineConfig",
     "FringeCurve",
     "beamline_grid",
@@ -74,9 +73,6 @@ __all__ = [
     "sweep_energy",
     "misalignment_factor",
 ]
-
-# energy reach of the thermionic gun the defaults are modeled on
-GUN_ENERGY_RANGE_EV = (4500.0, 10000.0)
 
 _DEFAULT_GRATING = GratingSpec(period=1e-7)
 
@@ -179,10 +175,12 @@ def beamline_grid(cfg: BeamlineConfig) -> GridSpec:
         if count % 2 == 0:
             count += 1
     if count > _MAX_SAMPLES:
-        raise ValueError(
-            f"beamline grid would need {count} samples, more than {_MAX_SAMPLES}; "
-            "the geometry (slit centers/widths) is likely misconfigured"
+        fix = (
+            "lower [beamline] grid_points"
+            if cfg.grid_points
+            else "the geometry (slit centers/widths) is likely misconfigured"
         )
+        raise ValueError(f"beamline grid would need more than {_MAX_SAMPLES} samples; {fix}")
     x_start = -0.5 * (count - 1) * dx
     return GridSpec(x_start=x_start, dx=dx, count=count)
 
@@ -204,11 +202,14 @@ def leg_required_dx(cfg: BeamlineConfig, span: float) -> list[tuple[str, float]]
 
 
 def _require_sampling(cfg: BeamlineConfig, grid: GridSpec):
-    for name, need in leg_required_dx(cfg, grid.span):
+    # the automatic step always passes, so only a pinned grid_points fails
+    needs = leg_required_dx(cfg, grid.span)
+    for name, need in needs:
         if grid.dx > need:
+            count = math.ceil(grid.span / min(dx for _, dx in needs)) + 1
             raise SamplingError(
-                f"leg {name}: grid step {grid.dx:.4e} m too coarse; "
-                f"required dx <= {need:.4e} m"
+                f"leg {name}: grid step {grid.dx:.4e} m too coarse; required dx <= {need:.4e} m; "
+                f"set [beamline] grid_points to at least {count}, or to 0 for the automatic step"
             )
 
 
@@ -272,9 +273,9 @@ def _flux(a: np.ndarray, dx: float, scratch: np.ndarray) -> np.ndarray:
     return np.sum(sq, axis=-1, keepdims=True) * dx
 
 
-def _require_finite(amplitudes: np.ndarray):
+def _require_finite(amplitudes: np.ndarray, plane: str):
     if not np.all(np.isfinite(amplitudes)):
-        raise ValueError("amplitudes must be finite")
+        raise ValueError(f"the {plane} has non-finite values")
 
 
 def _mirror_symmetric(x, lo, hi, t1, t2, sources) -> bool:
@@ -334,8 +335,10 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray, cpus=math.inf) -> n
         # the legs are linear, so a non-finite value can only come in with
         # an input: the chain's inputs are checked where they enter, not
         # per leg
-        for plane in (t1, t2, first, gap):
-            _require_finite(plane)
+        _require_finite(t1, "G1 transmission")
+        _require_finite(t2, "G2 transmission")
+        _require_finite(first, "slit 2 to G1 spectrum")
+        _require_finite(gap, "grating gap spectrum")
 
         def g3_intensity(ws: np.ndarray, x_s: np.ndarray) -> np.ndarray:
             """The intensity at G3 of the sources at ``x_s``, one per row of ``ws``.
@@ -356,7 +359,7 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray, cpus=math.inf) -> n
             np.multiply(2j * np.pi, r, out=amp)
             np.divide(amp, lam, out=amp)
             np.exp(amp, out=amp)
-            _require_finite(amp)
+            _require_finite(amp, "point-source field at slit 2")
             # each leg leaves its outputs in psi. The scan reads them there,
             # not from the view that _carry returns: given that view as the
             # input of a ufunc that writes psi, numpy copies the whole batch

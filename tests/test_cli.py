@@ -148,12 +148,17 @@ def test_step_command_deterministic(tmp_path, fast_config_path):
     assert all(float(r[1]).is_integer() for r in rows)
 
 
-def test_step_seed_flag_changes_output(tmp_path, fast_config_path):
-    out1 = tmp_path / "s1.csv"
-    out2 = tmp_path / "s2.csv"
-    assert run_cli(["step", "--config", fast_config_path, "--out", str(out1)]) == 0
-    assert run_cli(["step", "--config", fast_config_path, "--seed", "43", "--out", str(out2)]) == 0
-    assert out1.read_bytes() != out2.read_bytes()
+def test_step_seed_flag_changes_output(tmp_path):
+    # the seed is set in the config file only; two files that differ in
+    # [run] seed alone give different count series
+    outputs = []
+    for seed in (42, 43):
+        path = tmp_path / f"seed{seed}.cfg"
+        path.write_text(f"[run]\nseed = {seed}\n")
+        out = tmp_path / f"s{seed}.csv"
+        assert run_cli(["step", "--config", str(path), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] != outputs[1]
 
 
 def test_sensitivity_command(tmp_path, fast_config_path):
@@ -181,14 +186,6 @@ def test_validate_command(tmp_path, fast_config_path):
     assert header == ["leg", "dx_m", "required_dx_m", "status"]
     assert {r[0] for r in rows} == {"source_to_slit2", "slit2_to_g1", "g1_to_g2", "g2_to_g3"}
     assert all(r[3] == "pass" for r in rows)
-
-
-def test_sources_flag_overrides(tmp_path, fast_config_path, capsys):
-    assert run_cli(["fringe", "--config", fast_config_path, "--sources", "2"]) == 0
-    first = capsys.readouterr().out
-    assert run_cli(["fringe", "--config", fast_config_path, "--sources", "3"]) == 0
-    second = capsys.readouterr().out
-    assert first != second
 
 
 def test_float_format_nine_significant_digits(tmp_path, fast_config_path):
@@ -243,6 +240,8 @@ def test_sweep_energy_outside_the_gun_range_exits_naming_key_and_line(tmp_path, 
         ("[beamline]\nenergy_ev = inf\n", "fringe", "line 2: key 'energy_ev'"),
         # a geometry whose grid count overflows a float: refused before ceil
         ("[beamline]\ngrating_gap = 1e300\n", "validate", "beamline grid would need"),
+        # a pinned count too large names the key to lower
+        ("[beamline]\ngrid_points = 100000000\n", "validate", "lower [beamline] grid_points"),
     ],
 )
 def test_infinite_or_huge_input_exits_with_an_error_line(tmp_path, capsys, text, command, message):
@@ -267,10 +266,13 @@ def test_retired_propagator_flag_exits_nonzero(capsys):
     assert "--propagator" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--grid", "5"), ("--sources", "0"), ("--seed", "-1")])
-def test_out_of_range_flag_exits_nonzero_naming_it(flag, value, capsys):
-    # kinematics builds no beamline, so only the override check can catch these
-    assert run_cli(["kinematics", flag, value]) == 1
+@pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--sources", "2"), ("--grid", "4096")])
+def test_retired_override_flag_exits_nonzero(flag, value, capsys):
+    # [run] seed, [beamline] n_sources and grid_points are set in the
+    # config file only; argparse stops before any config is read
+    with pytest.raises(SystemExit) as exc:
+        main(["fringe", flag, value])
+    assert exc.value.code != 0
     assert flag in capsys.readouterr().err
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -457,7 +458,7 @@ def test_a_non_finite_mask_is_refused(monkeypatch):
         return t
 
     monkeypatch.setattr(interferometer, "transmission", nan_in_g1)
-    with pytest.raises(ValueError, match="amplitudes must be finite"):
+    with pytest.raises(ValueError, match="the G1 transmission has non-finite values"):
         throughput_at(fast_config(n_sources=2), 0.0)
 
 
@@ -480,7 +481,8 @@ def test_a_non_finite_leg_spectrum_is_refused(monkeypatch):
         return spectrum
 
     monkeypatch.setattr(interferometer, "_transfer", nan_in_spectrum)
-    with pytest.raises(ValueError, match="amplitudes must be finite"):
+    # the slit 2 to G1 spectrum is checked before the grating gap's
+    with pytest.raises(ValueError, match="the slit 2 to G1 spectrum has non-finite values"):
         throughput_at(fast_config(n_sources=2), 0.0)
 
 
@@ -744,6 +746,11 @@ def test_explicit_coarse_grid_refused_with_diagnostic():
     with pytest.raises(SamplingError) as err:
         throughput_at(cfg, 0.0)
     assert "required dx" in str(err.value)
+    # the refusal names the key and the smallest count that passes every leg
+    suggested = int(re.search(r"set \[beamline\] grid_points to at least (\d+)", str(err.value)).group(1))
+    with pytest.raises(SamplingError):
+        throughput_at(replace(cfg, grid_points=suggested - 1), 0.0)
+    assert throughput_at(replace(cfg, grid_points=suggested), 0.0) > 0.0
 
 
 def test_grid_points_override():
@@ -758,7 +765,7 @@ def test_misconfigured_slit_errors():
     # slit 2 outside the window is reached only with a substituted grid
     # (test_slit2_off_the_window_is_refused)
     cfg = fast_config(second_slit=ApertureSpec(width=2e-6, center=1.0))
-    with pytest.raises(ValueError, match="beamline grid would need"):
+    with pytest.raises(ValueError, match="would need more than 64000000 samples; the geometry"):
         throughput_at(cfg, 0.0)
 
 
