@@ -13,10 +13,13 @@ The sources are independent, so a scan carries them in batches on the
 CPUs it is given, every available CPU by default. Each worker, the
 calling thread and one helper thread per further CPU, owns one workspace
 of FFT rows as long as the grating legs' FFT, one source per row; every
-leg runs in place on a whole batch with one FFT call. A batch holds as
-many rows as fit a 1 MiB workspace (about one core's L2 cache), at least
-one, spread evenly over the rounds in which every worker takes a batch:
-one row on the default grid, four on the 2 um slit's grid. Rows are
+leg runs in place on a whole batch. A batch holds as many rows as fit
+``propagation._BATCH_BYTES``, a 1 MiB workspace (about one core's L2
+cache), at least one, spread evenly over the rounds in which every
+worker takes a batch: four rows on the 2 um slit's grid, whose legs run
+one FFT call a direction on the whole batch, and one row on the default
+grid, whose rows are longer than the budget, so each leg runs as a
+four-step FFT of cache-sized transforms on the row's 2-D view. Rows are
 added in source order, so the result does not depend on the number of
 workers or the batch size.
 
@@ -61,7 +64,7 @@ import numpy as np
 
 from .elements import ApertureSpec, GratingSpec, PhaseModel, comb_throughput, transmission
 from .kinematics import BeamEnergy, de_broglie_wavelength
-from .propagation import GridSpec, SamplingError, _carry, _transfer, required_dx
+from .propagation import _BATCH_BYTES, GridSpec, SamplingError, _carry, _transfer, required_dx
 
 __all__ = [
     "BeamlineConfig",
@@ -228,9 +231,11 @@ def _source_positions(cfg: BeamlineConfig) -> np.ndarray:
 def _slit2_run(cfg: BeamlineConfig, x: np.ndarray) -> tuple[int, int]:
     """Slit 2's open samples [lo, hi) on ``x``.
 
-    Slit 2's mask dies on return, before the source loop. The loop sets
-    a default scan's peak memory: the set-up's two spectrum builds, run
-    at once, stay below it.
+    Slit 2's mask dies on return, before the source loop. On two CPUs
+    the set-up's two spectrum builds, run at once, set a default scan's
+    peak memory; the source loop, whose four-step legs allocate no buffer
+    as long as a row, stays below it. On one CPU the builds run one after
+    the other, and the loop sets the peak.
     """
     open_idx = np.flatnonzero(transmission(x, cfg.second_slit))
     if open_idx.size == 0:
@@ -246,11 +251,6 @@ def _worker_count(n_jobs) -> int:
     except AttributeError:
         cpus = os.cpu_count() or 1
     return max(1, min(cpus, n_jobs))
-
-
-# workspace bytes of one worker's batch of FFT rows: about one core's L2
-# cache. A default-grid row alone is 7.1 MB, so that grid keeps one row
-_BATCH_BYTES = 1 << 20
 
 
 def _batch_rows(n_sources: int, workers: int, fft_len: int) -> int:
@@ -337,8 +337,8 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray, cpus=math.inf) -> n
         # per leg
         _require_finite(t1, "G1 transmission")
         _require_finite(t2, "G2 transmission")
-        _require_finite(first, "slit 2 to G1 spectrum")
-        _require_finite(gap, "grating gap spectrum")
+        _require_finite(first.values, "slit 2 to G1 spectrum")
+        _require_finite(gap.values, "grating gap spectrum")
 
         def g3_intensity(ws: np.ndarray, x_s: np.ndarray) -> np.ndarray:
             """The intensity at G3 of the sources at ``x_s``, one per row of ``ws``.

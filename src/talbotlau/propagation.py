@@ -13,13 +13,24 @@ n-sample target grid touches only n + s - 1 taps, and its FFT shrinks to
 spectrum once. The kernel's taps are even, and at most n of them are
 live, so the build takes them from p = gcd(m, 4) interleaved inverse
 FFTs of length m / p, m the padded length, never from one of length m.
-On the default grid that is a quarter of m, and a scan's set-up, which
-builds two spectra at once, then needs less memory than its source
-loop. One leg is one linear in-place step, ``_carry``, on the
-rows of a buffer the caller supplies: each row is one field, and one FFT
-call along the last axis takes every row, with the same bits as a row
-carried alone. The fringe scan carries each worker's batch of sources,
-and slit 2's open run onto the whole grid.
+On the default grid that is a quarter of m. One leg is one linear
+in-place step, ``_carry``, on the rows of a buffer the caller supplies:
+each row is one field and goes through the same operations as a row
+carried alone. A row of M complex values that fits ``_BATCH_BYTES`` runs
+one FFT call along the last axis for every row. A longer row, each leg
+of the default grid, runs a four-step FFT (Bailey, J. Supercomputing 4,
+23 (1990)) on its (n2, n1) view, n1 the divisor of M nearest sqrt(M):
+length-n2 FFTs along axis -2, a twiddle multiply, length-n1 FFTs along
+axis -1. Its transforms are cache-sized, and numpy, which keeps no FFT
+plan, then rebuilds no length-M plan and allocates no length-M scratch
+on each call. The spectrum stays in the four-step's transposed order:
+``_transfer`` builds it through the same forward step, ``_carry``
+multiplies in that order and the inverse undoes the steps in reverse, so
+the outputs come back in natural order and no transpose runs. The
+twiddles are two small tables per direction that the spectrum carries
+(``_Spectrum``), so they live as long as it does. The fringe scan
+carries each worker's batch of sources, and slit 2's open run onto the
+whole grid.
 ``required_dx(wavelength, delta_z, reach)`` is the one sampling
 criterion: the largest step that keeps the direct path-length kernel's
 phase change below pi per sample at ``reach``, the widest source-target
@@ -48,6 +59,13 @@ __all__ = [
 # length; padding below 4x leaves percent-level wrap-around from hard-edged
 # masks. Only the kernel's 2n - 1 live taps are carried to each leg.
 _PAD_FACTOR = 4.0
+
+
+# workspace bytes of one worker's batch of FFT rows, about one core's L2
+# cache. It also sets each leg's transform: a row longer than this runs as
+# a four-step FFT of cache-sized transforms (``_split``). A default-grid
+# row alone is 7.1 MB, so that grid keeps one row a batch
+_BATCH_BYTES = 1 << 20
 
 
 class SamplingError(ValueError):
@@ -121,7 +139,26 @@ def _next_fast_len(target: int, real: bool = False) -> int:
 _BLOCK = 1 << 13
 
 
-def _transfer(n, dx, wavelength, delta_z, lo, s):
+@dataclass(frozen=True)
+class _Spectrum:
+    """A leg's spectrum, in the order of the transform that carries the leg.
+
+    ``values`` has shape ``_split(M)`` = (n2, n1). With n2 = 1 it is the
+    length-M FFT of the live taps, and each leg runs one FFT call. Else it
+    is their four-step FFT on the (n2, n1) view, in transposed order, and
+    ``twiddles`` holds that transform's forward and inverse tables.
+    """
+
+    values: np.ndarray
+    twiddles: tuple = ()
+
+    @property
+    def size(self) -> int:
+        """The FFT length M."""
+        return self.values.size
+
+
+def _transfer(n, dx, wavelength, delta_z, lo, s) -> _Spectrum:
     """Spectrum of the padded kernel's live taps on the short FFT length.
 
     The kernel is ``ifft(H)`` on the padded length m, with H the transfer
@@ -132,12 +169,17 @@ def _transfer(n, dx, wavelength, delta_z, lo, s):
     samples uses only the n + s - 1 taps at signed offsets
     -(lo + s - 1) .. n - 1 - lo. Placed at offset + lo modulo a buffer of
     length M >= n + s - 1, they give the same sums without wrap-around.
+    The spectrum comes from the same forward transform that ``_carry``
+    runs, so it is in that transform's order, and its twiddle tables live
+    as long as it does.
     """
     # the build's work area and every view of it die when _live_taps
-    # returns, before this FFT allocates its own scratch
+    # returns, before the live taps are transformed
     live = _live_taps(n, dx, wavelength, delta_z, lo, s)
-    spectrum = np.fft.fft(live, out=live)
-    spectrum.flags.writeable = False
+    n2, n1 = _split(live.size)
+    spectrum = _Spectrum(live.reshape(n2, n1), _twiddles(n2, n1) if n2 > 1 else ())
+    _forward(spectrum.values, spectrum.twiddles)
+    spectrum.values.flags.writeable = False
     return spectrum
 
 
@@ -165,16 +207,15 @@ def _live_taps(n, dx, wavelength, delta_z, lo, s):
     coarse = -(-count // fine)
     # the build's whole work area is one array: H's m // 2 + 1 distinct
     # values, one sub-transform, the taps and their twiddles, 17.6 MB on
-    # the default grid. It must be one array, longer than the buffers each
-    # leg's FFT allocates (plan and scratch, 7.1 MB apiece there; on any
-    # grid the area holds more than 3n values, a leg's FFT fewer). numpy
-    # takes an array that large from a map of its own, and glibc, on
-    # unmapping it, raises its mmap threshold to the map's size and its
-    # trim threshold to twice that, so the legs' buffers then stay in the
-    # heap from call to call instead of being mapped and faulted in again.
-    # Split into separate arrays (the largest 7.03 MB), or mapped with
-    # mmap, the area left a default fringe 148k-155k page faults against
-    # 35k, and 20-30% more wall time (2 vCPUs)
+    # the default grid. numpy takes an array that large from a map of its
+    # own, and glibc, on unmapping it, raises its mmap threshold to the
+    # map's size, so later buffers up to that size stay in the heap. The
+    # legs' page faults barely depend on that: a four-step leg's FFT
+    # allocates only cache-sized buffers, and a one-call leg's are each
+    # below 1 MiB. Split into four arrays, the area left a default fringe
+    # 31.9k-33.7k page faults against 28.4k-30.9k as one array, and the
+    # 2 um slit's 7.9k-8.1k against 6.7k, with the same wall and system
+    # time (2 vCPUs)
     work = np.empty(c + 1 + size + count + coarse * fine, dtype=complex)
     half = work[: c + 1]
     row = work[c + 1 : c + 1 + size]
@@ -222,21 +263,102 @@ def _live_taps(n, dx, wavelength, delta_z, lo, s):
     return live
 
 
-def _carry(buf, s, transfer, n) -> np.ndarray:
+def _split(m):
+    """The (n2, n1) view on which a length-m transform runs.
+
+    (1, m), one FFT call, when a row of m complex values fits
+    ``_BATCH_BYTES``. A longer row runs as a four-step FFT on its (n2, n1)
+    view, n1 the divisor of m nearest sqrt(m): its transforms of length
+    n2 and n1 are cache-sized, and numpy rebuilds no length-m plan and
+    allocates no length-m scratch on each call.
+    """
+    if m * np.dtype(complex).itemsize <= _BATCH_BYTES:
+        return 1, m
+    n1 = _root_divisor(m)
+    return m // n1, n1
+
+
+def _root_divisor(m):
+    """The divisor of m nearest sqrt(m)."""
+    low = next(d for d in range(math.isqrt(m), 0, -1) if m % d == 0)
+    return min(low, m // low, key=lambda d: abs(d - math.sqrt(m)))
+
+
+def _twiddles(n2, n1):
+    """Forward and inverse twiddle tables of the four-step FFT on (n2, n1).
+
+    Entry (k2, j1) of the forward twiddle is w^(k2 j1), w = e^(-2 pi i / M).
+    With k2 = c f + r, f the divisor of n2 nearest sqrt(n2), it is
+    w^(c f j1) w^(r j1): a coarse table of shape (n2 / f, 1, n1) times a
+    fine one of shape (f, n1), about 2 sqrt(n2) n1 values in place of M.
+    The inverse tables are their conjugates.
+    """
+    m = n2 * n1
+    f = _root_divisor(n2)
+    j = np.arange(n1)
+    # k j mod m is exact, so each angle is within an ulp of 2 pi / m times it
+    coarse, fine = (np.exp(-2j * math.pi / m * (k[:, None] * j % m)) for k in (np.arange(0, n2, f), np.arange(f)))
+    forward = (coarse[:, None, :], fine)
+    inverse = tuple(table.conj() for table in forward)
+    for table in forward + inverse:
+        table.flags.writeable = False
+    return forward, inverse
+
+
+def _twist(a, tables):
+    """Multiply the (..., n2, n1) rows of ``a`` by the twiddles ``tables``."""
+    coarse, fine = tables
+    # one row at a time: on a view of several rows that are not adjacent,
+    # numpy cannot rule out self-overlap of the (rows, n2 / f, f, n1) view
+    # and copies the whole batch first
+    for row in a.reshape((-1,) + a.shape[-2:]):
+        b = row.reshape((coarse.shape[0],) + fine.shape)
+        b *= fine
+        b *= coarse
+
+
+def _forward(a, twiddles):
+    """Forward FFT in place of the (..., n2, n1) rows of ``a``.
+
+    One call along the last axis when n2 = 1. Else the four steps: length
+    n2 FFTs along axis -2, the twiddles, length n1 FFTs along axis -1;
+    element (k2, k1) of a row then holds the spectrum at k2 + n2 k1.
+    np.fft is looked up at call time, so a wrapper put on numpy.fft.fft
+    sees every transform.
+    """
+    if twiddles:
+        np.fft.fft(a, axis=-2, out=a)
+        _twist(a, twiddles[0])
+    np.fft.fft(a, axis=-1, out=a)
+
+
+def _inverse(a, twiddles):
+    """Inverse of ``_forward``: its steps undone in reverse order, in place."""
+    np.fft.ifft(a, axis=-1, out=a)
+    if twiddles:
+        _twist(a, twiddles[1])
+        np.fft.ifft(a, axis=-2, out=a)
+
+
+def _carry(buf, s, spectrum, n) -> np.ndarray:
     """Carry one leg in place on every row of ``buf``, from its s head inputs.
 
     A row is the last axis; each row is one field and goes through the
     same operations as a row carried alone. Rows are at least
-    ``transfer.size`` long and are overwritten: the input is zero-filled
-    to the FFT length and convolved with the live taps. The leg is linear:
-    it keeps no flux and rescales nothing. Returns the n outputs of every row.
+    ``spectrum.size`` long and are overwritten: the input is zero-filled
+    to the FFT length and convolved with the live taps. Each row runs on
+    its view of the spectrum's shape, is multiplied by the spectrum in the
+    transform's order and comes back in natural order, so no transpose
+    runs. The leg is linear: it keeps no flux and rescales nothing.
+    Returns the n outputs of every row.
     """
-    work = buf[..., : transfer.size]
+    work = buf[..., : spectrum.size]
     work[..., s:] = 0.0
-    # out=work writes each transform over its input, so the outputs end up
-    # in buf[..., :n]; one call transforms every row. np.fft is looked up
-    # at call time, so a wrapper put on numpy.fft.fft sees every leg
-    np.fft.fft(work, axis=-1, out=work)
-    work *= transfer
-    return np.fft.ifft(work, axis=-1, out=work)[..., :n]
-
+    # a view: a row's last axis is contiguous, so it splits without a copy,
+    # and every step writes over its input, so the outputs end up in
+    # buf[..., :n]
+    rows = work.reshape(work.shape[:-1] + spectrum.values.shape)
+    _forward(rows, spectrum.twiddles)
+    rows *= spectrum.values
+    _inverse(rows, spectrum.twiddles)
+    return work[..., :n]

@@ -476,9 +476,10 @@ def test_a_g1_that_passes_no_sample_gives_an_all_zero_fringe(monkeypatch, worker
 
 def test_a_non_finite_leg_spectrum_is_refused(monkeypatch):
     def nan_in_spectrum(*args):
-        spectrum = _transfer(*args).copy()
-        spectrum[1] = np.nan
-        return spectrum
+        spectrum = _transfer(*args)
+        values = spectrum.values.copy()
+        values.flat[1] = np.nan
+        return replace(spectrum, values=values)
 
     monkeypatch.setattr(interferometer, "_transfer", nan_in_spectrum)
     # the slit 2 to G1 spectrum is checked before the grating gap's

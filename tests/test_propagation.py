@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 from fractions import Fraction
 
@@ -8,7 +9,15 @@ import pytest
 from scipy import fft
 
 from talbotlau import GridSpec, SamplingError, required_dx
-from talbotlau.propagation import _PAD_FACTOR, _carry, _next_fast_len, _transfer
+from talbotlau.propagation import (
+    _BATCH_BYTES,
+    _PAD_FACTOR,
+    _carry,
+    _live_taps,
+    _next_fast_len,
+    _split,
+    _transfer,
+)
 
 from kernels import carried_from_run, propagate_direct
 
@@ -186,7 +195,8 @@ def test_blockwise_spectrum_equals_the_whole_array_build(n):
     # n = 17 and 5457 to p = 2, n = 1001 to p = 4
     for lo, s in ((0, n), (n // 3, n // 2)):
         for dz in (3.06e-3, 0.05):
-            built = _transfer(n, 0.26e-9, LAM, dz, lo, s)
+            # rows this short run one FFT call, so the spectrum is in natural order
+            built = _transfer(n, 0.26e-9, LAM, dz, lo, s).values.ravel()
             whole = spectrum_built_whole(n, 0.26e-9, LAM, dz, lo, s)
             assert np.max(np.abs(built - whole)) / np.max(np.abs(whole)) <= 1e-13
 
@@ -197,47 +207,130 @@ def test_the_spectrum_build_runs_no_transform_of_the_padded_length(monkeypatch):
     n = 1001
     m = fft.next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
     assert m % 4 == 0
-    lengths = []
-    for name in ("fft", "ifft"):
-
-        def counted(a, *args, transform=getattr(np.fft, name), **kwargs):
-            lengths.append(np.shape(a)[-1])
-            return transform(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
+    calls = transform_lengths(monkeypatch)
     for lo, s in ((0, n), (n // 3, n // 2)):
         _transfer(n, 0.26e-9, LAM, 0.05, lo, s)
+    lengths = [length for _, length in calls]
     assert lengths and max(lengths) < m
     assert lengths.count(m // 4) == 2 * 4
 
 
-def test_a_leg_runs_in_the_buffer_it_is_given():
-    # the scan's peak memory rests on pocketfft transforming every row in
+def assert_rows_are_carried_in_place_as_alone(n, leg1, batch_rows):
+    # the scan's peak memory rests on every step transforming the rows in
     # place, and its bits on each row going through the same operations as
-    # a field carried alone; 9 rows also take pocketfft's multi-row SIMD path
-    grid = centered_grid(1001, 0.26e-9)
-    n = grid.count
-    lo, s = n // 3, n // 2
-    first = _transfer(n, grid.dx, LAM, 0.05, lo, s)
+    # a field carried alone. Leg 1 (dz, lo, s) transforms a view shorter
+    # than the rows, which are as long as the grating gap's FFT
+    grid = centered_grid(n, 0.26e-9)
+    dz, lo, s = leg1
+    first = _transfer(n, grid.dx, LAM, dz, lo, s)
     gap = _transfer(n, grid.dx, LAM, 1e-3, 0, n)
     assert first.size < gap.size
     rng = np.random.default_rng(9)
-    for rows in (1, 3, 9):
-        fields = [rng.normal(size=s) + 1j * rng.normal(size=s) for _ in range(rows)]
-        # rows as long as the longer leg's FFT
+    for rows in batch_rows:
+        fields = rng.normal(size=(rows, s)) + 1j * rng.normal(size=(rows, s))
         buf = np.empty((rows, gap.size), dtype=complex)
-        for row, field in zip(buf, fields):
-            row[:s] = field
-        # each row equals its field propagated alone. Leg 1 transforms a
-        # view shorter than the rows
-        out = _carry(buf, s, first, n)
-        assert np.shares_memory(out, buf[:, :n])
-        alone = [carried_from_run(field, grid, LAM, 0.05, lo) for field in fields]
-        assert all(np.array_equal(got, want) for got, want in zip(out, alone))
-        out = _carry(buf, n, gap, n)
-        assert np.shares_memory(out, buf[:, :n])
-        alone = [carried_from_run(amp, grid, LAM, 1e-3) for amp in alone]
-        assert all(np.array_equal(got, want) for got, want in zip(out, alone))
+        buf[:, :s] = fields
+        alone = [carried_from_run(field, grid, LAM, dz, lo) for field in fields]
+        for spectrum, inputs in ((first, s), (gap, n)):
+            tracemalloc.start()
+            try:
+                out = _carry(buf, inputs, spectrum, n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert np.shares_memory(out, buf[:, :n])
+            if spectrum.twiddles:
+                # no step of a four-step leg copied the batch. A one-call
+                # leg's spectrum multiply on several rows takes up to 128 KiB
+                # of numpy's iterator buffers, more than its small batch
+                assert peak < 16 * rows * spectrum.size
+            assert all(np.array_equal(got, want) for got, want in zip(out, alone))
+            alone = [carried_from_run(amp, grid, LAM, 1e-3) for amp in alone]
+
+
+def test_a_leg_runs_in_the_buffer_it_is_given():
+    # 9 rows also take pocketfft's multi-row SIMD path
+    assert_rows_are_carried_in_place_as_alone(1001, (0.05, 1001 // 3, 1001 // 2), (1, 3, 9))
+
+
+# a grid whose legs' rows are longer than one batch budget: the grating
+# gap's M = 81,000, and leg 1's from slit 2's run [5000, 35001) is 72,000
+FOUR_STEP_N = 40_001
+FOUR_STEP_LEGS = {"leg 1": (1e-2, 5_000, 30_001), "gap": (1e-3, 0, FOUR_STEP_N)}
+
+
+@pytest.mark.parametrize("leg", FOUR_STEP_LEGS)
+def test_a_four_step_leg_equals_the_one_call_transform(leg):
+    dz, lo, s = FOUR_STEP_LEGS[leg]
+    n, dx = FOUR_STEP_N, 0.26e-9
+    spectrum = _transfer(n, dx, LAM, dz, lo, s)
+    m = spectrum.size
+    n2, n1 = spectrum.values.shape
+    assert 16 * m > _BATCH_BYTES and n2 > 1
+    # one length-M FFT of the same live taps is the reference
+    whole = np.fft.fft(_live_taps(n, dx, LAM, dz, lo, s))
+    # transform order: element (k2, k1) holds frequency k2 + n2 k1
+    assert np.max(np.abs(spectrum.values - whole.reshape(n1, n2).T)) <= 1e-13 * np.max(np.abs(whole))
+    field = [1.0, 1j] @ np.random.default_rng(3).normal(size=(2, s))
+    expected = np.fft.ifft(np.fft.fft(field, m) * whole)[:n]
+    buf = np.empty(m, dtype=complex)
+    buf[:s] = field
+    out = _carry(buf, s, spectrum, n)
+    assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_a_four_step_leg_runs_in_place_with_the_bits_of_a_row_carried_alone():
+    assert_rows_are_carried_in_place_as_alone(FOUR_STEP_N, FOUR_STEP_LEGS["leg 1"], (1, 3))
+
+
+def transform_lengths(monkeypatch):
+    # (name, length) of every numpy.fft.fft and ifft call from now on
+    calls = []
+    for name in ("fft", "ifft"):
+
+        def counted(a, *args, name=name, transform=getattr(np.fft, name), **kwargs):
+            calls.append((name, np.shape(a)[kwargs.get("axis", -1)]))
+            return transform(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1001, 32_768, 32_769, FOUR_STEP_N])
+def test_only_a_row_within_the_budget_runs_a_transform_of_its_length(monkeypatch, n):
+    # n = 32,768 gives M = 65,536, a row of exactly the budget, and
+    # n = 32,769 the next 5-smooth length, 65,610
+    spectrum = _transfer(n, 0.26e-9, LAM, 1e-3, 0, n)
+    m = spectrum.size
+    buf = np.zeros(m, dtype=complex)
+    buf[: n // 2] = 1.0
+    calls = transform_lengths(monkeypatch)
+    _carry(buf, n, spectrum, n)
+    if 16 * m <= _BATCH_BYTES:
+        assert calls == [("fft", m), ("ifft", m)]
+    else:
+        n2, n1 = spectrum.values.shape
+        assert calls == [("fft", n2), ("fft", n1), ("ifft", n1), ("ifft", n2)]
+        assert m not in (length for _, length in calls)
+
+
+def test_the_four_step_split_is_the_divisor_nearest_the_root():
+    limit = 1 << 22
+    smooth = [1]
+    for p in (2, 3, 5):
+        smooth = [f * p**k for f in smooth for k in range(int(math.log(limit, p)) + 1) if f * p**k <= limit]
+    for m in sorted(smooth):
+        n2, n1 = _split(m)
+        assert n2 * n1 == m
+        assert (n2 == 1) == (16 * m <= _BATCH_BYTES)
+        if n2 == 1:
+            continue
+        # a 5-smooth m has a divisor within a factor sqrt(5) of sqrt(m), as
+        # the odd powers of 5 show, and n1 is the nearest one
+        root = math.sqrt(m)
+        assert max(n1, n2) <= math.sqrt(5.0) * root * (1 + 1e-12)
+        divisors = [d for d in smooth if d <= m and m % d == 0]
+        assert abs(n1 - root) == min(abs(d - root) for d in divisors)
 
 
 @pytest.mark.parametrize("dz", [1e-4, 0.05])
