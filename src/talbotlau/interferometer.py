@@ -231,11 +231,11 @@ def _source_positions(cfg: BeamlineConfig) -> np.ndarray:
 def _slit2_run(cfg: BeamlineConfig, x: np.ndarray) -> tuple[int, int]:
     """Slit 2's open samples [lo, hi) on ``x``.
 
-    Slit 2's mask dies on return, before the source loop. On two CPUs
-    the set-up's two spectrum builds, run at once, set a default scan's
-    peak memory; the source loop, whose four-step legs allocate no buffer
-    as long as a row, stays below it. On one CPU the builds run one after
-    the other, and the loop sets the peak.
+    Slit 2's mask dies on return, before the source loop. The loop sets
+    a default scan's peak memory on one CPU and on two: the set-up's two
+    spectrum builds, run at once on two CPUs, each hold at most two
+    sub-transform rows and the taps, and the loop's buffers die before
+    the G3 fold.
     """
     open_idx = np.flatnonzero(transmission(x, cfg.second_slit))
     if open_idx.size == 0:
@@ -304,7 +304,19 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray, cpus=math.inf) -> n
     grid = beamline_grid(cfg)
     _require_sampling(cfg, grid)
     x = grid.x
-    n, dx = grid.count, grid.dx
+    # the workspaces, spectra and masks die when the source sum returns, so
+    # the fold's temporaries do not stack on them
+    intensity = _summed_g3_intensity(cfg, x, grid.dx, cpus)
+    return comb_throughput(x, intensity, cfg.gratings[2], offsets) / cfg.n_sources
+
+
+def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) -> np.ndarray:
+    """The G3 intensity of every point source on the grid ``x``, summed.
+
+    The sources run on at most ``cpus`` threads, the calling thread
+    included.
+    """
+    n = x.size
     lam = de_broglie_wavelength(cfg.energy)
     # one helper per further CPU builds the grating gap's spectrum and then
     # G2's transmission, and later carries sources. The pool starts a
@@ -409,7 +421,7 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray, cpus=math.inf) -> n
                 intensity += row
                 if mirrored and 2 * i + 1 != sources.size:
                     intensity += row[::-1]
-    return comb_throughput(x, intensity, cfg.gratings[2], offsets) / cfg.n_sources
+    return intensity
 
 
 def _offsets(cfg: BeamlineConfig, n_offsets: int) -> np.ndarray:

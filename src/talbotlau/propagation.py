@@ -173,8 +173,8 @@ def _transfer(n, dx, wavelength, delta_z, lo, s) -> _Spectrum:
     runs, so it is in that transform's order, and its twiddle tables live
     as long as it does.
     """
-    # the build's work area and every view of it die when _live_taps
-    # returns, before the live taps are transformed
+    # the build's rows and taps die when _live_taps returns, before the
+    # live taps are transformed
     live = _live_taps(n, dx, wavelength, delta_z, lo, s)
     n2, n1 = _split(live.size)
     spectrum = _Spectrum(live.reshape(n2, n1), _twiddles(n2, n1) if n2 > 1 else ())
@@ -196,62 +196,14 @@ def _live_taps(n, dx, wavelength, delta_z, lo, s):
     m gives p = 1: one transform, as long as H.
     """
     m = _next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
-    p = math.gcd(m, 4)
-    size = m // p
-    c = m // 2
-    count = max(n - lo, lo + s)
-    # e^(2 pi i r k / m) is coarse[k // fine] * fine[k % fine], from two
-    # tables of about sqrt(count) values: an exp over all count values
-    # takes 4 ms or more per sub-transform on the default grid (2 vCPUs)
-    fine = math.isqrt(count - 1) + 1
-    coarse = -(-count // fine)
-    # the build's whole work area is one array: H's m // 2 + 1 distinct
-    # values, one sub-transform, the taps and their twiddles, 17.6 MB on
-    # the default grid. numpy takes an array that large from a map of its
-    # own, and glibc, on unmapping it, raises its mmap threshold to the
-    # map's size, so later buffers up to that size stay in the heap. The
-    # legs' page faults barely depend on that: a four-step leg's FFT
-    # allocates only cache-sized buffers, and a one-call leg's are each
-    # below 1 MiB. Split into four arrays, the area left a default fringe
-    # 31.9k-33.7k page faults against 28.4k-30.9k as one array, and the
-    # 2 um slit's 7.9k-8.1k against 6.7k, with the same wall and system
-    # time (2 vCPUs)
-    work = np.empty(c + 1 + size + count + coarse * fine, dtype=complex)
-    half = work[: c + 1]
-    row = work[c + 1 : c + 1 + size]
-    taps = work[c + 1 + size : c + 1 + size + count]
-    twiddles = work[c + 1 + size + count :].reshape(coarse, fine)
-    # each block of H takes the ops of
-    # exp(-1j * pi * lambda * dz * fftfreq(m, dx)**2) * axial. Index
-    # j > m // 2 holds frequency (j - m) step, whose square equals that of
-    # (m - j) step bit for bit, so only 0 .. m // 2 take the exp, and each
-    # H[r::p] reads the rest as their mirror image
-    scale = -1j * math.pi * wavelength * delta_z
-    axial = np.exp(2j * math.pi * delta_z / wavelength)
-    step = 1.0 / (m * dx)
-    for start in range(0, c + 1, _BLOCK):
-        f = np.arange(start, min(start + _BLOCK, c + 1)) * step
-        np.square(f, out=f)
-        block = half[start : start + f.size]
-        np.multiply(scale, f, out=block)
-        np.exp(block, out=block)
-        block *= axial
-    taps[:] = 0.0
-    angle = 2.0 * math.pi / m
-    for r in range(p):
-        head = (c - r) // p + 1
-        row[:head] = half[r : c + 1 : p]
-        row[head:] = half[m - r - p * head :: -p][: size - head]
-        np.fft.ifft(row, out=row)
-        np.multiply(
-            np.exp(1j * angle * (r * fine * np.arange(coarse) % m))[:, None],
-            np.exp(1j * angle * (r * np.arange(fine))),
-            out=twiddles,
-        )
-        twisted = twiddles.reshape(-1)[:count]
-        twisted *= row[:count]
-        taps += twisted
-    taps /= p
+    # the sub-transform rows die when _tap_sum returns, so the build holds
+    # at most two rows and the taps, or the taps and the live array: 10.6 MB
+    # on the default grid's gap leg. Freeing them raises glibc's mmap
+    # threshold to 3.5 MB, where a one-array work area raised it to 17.6 MB;
+    # the four-step legs allocate only cache-sized buffers, so that barely
+    # matters: a default fringe took 33.7k-34.5k page faults against
+    # 28.9k-30.4k with the work area, at the same system time (2 vCPUs)
+    taps = _tap_sum(m, dx, wavelength, delta_z, max(n - lo, lo + s))
     # real=True restricts M to 5-smooth lengths: pocketfft's radix-11
     # passes are slow. On the default grid the 96 legs of a fringe scan
     # took 3.95 s at the complex-optimal 439,230 = 2*3*5*11^4 and 3.09 s
@@ -261,6 +213,90 @@ def _live_taps(n, dx, wavelength, delta_z, lo, s):
     live[:lo] = taps[lo:0:-1]
     live[live.size - (s - 1) :] = taps[lo + s - 1 : lo : -1]
     return live
+
+
+def _tap_sum(m, dx, wavelength, delta_z, count):
+    """The first ``count`` taps of the length-m kernel, from its p rows.
+
+    Row r, H[r::p], holds H_j for j = r + p k. Its head, j <= m // 2, is
+    exponentiated; its tail, j > m // 2, holds frequency (j - m) step,
+    whose square equals that of (m - j) step bit for bit, so it is the
+    head of row (p - r) mod p reversed. Rows 0 and p / 2 mirror their own
+    heads, and rows 1 and 3 each other's, so each distinct value of H
+    takes one exp, and a row pair is built together and kept until its
+    second row is summed. The rows are summed in order r = 0 .. p - 1.
+    """
+    p = math.gcd(m, 4)
+    size = m // p
+    c = m // 2
+    scale = -1j * math.pi * wavelength * delta_z
+    axial = np.exp(2j * math.pi * delta_z / wavelength)
+    step = 1.0 / (m * dx)
+    heads = [(c - r) // p + 1 for r in range(p)]
+    taps = np.zeros(count, dtype=complex)
+    rows = {}
+    for r in range(p):
+        if r not in rows:
+            pair = sorted({r, (p - r) % p})
+            for q in pair:
+                rows[q] = np.empty(size, dtype=complex)
+                _fill_head(rows[q][: heads[q]], q, p, step, scale, axial)
+            for q in pair:
+                # tail index k reads index size - k of row 0's head, and
+                # index size - 1 - k of row p - q's
+                start = 1 if q == 0 else 0
+                rows[q][heads[q] :] = rows[(p - q) % p][start : start + size - heads[q]][::-1]
+        row = rows.pop(r)
+        np.fft.ifft(row, out=row)
+        _add_twisted(taps, row, r, m)
+        # a summed row dies before the next pair is built
+        del row
+    taps /= p
+    return taps
+
+
+def _fill_head(head, r, p, step, scale, axial):
+    """H_j, j = r + p k, into ``head[k]`` for every k.
+
+    Each block takes the ops of
+    exp(scale * fftfreq(m, dx)**2) * axial, step = 1 / (m dx), so every
+    value has the bits of that whole-array expression.
+    """
+    for start in range(0, head.size, _BLOCK):
+        stop = min(start + _BLOCK, head.size)
+        f = np.arange(r + p * start, r + p * stop, p) * step
+        np.square(f, out=f)
+        block = head[start:stop]
+        np.multiply(scale, f, out=block)
+        np.exp(block, out=block)
+        block *= axial
+
+
+def _add_twisted(taps, row, r, m):
+    """Add e^(2 pi i r k / m) row[k] to ``taps[k]`` for every tap k.
+
+    The twiddle of tap k is coarse[k // fine] * fine[k % fine], from two
+    tables of about sqrt(count) values: an exp over all count values takes
+    4 ms or more per sub-transform on the default grid (2 vCPUs). It is
+    built over blocks of whole coarse rows, at most ``_BATCH_BYTES`` each
+    and a multiple of 8 rows, so every block starts on a multiple of 8
+    taps.
+    """
+    count = taps.size
+    fine = math.isqrt(count - 1) + 1
+    coarse = -(-count // fine)
+    angle = 2.0 * math.pi / m
+    fine_twiddles = np.exp(1j * angle * (r * np.arange(fine)))
+    per_block = min(coarse, 8 * max(1, _BATCH_BYTES // (8 * 16 * fine)))
+    block = np.empty((per_block, fine), dtype=complex)
+    for a in range(0, coarse, per_block):
+        b = min(a + per_block, coarse)
+        twiddles = block[: b - a]
+        np.multiply(np.exp(1j * angle * (r * fine * np.arange(a, b) % m))[:, None], fine_twiddles, out=twiddles)
+        k = a * fine
+        twisted = twiddles.reshape(-1)[: min(count, b * fine) - k]
+        twisted *= row[k : k + twisted.size]
+        taps[k : k + twisted.size] += twisted
 
 
 def _split(m):

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,6 +446,33 @@ def test_a_closed_second_slit_is_refused_before_the_gratings_are_built(monkeypat
         throughput_at(cfg, 0.0)
     assert threading.active_count() == threads
     assert built == [cfg.second_slit]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_g3_fold_starts_after_the_scan_frees_its_buffers(monkeypatch, workers):
+    # on a grid whose gap leg runs as a four-step FFT (M = 81,000), only the
+    # grid and the summed intensity, n floats each, are alive as the fold
+    # starts: no workspace, leg spectrum, mask or batch result stacks under
+    # the fold's temporaries
+    use_workers(monkeypatch, workers)
+    n = 40_001
+    cfg = fast_config(n_sources=4, grid_points=n)
+    fold = interferometer.comb_throughput
+    alive = []
+
+    def spy(*args):
+        alive.append(tracemalloc.get_traced_memory()[0])
+        return fold(*args)
+
+    monkeypatch.setattr(interferometer, "comb_throughput", spy)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _fringe_totals(cfg, np.arange(8) * (D / 8))
+    finally:
+        tracemalloc.stop()
+    assert len(alive) == 1
+    assert alive[0] - before <= 2 * 8 * n + (64 << 10)
 
 
 def test_a_non_finite_mask_is_refused(monkeypatch):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import fft
 
-from talbotlau import GridSpec, SamplingError, required_dx
+from talbotlau import BeamlineConfig, GridSpec, SamplingError, beamline_grid, de_broglie_wavelength, required_dx
+from talbotlau.interferometer import _slit2_run
 from talbotlau.propagation import (
     _BATCH_BYTES,
     _PAD_FACTOR,
@@ -213,6 +214,30 @@ def test_the_spectrum_build_runs_no_transform_of_the_padded_length(monkeypatch):
     lengths = [length for _, length in calls]
     assert lengths and max(lengths) < m
     assert lengths.count(m // 4) == 2 * 4
+
+
+@pytest.mark.parametrize("leg", ["slit 2 to G1", "gap"])
+def test_a_default_grid_spectrum_build_holds_two_rows_and_the_taps_at_most(leg):
+    # the build holds at most two length-m/p sub-transform rows beside the
+    # count taps, then the taps beside the length-M live array, never H's
+    # m/2 + 1 values or a count-sized twiddle table; one twiddle block of at
+    # most _BATCH_BYTES and small temporaries come on top
+    cfg = BeamlineConfig()
+    grid = beamline_grid(cfg)
+    n = grid.count
+    start, stop = _slit2_run(cfg, grid.x)
+    dz, lo, s = {"slit 2 to G1": (cfg.slit2_to_g1, start, stop - start), "gap": (cfg.grating_gap, 0, n)}[leg]
+    m = _next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
+    count = max(n - lo, lo + s)
+    size = _next_fast_len(n + s - 1, real=True)
+    lam = de_broglie_wavelength(cfg.energy)
+    tracemalloc.start()
+    try:
+        _transfer(n, grid.dx, lam, dz, lo, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * max(size + count, 2 * m // math.gcd(m, 4) + count) + 2 * _BATCH_BYTES
 
 
 def assert_rows_are_carried_in_place_as_alone(n, leg1, batch_rows):
