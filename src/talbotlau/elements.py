@@ -7,6 +7,8 @@ lateral offset and an optional finite extent; their phase term is a
 phenomenological edge (image-charge) profile plus an optional per-slit
 random phase. Every open edge is padded by the same relative ulp, here and
 in ``comb_throughput``, which reads a comb's throughput at many offsets.
+A transmission is filled in blocks of ``propagation._BLOCK`` samples, so
+building one leaves no grid-length temporary behind in the heap.
 """
 
 from dataclasses import dataclass, replace
@@ -14,6 +16,8 @@ from dataclasses import dataclass, replace
 import math
 
 import numpy as np
+
+from .propagation import _BLOCK
 
 __all__ = [
     "ApertureSpec",
@@ -151,6 +155,16 @@ def _slit_random_phase(seed: int, plane_index: int, slit_index: int, limit: floa
     return float(np.random.default_rng(ss).uniform(0.0, limit))
 
 
+def _filled_by_block(xs: np.ndarray, dtype, fill) -> np.ndarray:
+    """A zero array shaped like ``xs``, with ``fill(x_block, out_block)``
+    run on each block of at most ``_BLOCK`` samples, in order."""
+    out = np.zeros(xs.shape, dtype)
+    flat_x, flat_out = xs.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_x.size, _BLOCK):
+        fill(flat_x[start : start + _BLOCK], flat_out[start : start + _BLOCK])
+    return out
+
+
 def transmission(x, element, phase: PhaseModel | None = None, plane_index: int = 0) -> np.ndarray:
     """A plane element's A(x) exp(i phi(x)) at the samples ``x``.
 
@@ -159,6 +173,10 @@ def transmission(x, element, phase: PhaseModel | None = None, plane_index: int =
     phase, and then the result is complex; otherwise it is the real mask.
     ``plane_index`` keys the per-slit random phase stream. Raises if the
     element does not geometrically overlap the span of ``x``.
+
+    The result is filled in blocks of ``_BLOCK`` samples, each through
+    the operations a whole-array build would run on it, so every value is
+    the same bits and no temporary is longer than a block.
     """
     if plane_index < 0:
         raise ValueError("plane_index must be nonnegative")
@@ -167,25 +185,46 @@ def transmission(x, element, phase: PhaseModel | None = None, plane_index: int =
     if isinstance(element, ApertureSpec):
         if element.center + 0.5 * element.width < lo or element.center - 0.5 * element.width > hi:
             raise ValueError("aperture does not overlap the field grid")
-        return (np.abs(xs - element.center) <= _padded_half_width(element.width)).astype(float)
+        half = _padded_half_width(element.width)
+
+        def fill_window(xb, ob):
+            ob[...] = np.abs(xb - element.center) <= half
+
+        return _filled_by_block(xs, float, fill_window)
     if not isinstance(element, GratingSpec):
         raise TypeError(f"unsupported plane element {type(element).__name__}")
-    if math.isfinite(element.extent) and (0.5 * element.extent < lo or -0.5 * element.extent > hi):
+    edge = 0.5 * element.extent
+    if math.isfinite(element.extent) and (edge < lo or -edge > hi):
         raise ValueError("grating extent does not overlap the field grid")
-    slit, v, open_pts = _comb_coordinates(xs, element)
-    if math.isfinite(element.extent):
-        open_pts &= np.abs(xs) <= 0.5 * element.extent
-    if phase is None or not (phase.image_charge_strength > 0.0 or phase.random_phase_max > 0.0):
-        return open_pts.astype(float)
-    phi = np.zeros(np.count_nonzero(open_pts))
-    if phase.image_charge_strength > 0.0:
-        wall_distance = 0.5 * element.open_fraction * element.period - np.abs(v[open_pts])
-        decay = np.exp(-wall_distance / phase.image_charge_range)
-        phi += phase.image_charge_strength / phase.image_charge_range * decay
-    if phase.random_phase_max > 0.0:
-        slits, which = np.unique(slit[open_pts], return_inverse=True)
-        limit = phase.random_phase_max
-        phi += np.array([_slit_random_phase(phase.rng_seed, plane_index, n, limit) for n in slits])[which]
-    out = np.zeros(xs.shape, dtype=complex)
-    out[open_pts] = np.exp(1j * phi)
-    return out
+    strength = 0.0 if phase is None else phase.image_charge_strength
+    limit = 0.0 if phase is None else phase.random_phase_max
+    phased = strength > 0.0 or limit > 0.0
+    # each slit's random phase, drawn when a block first finds it open, so
+    # once per slit that has an open sample
+    draws = {}
+
+    def fill_comb(xb, ob):
+        slit, v, open_pts = _comb_coordinates(xb, element)
+        if math.isfinite(element.extent):
+            open_pts &= np.abs(xb) <= edge
+        if not phased:
+            ob[...] = open_pts
+            return
+        phi = np.zeros(np.count_nonzero(open_pts))
+        if strength > 0.0:
+            wall_distance = 0.5 * element.open_fraction * element.period - np.abs(v[open_pts])
+            decay = np.exp(-wall_distance / phase.image_charge_range)
+            phi += strength / phase.image_charge_range * decay
+        if limit > 0.0 and phi.size:
+            # on a sorted grid the open samples come in one run per slit;
+            # each run takes its slit's draw
+            k = slit[open_pts]
+            starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+            runs = k[starts].tolist()
+            for n in runs:
+                if n not in draws:
+                    draws[n] = _slit_random_phase(phase.rng_seed, plane_index, n, limit)
+            phi += np.repeat([draws[n] for n in runs], np.diff(starts, append=k.size))
+        ob[open_pts] = np.exp(1j * phi)
+
+    return _filled_by_block(xs, complex if phased else float, fill_comb)

@@ -231,16 +231,21 @@ def _source_positions(cfg: BeamlineConfig) -> np.ndarray:
 def _slit2_run(cfg: BeamlineConfig, x: np.ndarray) -> tuple[int, int]:
     """Slit 2's open samples [lo, hi) on ``x``.
 
-    Slit 2's mask dies on return, before the source loop. The loop sets
-    a default scan's peak memory on one CPU and on two: the set-up's two
-    spectrum builds, run at once on two CPUs, each hold at most two
-    sub-transform rows and the taps, and the loop's buffers die before
-    the G3 fold.
+    The run is contiguous on the sorted grid, so it is read off the mask
+    itself: lo is the mask's first maximum, and hi is lo plus the open
+    count. Neither allocates; an index array would be 8 bytes an open
+    sample, and an argmax from the far end copies the reversed mask.
+    Slit 2's mask dies on return, before the source loop. Every plane
+    transmission is built in blocks of ``propagation._BLOCK`` samples, so
+    no transmission leaves a freed grid-length temporary in the heap. The
+    source loop sets a default scan's peak memory on one CPU; on two, the
+    set-up's two spectrum builds, run at once, reach about the same peak.
     """
-    open_idx = np.flatnonzero(transmission(x, cfg.second_slit))
-    if open_idx.size == 0:
+    mask = transmission(x, cfg.second_slit)
+    lo = int(np.argmax(mask))
+    if mask[lo] == 0.0:
         raise ValueError("no flux passes the second collimation slit; check geometry")
-    return int(open_idx[0]), int(open_idx[-1]) + 1
+    return lo, lo + int(np.count_nonzero(mask))
 
 
 def _worker_count(n_jobs) -> int:

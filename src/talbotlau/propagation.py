@@ -92,10 +92,15 @@ class GridSpec:
 
         Offset i - c, with c = (count - 1) / 2, is exact, and so is its
         negation, so a grid centered on 0 is exactly antisymmetric:
-        ``x == -x[::-1]``.
+        ``x == -x[::-1]``. The offsets are built in place in the one
+        returned array.
         """
         c = 0.5 * (self.count - 1)
-        return (np.arange(self.count) - c) * self.dx + (self.x_start + c * self.dx)
+        x = np.arange(self.count, dtype=float)
+        x -= c
+        x *= self.dx
+        x += self.x_start + c * self.dx
+        return x
 
     @property
     def span(self) -> float:
@@ -134,8 +139,9 @@ def _next_fast_len(target: int, real: bool = False) -> int:
     return min(f << (-(-target // f) - 1).bit_length() for f in odd)
 
 
-# block length of the transfer-function build: small temporaries, and a
-# multiple of 8 so that every block starts on the same SIMD lane boundary
+# block length of the transfer-function build and of the plane
+# transmissions (``elements``): small temporaries, and a multiple of 8 so
+# that every block starts on the same SIMD lane boundary
 _BLOCK = 1 << 13
 
 

@@ -6,13 +6,16 @@ the 1-D Fresnel prefactor 1 / sqrt(i lambda dz): O(N_src * N_tgt), the
 oracle on small grids. ``carried_from_run`` is the scan's paraxial leg
 applied to one field: ``_transfer`` and ``_carry`` on a one-row buffer.
 Both approximate one linear operator, the Fresnel propagator, and
-neither rescales its output.
+neither rescales its output. ``transmission_whole`` builds a plane's
+transmission in one pass over the whole array, the reference for
+``elements.transmission``'s block-by-block build.
 """
 
 import math
 
 import numpy as np
 
+from talbotlau.elements import ApertureSpec, _comb_coordinates, _padded_half_width, _slit_random_phase
 from talbotlau.propagation import SamplingError, _carry, _transfer, required_dx
 
 
@@ -59,3 +62,31 @@ def carried_from_run(amplitudes, grid, wavelength, delta_z, lo=0):
     buf = np.empty(transfer.size, dtype=complex)
     buf[:s] = amplitudes
     return _carry(buf, s, transfer, n)
+
+
+def transmission_whole(x, element, phase=None, plane_index=0):
+    """``elements.transmission`` built on the whole array at once.
+
+    Every operation runs on all samples, and the per-slit random phases
+    come from one ``np.unique`` over the open samples' slits.
+    """
+    xs = np.asarray(x, dtype=float)
+    if isinstance(element, ApertureSpec):
+        return (np.abs(xs - element.center) <= _padded_half_width(element.width)).astype(float)
+    slit, v, open_pts = _comb_coordinates(xs, element)
+    if math.isfinite(element.extent):
+        open_pts &= np.abs(xs) <= 0.5 * element.extent
+    if phase is None or not (phase.image_charge_strength > 0.0 or phase.random_phase_max > 0.0):
+        return open_pts.astype(float)
+    phi = np.zeros(np.count_nonzero(open_pts))
+    if phase.image_charge_strength > 0.0:
+        wall_distance = 0.5 * element.open_fraction * element.period - np.abs(v[open_pts])
+        decay = np.exp(-wall_distance / phase.image_charge_range)
+        phi += phase.image_charge_strength / phase.image_charge_range * decay
+    if phase.random_phase_max > 0.0:
+        slits, which = np.unique(slit[open_pts], return_inverse=True)
+        limit = phase.random_phase_max
+        phi += np.array([_slit_random_phase(phase.rng_seed, plane_index, n, limit) for n in slits])[which]
+    out = np.zeros(xs.shape, dtype=complex)
+    out[open_pts] = np.exp(1j * phi)
+    return out

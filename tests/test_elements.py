@@ -1,18 +1,43 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from talbotlau import (
     ApertureSpec,
+    BeamlineConfig,
     GratingSpec,
     GridSpec,
     PhaseModel,
+    beamline_grid,
     comb_throughput,
+    elements,
     translate_grating,
     transmission,
 )
-from talbotlau.elements import _slit_random_phase
+from talbotlau.elements import _comb_coordinates, _slit_random_phase
+
+from kernels import transmission_whole
 
 D = 1e-7
+
+# every phase model, and the combs whose slits the tests visit one by one
+each_phase = pytest.mark.parametrize(
+    "phase",
+    [
+        None,
+        PhaseModel(image_charge_strength=1e-9),
+        PhaseModel(random_phase_max=1.3, rng_seed=11),
+        PhaseModel(image_charge_strength=1e-9, random_phase_max=1.3, rng_seed=11),
+    ],
+    ids=["no-phase", "image-charge", "random", "both"],
+)
+each_comb = pytest.mark.parametrize(
+    "grating",
+    [GratingSpec(period=D), GratingSpec(period=D, offset=0.3 * D), GratingSpec(period=D, offset=-0.3 * D, extent=7 * D)],
+    ids=["plain", "offset", "offset-extent"],
+)
 
 
 def centered_x(n=4096, dx=1e-9):
@@ -170,29 +195,21 @@ def test_transmission_refuses_other_elements_and_negative_planes():
         transmission(centered_x(n=256), GratingSpec(period=D), plane_index=-1)
 
 
+@each_phase
+@each_comb
 @pytest.mark.parametrize(
-    "phase",
-    [
-        None,
-        PhaseModel(image_charge_strength=1e-9),
-        PhaseModel(random_phase_max=1.3, rng_seed=11),
-        PhaseModel(image_charge_strength=1e-9, random_phase_max=1.3, rng_seed=11),
-    ],
-    ids=["no-phase", "image-charge", "random", "both"],
+    ("period_per_step", "periods"),
+    [pytest.param(40, 20, id="40"), pytest.param(383.4, 20, id="383.4"), pytest.param(383.4, 60, id="383.4x60")],
 )
-@pytest.mark.parametrize(
-    "grating",
-    [GratingSpec(period=D), GratingSpec(period=D, offset=0.3 * D), GratingSpec(period=D, offset=-0.3 * D, extent=7 * D)],
-    ids=["plain", "offset", "offset-extent"],
-)
-@pytest.mark.parametrize("period_per_step", [40, 383.4])
-def test_transmission_matches_a_loop_over_slits(period_per_step, grating, phase):
+def test_transmission_matches_a_loop_over_slits(period_per_step, periods, grating, phase):
     # oracle: visit the slits one by one. Slit n is open on
     # |x - n d - offset| <= f d / 2 (the same relative-ulp pad) inside the
     # extent; its points take the image-charge phase of their distance to
-    # the wall plus the slit's own random draw
+    # the wall plus the slit's own random draw. 60 periods at 383.4 steps
+    # are 23,005 samples, three blocks of the build; the offset comb has a
+    # slit open across the first block edge
     dx = D / period_per_step
-    n = int(20 * period_per_step) + 1
+    n = int(periods * period_per_step) + 1
     x = GridSpec(-(n - 1) / 2 * dx, dx, n).x
     d, half = grating.period, 0.5 * grating.open_fraction * grating.period
     expected = np.zeros(n, dtype=complex)
@@ -211,7 +228,84 @@ def test_transmission_matches_a_loop_over_slits(period_per_step, grating, phase)
         expected[inside] = np.exp(1j * phi)
     got = transmission(x, grating, phase, plane_index=2)
     assert np.count_nonzero(expected) > 0
-    assert np.max(np.abs(got - expected)) <= 1e-15
+    # the oracle's distance x - n d - offset rounds apart from the comb's
+    # (u - n) d by an ulp of the position, so the image-charge phases part
+    # by up to about 1e-15 on a 20-period grid, and in proportion wider
+    assert np.max(np.abs(got - expected)) <= 1e-15 * periods / 20
+
+
+def blocks_x(count, period_per_step=383.4):
+    dx = D / period_per_step
+    return GridSpec(-(count - 1) / 2 * dx, dx, count).x
+
+
+@each_phase
+@each_comb
+@pytest.mark.parametrize("count", [7, 8192, 8193, 23_005])
+def test_blockwise_transmission_equals_the_whole_array_build(count, grating, phase):
+    # 8,192 samples are one block of the build, 8,193 put one sample in a
+    # second block, and 23,005 are three blocks with edges inside open slits
+    x = blocks_x(count)
+    got = transmission(x, grating, phase, plane_index=2)
+    expected = transmission_whole(x, grating, phase, plane_index=2)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_unsorted_samples_take_their_slits_draws():
+    # shuffled, the open samples of one slit no longer come in one run
+    x = np.random.default_rng(5).permutation(blocks_x(23_005))
+    grating = GratingSpec(period=D, offset=0.3 * D)
+    phase = PhaseModel(image_charge_strength=1e-9, random_phase_max=1.3, rng_seed=11)
+    got = transmission(x, grating, phase, plane_index=2)
+    assert np.array_equal(got.view(np.uint64), transmission_whole(x, grating, phase, plane_index=2).view(np.uint64))
+
+
+@pytest.mark.parametrize("count", [7, 8192, 8193, 23_005])
+def test_blockwise_window_equals_the_whole_array_build(count):
+    x = blocks_x(count)
+    slit = ApertureSpec(width=0.5 * (x[-1] - x[0]), center=0.1 * x[-1])
+    assert np.array_equal(transmission(x, slit).view(np.uint64), transmission_whole(x, slit).view(np.uint64))
+
+
+@pytest.mark.parametrize("plane", ["phased G1", "hard G1", "slit 2"])
+def test_a_default_grid_transmission_holds_block_sized_temporaries(plane):
+    # a whole-array build holds grid-length temporaries beside its output
+    # (8.7, 5.5 and 1.8 MB on this grid); a block-by-block one holds a few
+    # blocks and the per-slit draws
+    cfg = BeamlineConfig(phase_model=PhaseModel(image_charge_strength=1e-9, random_phase_max=0.5))
+    x = beamline_grid(cfg).x
+    args = {
+        "phased G1": (cfg.gratings[0], cfg.phase_model, 1),
+        "hard G1": (cfg.gratings[0], None, 1),
+        "slit 2": (cfg.second_slit,),
+    }[plane]
+    # numpy's first random generator allocates once; that is not the build's
+    transmission(x[x.size // 2 - 32 : x.size // 2 + 32], *args)
+    tracemalloc.start()
+    try:
+        out = transmission(x, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 1 << 20
+
+
+@pytest.mark.parametrize("extent", [math.inf, 7 * D], ids=["unbounded", "7d"])
+def test_every_open_slit_draws_its_random_phase_once(monkeypatch, extent):
+    grating = GratingSpec(period=D, offset=0.3 * D, extent=extent)
+    x = blocks_x(23_005)
+    slit, _, open_pts = _comb_coordinates(x, grating)
+    open_pts &= np.abs(x) <= 0.5 * extent
+    draws = []
+
+    def counted(seed, plane_index, slit_index, limit):
+        draws.append(slit_index)
+        return _slit_random_phase(seed, plane_index, slit_index, limit)
+
+    monkeypatch.setattr(elements, "_slit_random_phase", counted)
+    transmission(x, grating, PhaseModel(random_phase_max=1.0, rng_seed=4), plane_index=1)
+    assert sorted(draws) == sorted(set(slit[open_pts].tolist()))
 
 
 def test_random_phase_deterministic_and_order_free():
