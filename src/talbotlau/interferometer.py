@@ -13,20 +13,25 @@ The sources are independent, so a scan carries them in batches on the
 CPUs it is given, every available CPU by default. Each worker, the
 calling thread and one helper thread per further CPU, owns one workspace
 of FFT rows as long as the grating legs' FFT, one source per row; every
-leg runs in place on a whole batch. A batch holds as many rows as fit
-``propagation._BATCH_BYTES``, a 1 MiB workspace (about one core's L2
-cache), at least one, spread evenly over the rounds in which every
-worker takes a batch: four rows on the 2 um slit's grid, whose legs run
-one FFT call a direction on the whole batch, and one row on the default
-grid, whose rows are longer than the budget, so each leg runs as a
-four-step FFT of cache-sized transforms on the row's 2-D view. Rows are
-added in source order, so the result does not depend on the number of
-workers or the batch size.
+leg runs in place on a whole batch, and each source's field is written
+at its own place [lo, hi) on the grid, where slit 2 is open. A batch
+holds as many rows as fit ``propagation._BATCH_BYTES``, a 1 MiB workspace
+(about one core's L2 cache), at least one, spread evenly over the rounds
+in which every worker takes a batch: four rows on the 2 um slit's grid,
+whose legs run one FFT call a direction on the whole batch, and one row
+on the default grid, whose rows are longer than the budget, so each leg
+runs as a four-step FFT of cache-sized transforms on the row's 2-D view.
+Rows are added in source order, so the result does not depend on the
+number of workers or the batch size.
 
-The scan's set-up runs on the same helpers: while the calling thread
-finds slit 2's open run, builds the G1 transmission and builds the leg
-spectrum from slit 2 to G1, one helper builds the grating gap's leg
-spectrum and then the G2 transmission. Each goes through the same
+The scan's set-up runs on the same helpers. While the calling thread
+finds slit 2's open run and builds the G1 transmission, one helper
+builds the G2 transmission. The workspaces are then allocated, each
+large enough to hold a spectrum build as well, and the two leg spectra
+are built inside them: slit 2 to G1 on the calling thread, the grating
+gap on the helper. A build allocates only the half of its even spectrum
+that it keeps, so a scan holds its workspaces, two half spectra, the
+masks, the grid and the summed intensity. Each job goes through the same
 operations as on one thread, so the result is the same bits; with one
 CPU no helper thread starts and the set-up runs serially.
 
@@ -64,7 +69,16 @@ import numpy as np
 
 from .elements import ApertureSpec, GratingSpec, PhaseModel, comb_throughput, transmission
 from .kinematics import BeamEnergy, de_broglie_wavelength
-from .propagation import _BATCH_BYTES, GridSpec, SamplingError, _carry, _transfer, required_dx
+from .propagation import (
+    _BATCH_BYTES,
+    GridSpec,
+    SamplingError,
+    _carry,
+    _fft_len,
+    _transfer,
+    _work_size,
+    required_dx,
+)
 
 __all__ = [
     "BeamlineConfig",
@@ -238,8 +252,8 @@ def _slit2_run(cfg: BeamlineConfig, x: np.ndarray) -> tuple[int, int]:
     Slit 2's mask dies on return, before the source loop. Every plane
     transmission is built in blocks of ``propagation._BLOCK`` samples, so
     no transmission leaves a freed grid-length temporary in the heap. The
-    source loop sets a default scan's peak memory on one CPU; on two, the
-    set-up's two spectrum builds, run at once, reach about the same peak.
+    source loop sets a default scan's peak memory on one CPU and on two:
+    the spectrum builds run inside the workspaces that the loop then uses.
     """
     mask = transmission(x, cfg.second_slit)
     lo = int(np.argmax(mask))
@@ -323,8 +337,8 @@ def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) ->
     """
     n = x.size
     lam = de_broglie_wavelength(cfg.energy)
-    # one helper per further CPU builds the grating gap's spectrum and then
-    # G2's transmission, and later carries sources. The pool starts a
+    # one helper per further CPU builds G2's transmission and then the
+    # grating gap's spectrum, and later carries sources. The pool starts a
     # thread only when a job is submitted, so with one CPU none starts and
     # each set-up job runs on the calling thread when its result is read.
     # Reading a result raises a helper's error here, and leaving the with
@@ -335,41 +349,66 @@ def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) ->
         def start(fn, *args):
             return helpers.submit(fn, *args).result if spare else partial(fn, *args)
 
-        gap = start(_transfer, n, dx, lam, cfg.grating_gap, 0, n)
         # each source's field is nonzero only where slit 2 is open, a
         # contiguous run [lo, hi) of the grid on which slit 2 transmits
-        # exactly 1, so it is built and carried to G1 from that run alone;
-        # the phases come from the scan's x, so they equal those of the
-        # full grid. The G1 and G2 transmissions do not depend on the
+        # exactly 1, so it is built there alone and carried to G1 from
+        # there; the phases come from the scan's x, so they equal those of
+        # the full grid. The G1 and G2 transmissions do not depend on the
         # source, so a scan builds them once, after slit 2 is found open
         lo, hi = _slit2_run(cfg, x)
         t2 = start(transmission, x, cfg.gratings[1], cfg.phase_model, 2)
         t1 = transmission(x, cfg.gratings[0], cfg.phase_model, 1)
-        s = hi - lo
-        x_sub = x[lo:hi]
-        first = _transfer(n, dx, lam, cfg.slit2_to_g1, lo, s)
-        gap, t2 = gap(), t2()
+        t2 = t2()
         # the legs are linear, so a non-finite value can only come in with
         # an input: the chain's inputs are checked where they enter, not
         # per leg
         _require_finite(t1, "G1 transmission")
         _require_finite(t2, "G2 transmission")
+        sources = _source_positions(cfg)
+        # a mirror-symmetric beamline carries sources 0 .. ceil(N / 2) - 1
+        # and adds each one's row again, reversed, for its partner
+        # N - 1 - k; the middle source of an odd N is its own partner
+        mirrored = _mirror_symmetric(x, lo, hi, t1, t2, sources)
+        carried = sources[: (sources.size + 1) // 2] if mirrored else sources
+        # each round, the calling thread carries the first batch of sources
+        # and one helper per further CPU carries one of the next batches; the
+        # rows are added in source order, so the result does not depend on
+        # the number of workers or the batch size
+        size = _fft_len(n)
+        workers = min(cpus, _worker_count(carried.size))
+        rows = _batch_rows(carried.size, workers, size)
+        workers = min(workers, math.ceil(carried.size / rows))
+        # each worker's workspace also holds a spectrum build, so the two
+        # builds below allocate only their kept halves; a helper that
+        # builds the gap's spectrum but carries no source gets one too
+        spaces = [
+            np.empty(max(rows * size, _work_size(n)), dtype=complex)
+            for _ in range(max(workers, 2 if spare else 1))
+        ]
+        s = hi - lo
+        gap = start(_transfer, n, dx, lam, cfg.grating_gap, n, spaces[-1])
+        first = _transfer(n, dx, lam, cfg.slit2_to_g1, max(n - lo, hi), spaces[0])
+        gap = gap()
+        del spaces[workers:]
         _require_finite(first.values, "slit 2 to G1 spectrum")
         _require_finite(gap.values, "grating gap spectrum")
+        x_sub = x[lo:hi]
 
-        def g3_intensity(ws: np.ndarray, x_s: np.ndarray) -> np.ndarray:
-            """The intensity at G3 of the sources at ``x_s``, one per row of ``ws``.
+        def g3_intensity(space: np.ndarray, x_s: np.ndarray) -> np.ndarray:
+            """The intensity at G3 of the sources at ``x_s``, one per row of ``space``.
 
-            Every leg runs in place on the rows of ``ws``. Each row's tail
-            past n holds at least n floats, since a row is as long as the
-            2n - 1 tap FFT: that is the row's float scratch, and it holds
-            the row's returned intensity.
+            Every leg runs in place on the rows of ``space``, each as long
+            as the grating gap's FFT. Each row's tail past n holds at least
+            n floats, since a row is as long as the 2n - 1 tap FFT: that is
+            the row's float scratch, and it holds the row's returned
+            intensity.
             """
-            ws = ws[: x_s.size]
+            ws = space[: x_s.size * size].reshape(x_s.size, size)
             psi = ws[:, :n]
             scratch = ws[:, n:].view(float)
-            # single-term direct kernel: unit-amplitude spherical wave from one point
-            amp = ws[:, :s]
+            # single-term direct kernel: unit-amplitude spherical wave from
+            # one point, written at its own place on the grid
+            amp = ws[:, lo:hi]
             r = scratch[:, :s]
             np.subtract(x_sub, x_s[:, None], out=r)
             np.hypot(r, cfg.slit_separation, out=r)
@@ -382,7 +421,7 @@ def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) ->
             # input of a ufunc that writes psi, numpy copies the whole batch
             # into a temporary first (3.5 MB a leg on the default grid,
             # which added 3.3 MB to field-readout's peak RSS)
-            _carry(ws, s, first, n)
+            _carry(ws, lo, hi, first, n)
             arrived = _flux(psi, dx, scratch)
             if np.any(arrived <= 0.0):
                 raise ValueError("no flux reaches the first grating; check geometry")
@@ -390,7 +429,7 @@ def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) ->
             for t in (t1, t2):
                 psi *= t
                 passed = passed * _flux(psi, dx, scratch)
-                _carry(ws, n, gap, n)
+                _carry(ws, 0, n, gap, n)
                 arrived = arrived * _flux(psi, dx, scratch)
             # a beamline that rescales each leg to its input flux, read per
             # unit of flux at G1, scales the raw |r3|^2 by dx F(t1 r1)
@@ -403,20 +442,6 @@ def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) ->
             g3 *= weight
             return g3
 
-        sources = _source_positions(cfg)
-        # a mirror-symmetric beamline carries sources 0 .. ceil(N / 2) - 1
-        # and adds each one's row again, reversed, for its partner
-        # N - 1 - k; the middle source of an odd N is its own partner
-        mirrored = _mirror_symmetric(x, lo, hi, t1, t2, sources)
-        carried = sources[: (sources.size + 1) // 2] if mirrored else sources
-        # each round, the calling thread carries the first batch of sources
-        # and one helper per further CPU carries one of the next batches; the
-        # rows are added in source order, so the result does not depend on
-        # the number of workers or the batch size
-        workers = min(cpus, _worker_count(carried.size))
-        rows = _batch_rows(carried.size, workers, gap.size)
-        workers = min(workers, math.ceil(carried.size / rows))
-        spaces = [np.empty((rows, gap.size), dtype=complex) for _ in range(workers)]
         intensity = np.zeros(n)
         for k in range(0, carried.size, workers * rows):
             batches = [carried[j : j + rows] for j in range(k, min(k + workers * rows, carried.size), rows)]

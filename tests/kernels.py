@@ -4,7 +4,7 @@
 every source sample, with r the exact point-to-point path length, times
 the 1-D Fresnel prefactor 1 / sqrt(i lambda dz): O(N_src * N_tgt), the
 oracle on small grids. ``carried_from_run`` is the scan's paraxial leg
-applied to one field: ``_transfer`` and ``_carry`` on a one-row buffer.
+applied to one field: ``_transfer`` and ``_carry`` in a one-row buffer.
 Both approximate one linear operator, the Fresnel propagator, and
 neither rescales its output. ``transmission_whole`` builds a plane's
 transmission in one pass over the whole array, the reference for
@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from talbotlau.elements import ApertureSpec, _comb_coordinates, _padded_half_width, _slit_random_phase
-from talbotlau.propagation import SamplingError, _carry, _transfer, required_dx
+from talbotlau.propagation import SamplingError, _carry, _transfer, _work_size, required_dx
 
 
 def propagate_direct(amplitudes, grid, wavelength, delta_z, target=None):
@@ -55,13 +55,14 @@ def carried_from_run(amplitudes, grid, wavelength, delta_z, lo=0):
 
     ``amplitudes`` is the field on the s = ``len(amplitudes)`` samples of
     ``grid`` from sample ``lo``; the default carries a field given on the
-    whole grid.
+    whole grid. The spectrum is built in the row's buffer, and the field
+    is then written there at its own place, [lo, lo + s).
     """
-    n, s = grid.count, len(amplitudes)
-    transfer = _transfer(n, grid.dx, wavelength, delta_z, lo, s)
-    buf = np.empty(transfer.size, dtype=complex)
-    buf[:s] = amplitudes
-    return _carry(buf, s, transfer, n)
+    n, hi = grid.count, lo + len(amplitudes)
+    buf = np.empty(_work_size(n), dtype=complex)
+    transfer = _transfer(n, grid.dx, wavelength, delta_z, max(n - lo, hi), buf)
+    buf[lo:hi] = amplitudes
+    return _carry(buf, lo, hi, transfer, n)
 
 
 def transmission_whole(x, element, phase=None, plane_index=0):

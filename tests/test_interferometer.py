@@ -386,8 +386,9 @@ def test_a_helper_error_leaves_scan_fringe_with_no_thread_running(monkeypatch):
 
 
 def test_a_scan_builds_each_leg_spectrum_once(monkeypatch):
-    # with a second CPU, a helper builds the grating gap's spectrum and then
-    # G2's transmission while the calling thread builds G1's and the leg to G1
+    # with a second CPU, a helper builds G2's transmission and then the
+    # grating gap's spectrum while the calling thread builds G1's and the
+    # leg to G1
     use_workers(monkeypatch, 2)
     cfg = fast_config(n_sources=4)
     built = []
@@ -430,7 +431,7 @@ def test_a_spectrum_build_that_fails_on_the_helper_reaches_the_caller(monkeypatc
 
 def test_a_closed_second_slit_is_refused_before_the_gratings_are_built(monkeypatch):
     # the 0.5 nm slit sits halfway between the samples at 0 and 1 nm; the
-    # calling thread fails while the helper builds the gap's spectrum
+    # calling thread fails before it hands the helper any job
     use_workers(monkeypatch, 2)
     cfg = fast_config(second_slit=ApertureSpec(0.5e-9, center=0.5e-9), n_sources=2)
     built = []

@@ -14,10 +14,11 @@ from talbotlau.propagation import (
     _BATCH_BYTES,
     _PAD_FACTOR,
     _carry,
-    _live_taps,
     _next_fast_len,
     _split,
     _transfer,
+    _twiddles,
+    _work_size,
 )
 
 from kernels import carried_from_run, propagate_direct
@@ -33,6 +34,13 @@ def double_slit_field(grid, slit_width, separation):
     x = grid.x
     amp = (np.abs(x - separation / 2) <= slit_width / 2) | (np.abs(x + separation / 2) <= slit_width / 2)
     return amp.astype(complex)
+
+
+def transfer(n, dx, dz, lo, s):
+    # the spectrum of the leg from samples [lo, lo + s) onto an n-sample
+    # grid, built in a work buffer of its own
+    work = np.empty(_work_size(n), dtype=complex)
+    return _transfer(n, dx, LAM, dz, max(n - lo, lo + s), work)
 
 
 def flux(amplitudes, dx):
@@ -165,7 +173,7 @@ def test_paraxial_equals_the_padded_cyclic_convolution(n, dz, zero_filled):
         else:
             out = carried_from_run(sub, grid, LAM, dz, lo)
         assert np.max(np.abs(out - expected)) / np.max(np.abs(expected)) <= 1e-12
-        assert _transfer(n, grid.dx, LAM, dz, lo, s).size == fft.next_fast_len(n + s - 1, real=True)
+        assert transfer(n, grid.dx, dz, lo, s).size == _next_fast_len(2 * max(n - lo, lo + s) - 1, real=True)
 
 
 @pytest.mark.parametrize("real", [False, True])
@@ -176,30 +184,47 @@ def test_fast_length_is_scipys_next_fast_len(real):
 
 
 def spectrum_built_whole(n, dx, wavelength, delta_z, lo, s):
-    # the live-tap spectrum as built from whole length-m arrays
+    # the live-tap spectrum as built from whole length-m arrays: taps t_d,
+    # |d| < count, at d and M - d
     m = fft.next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
     h = -1j * math.pi * wavelength * delta_z * fft.fftfreq(m, d=dx) ** 2
     h = np.exp(h) * np.exp(2j * math.pi * delta_z / wavelength)
     taps = fft.ifft(h)
-    live = np.zeros(fft.next_fast_len(n + s - 1, real=True), dtype=complex)
-    live[lo:n] = taps[: n - lo]
-    live[:lo] = taps[m - lo :]
-    live[live.size - (s - 1) :] = taps[m - lo - (s - 1) : m - lo]
+    count = max(n - lo, lo + s)
+    live = np.zeros(fft.next_fast_len(2 * count - 1, real=True), dtype=complex)
+    live[:count] = taps[:count]
+    live[live.size - count + 1 :] = taps[count - 1 : 0 : -1]
     return fft.fft(live)
 
 
-@pytest.mark.parametrize("n", [17, 19, 1001, 5457])
+def assert_even_spectrum_matches(spectrum, whole, tolerance):
+    # ``whole`` is the natural-order spectrum. The kept rows 0 .. n2 // 2
+    # of the transform-order view, and the dropped rows n2 - k2 read as
+    # kept row k2 reversed, both match it
+    n2, n1 = spectrum.shape
+    assert spectrum.values.shape == (n2 // 2 + 1, n1)
+    ordered = whole.reshape(n1, n2).T
+    kept = spectrum.values
+    mirrored = kept[(n2 - 1) // 2 : 0 : -1, ::-1]
+    scale = np.max(np.abs(whole))
+    assert np.max(np.abs(kept - ordered[: n2 // 2 + 1])) <= tolerance * scale
+    assert np.max(np.abs(mirrored - ordered[n2 // 2 + 1 :]), initial=0.0) <= tolerance * scale
+
+
+@pytest.mark.parametrize("n", [17, 19, 1001, 5457, 40_001, 65_600])
 def test_blockwise_spectrum_equals_the_whole_array_build(n):
     # equal to rounding, not bit for bit: the build sums p = gcd(m, 4)
     # interleaved inverse FFTs of length m / p, which round differently
-    # from one of length m. n = 19 pads to an odd length m = 77 (p = 1),
-    # n = 17 and 5457 to p = 2, n = 1001 to p = 4
+    # from one of length m. n = 19 and 40,001 pad to odd lengths m = 77 and
+    # 160,083 (p = 1), n = 17 and 5457 to p = 2, n = 1001 and 65,600 to
+    # p = 4. Rows up to n = 5457 run one FFT call, so the spectrum is one
+    # kept row in natural order; n = 40,001 and 65,600 run their legs and
+    # their length-m / p sub-transforms as four-step FFTs
     for lo, s in ((0, n), (n // 3, n // 2)):
         for dz in (3.06e-3, 0.05):
-            # rows this short run one FFT call, so the spectrum is in natural order
-            built = _transfer(n, 0.26e-9, LAM, dz, lo, s).values.ravel()
-            whole = spectrum_built_whole(n, 0.26e-9, LAM, dz, lo, s)
-            assert np.max(np.abs(built - whole)) / np.max(np.abs(whole)) <= 1e-13
+            built = transfer(n, 0.26e-9, dz, lo, s)
+            assert (built.shape[0] > 1) == (n > 5457)
+            assert_even_spectrum_matches(built, spectrum_built_whole(n, 0.26e-9, LAM, dz, lo, s), 1e-13)
 
 
 def test_the_spectrum_build_runs_no_transform_of_the_padded_length(monkeypatch):
@@ -210,34 +235,39 @@ def test_the_spectrum_build_runs_no_transform_of_the_padded_length(monkeypatch):
     assert m % 4 == 0
     calls = transform_lengths(monkeypatch)
     for lo, s in ((0, n), (n // 3, n // 2)):
-        _transfer(n, 0.26e-9, LAM, 0.05, lo, s)
+        transfer(n, 0.26e-9, 0.05, lo, s)
     lengths = [length for _, length in calls]
     assert lengths and max(lengths) < m
     assert lengths.count(m // 4) == 2 * 4
 
 
 @pytest.mark.parametrize("leg", ["slit 2 to G1", "gap"])
-def test_a_default_grid_spectrum_build_holds_two_rows_and_the_taps_at_most(leg):
-    # the build holds at most two length-m/p sub-transform rows beside the
-    # count taps, then the taps beside the length-M live array, never H's
-    # m/2 + 1 values or a count-sized twiddle table; one twiddle block of at
-    # most _BATCH_BYTES and small temporaries come on top
+def test_a_workspace_build_holds_its_kept_half_and_twiddles(monkeypatch, leg):
+    # given a workspace, the build allocates the kept half of its spectrum,
+    # the twiddle tables of the leg's transform and of its length-m/p
+    # sub-transforms, and at most two twiddle blocks of _BATCH_BYTES.
+    # pocketfft's plans and scratch are invisible to tracemalloc, so every
+    # transform is also checked to be a row of at most _BATCH_BYTES: a
+    # length-m/p one-call transform would allocate a scratch row that long
     cfg = BeamlineConfig()
     grid = beamline_grid(cfg)
     n = grid.count
     start, stop = _slit2_run(cfg, grid.x)
-    dz, lo, s = {"slit 2 to G1": (cfg.slit2_to_g1, start, stop - start), "gap": (cfg.grating_gap, 0, n)}[leg]
+    dz, count = {"slit 2 to G1": (cfg.slit2_to_g1, max(n - start, stop)), "gap": (cfg.grating_gap, n)}[leg]
     m = _next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
-    count = max(n - lo, lo + s)
-    size = _next_fast_len(n + s - 1, real=True)
+    sub_tables = _twiddles(*_split(m // math.gcd(m, 4)))
     lam = de_broglie_wavelength(cfg.energy)
+    work = np.empty(_work_size(n), dtype=complex)
+    calls = transform_lengths(monkeypatch)
     tracemalloc.start()
     try:
-        _transfer(n, grid.dx, lam, dz, lo, s)
+        spectrum = _transfer(n, grid.dx, lam, dz, count, work)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * max(size + count, 2 * m // math.gcd(m, 4) + count) + 2 * _BATCH_BYTES
+    tables = sum(table.nbytes for pair in spectrum.twiddles + sub_tables for table in pair)
+    assert peak <= spectrum.values.nbytes + tables + 2 * _BATCH_BYTES
+    assert calls and all(16 * length <= _BATCH_BYTES for _, length in calls)
 
 
 def assert_rows_are_carried_in_place_as_alone(n, leg1, batch_rows):
@@ -247,19 +277,19 @@ def assert_rows_are_carried_in_place_as_alone(n, leg1, batch_rows):
     # than the rows, which are as long as the grating gap's FFT
     grid = centered_grid(n, 0.26e-9)
     dz, lo, s = leg1
-    first = _transfer(n, grid.dx, LAM, dz, lo, s)
-    gap = _transfer(n, grid.dx, LAM, 1e-3, 0, n)
+    first = transfer(n, grid.dx, dz, lo, s)
+    gap = transfer(n, grid.dx, 1e-3, 0, n)
     assert first.size < gap.size
     rng = np.random.default_rng(9)
     for rows in batch_rows:
         fields = rng.normal(size=(rows, s)) + 1j * rng.normal(size=(rows, s))
         buf = np.empty((rows, gap.size), dtype=complex)
-        buf[:, :s] = fields
+        buf[:, lo : lo + s] = fields
         alone = [carried_from_run(field, grid, LAM, dz, lo) for field in fields]
-        for spectrum, inputs in ((first, s), (gap, n)):
+        for spectrum, run in ((first, (lo, lo + s)), (gap, (0, n))):
             tracemalloc.start()
             try:
-                out = _carry(buf, inputs, spectrum, n)
+                out = _carry(buf, *run, spectrum, n)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -288,19 +318,19 @@ FOUR_STEP_LEGS = {"leg 1": (1e-2, 5_000, 30_001), "gap": (1e-3, 0, FOUR_STEP_N)}
 def test_a_four_step_leg_equals_the_one_call_transform(leg):
     dz, lo, s = FOUR_STEP_LEGS[leg]
     n, dx = FOUR_STEP_N, 0.26e-9
-    spectrum = _transfer(n, dx, LAM, dz, lo, s)
+    spectrum = transfer(n, dx, dz, lo, s)
     m = spectrum.size
-    n2, n1 = spectrum.values.shape
-    assert 16 * m > _BATCH_BYTES and n2 > 1
-    # one length-M FFT of the same live taps is the reference
-    whole = np.fft.fft(_live_taps(n, dx, LAM, dz, lo, s))
-    # transform order: element (k2, k1) holds frequency k2 + n2 k1
-    assert np.max(np.abs(spectrum.values - whole.reshape(n1, n2).T)) <= 1e-13 * np.max(np.abs(whole))
+    assert 16 * m > _BATCH_BYTES and spectrum.shape[0] > 1
+    # one length-M FFT of the whole-array build's live taps is the
+    # reference; in transform order, element (k2, k1) holds frequency
+    # k2 + n2 k1
+    whole = spectrum_built_whole(n, dx, LAM, dz, lo, s)
+    assert_even_spectrum_matches(spectrum, whole, 1e-13)
     field = [1.0, 1j] @ np.random.default_rng(3).normal(size=(2, s))
-    expected = np.fft.ifft(np.fft.fft(field, m) * whole)[:n]
-    buf = np.empty(m, dtype=complex)
-    buf[:s] = field
-    out = _carry(buf, s, spectrum, n)
+    buf = np.zeros(m, dtype=complex)
+    buf[lo : lo + s] = field
+    expected = np.fft.ifft(np.fft.fft(buf) * whole)[:n]
+    out = _carry(buf, lo, lo + s, spectrum, n)
     assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
@@ -325,16 +355,16 @@ def transform_lengths(monkeypatch):
 def test_only_a_row_within_the_budget_runs_a_transform_of_its_length(monkeypatch, n):
     # n = 32,768 gives M = 65,536, a row of exactly the budget, and
     # n = 32,769 the next 5-smooth length, 65,610
-    spectrum = _transfer(n, 0.26e-9, LAM, 1e-3, 0, n)
+    spectrum = transfer(n, 0.26e-9, 1e-3, 0, n)
     m = spectrum.size
     buf = np.zeros(m, dtype=complex)
     buf[: n // 2] = 1.0
     calls = transform_lengths(monkeypatch)
-    _carry(buf, n, spectrum, n)
+    _carry(buf, 0, n, spectrum, n)
     if 16 * m <= _BATCH_BYTES:
         assert calls == [("fft", m), ("ifft", m)]
     else:
-        n2, n1 = spectrum.values.shape
+        n2, n1 = spectrum.shape
         assert calls == [("fft", n2), ("fft", n1), ("ifft", n1), ("ifft", n2)]
         assert m not in (length for _, length in calls)
 
