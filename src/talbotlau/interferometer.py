@@ -1,57 +1,28 @@
 """Three-grating beamline assembly and its fringe observables.
 
-A run propagates point sources placed across the first collimation slit
-through the second slit and three gratings, adds their probability
-distributions incoherently, and integrates the flux behind the third
-grating. Throughput as a function of the third grating's lateral offset is
-the fringe curve; its (max - min)/(max + min) is the contrast. The third
-grating is read by folding: the summed intensity is sorted once per scan
-by its phase under the comb, and every offset reads its open slits from
-one prefix sum (``elements.comb_throughput``), with no per-offset mask.
+A run carries point sources spread across the first collimation slit
+through the second slit and three gratings, sums their G3 intensities
+incoherently, and integrates the flux behind the third grating.
+Throughput against the third grating's lateral offset is the fringe
+curve; its (max - min)/(max + min) is the contrast. Every offset is read
+from one fold of the summed intensity (``elements.comb_throughput``).
 
-The sources are independent, so a scan carries them in batches on the
-CPUs it is given, every available CPU by default. Each worker, the
-calling thread and one helper thread per further CPU, owns one workspace
-of FFT rows as long as the grating legs' FFT, one source per row; every
-leg runs in place on a whole batch, and each source's field is written
-at its own place [lo, hi) on the grid, where slit 2 is open. A batch
-holds as many rows as fit ``propagation._BATCH_BYTES``, a 1 MiB workspace
-(about one core's L2 cache), at least one, spread evenly over the rounds
-in which every worker takes a batch: four rows on the 2 um slit's grid,
-whose legs run one FFT call a direction on the whole batch, and one row
-on the default grid, whose rows are longer than the budget, so each leg
-runs as a four-step FFT of cache-sized transforms on the row's 2-D view.
-Rows are added in source order, so the result does not depend on the
-number of workers or the batch size.
+A scan carries its sources in batches on the calling thread and one
+helper thread per further CPU. Each worker owns one workspace of rows as
+long as the grating legs' FFT, one source per row, and every leg runs in
+place on it. The set-up runs on the same threads, and each leg spectrum
+is built inside a worker's workspace. Every job goes through the
+operations it would on one thread and rows are summed in source order,
+so a scan's result is the same bits at any worker count and batch size.
+A sweep runs its energies side by side on one pool, each scan on an
+equal share of the CPUs, so it is the same bits at any CPU count too.
 
-The scan's set-up runs on the same helpers. While the calling thread
-finds slit 2's open run and builds the G1 transmission, one helper
-builds the G2 transmission. The workspaces are then allocated, each
-large enough to hold a spectrum build as well, and the two leg spectra
-are built inside them: slit 2 to G1 on the calling thread, the grating
-gap on the helper. A build allocates only the half of its even spectrum
-that it keeps, so a scan holds its workspaces, two half spectra, the
-masks, the grid and the summed intensity. Each job goes through the same
-operations as on one thread, so the result is the same bits; with one
-CPU no helper thread starts and the set-up runs serially.
-
-A sweep runs its energies side by side on one pool of ``w`` workers,
-``w`` the CPUs capped by the energies, each scan on ``cpus // w`` CPUs.
-On two CPUs that is two serial scans at once, which saves each small scan
-its helper's start and joins. On one CPU the pool's one worker runs the
-energies in order, each scan with no helper; a single energy's scan
-takes every CPU. The contrasts come back in input order, and every scan
-is the same bits at any worker count, so the sweep is too.
-
-A beamline that is exactly mirror-symmetric about x = 0 maps source x_s
-onto the mirror image of source -x_s, so a scan carries only the first
-ceil(N / 2) sources and adds each one's G3 intensity twice, as it is and
-reversed; the middle source of an odd N sits at x = 0 and is added once.
-The shortcut is taken only when the grid and the sources are exactly
-antisymmetric, slit 2's open run sits symmetrically on the grid, and the
-G1 and G2 transmissions are exact palindromes. An off-axis slit, a G1 or
-G2 offset, a random slit phase or an off-center grid breaks one of these,
-and the scan then carries every source.
+On a beamline that is exactly mirror-symmetric about x = 0
+(``_mirror_symmetric``), source -x_s gives source x_s's G3 intensity
+reversed, so a scan carries only the first ceil(N / 2) sources and adds
+each one twice. An off-axis slit, a G1 or G2 offset, a random slit phase
+or an off-center grid breaks the symmetry, and the scan then carries
+every source.
 
 The magnetic field is not inserted into the wave propagation: a field
 shifts the fringe laterally, so it is emulated downstream by translating
@@ -245,15 +216,9 @@ def _source_positions(cfg: BeamlineConfig) -> np.ndarray:
 def _slit2_run(cfg: BeamlineConfig, x: np.ndarray) -> tuple[int, int]:
     """Slit 2's open samples [lo, hi) on ``x``.
 
-    The run is contiguous on the sorted grid, so it is read off the mask
-    itself: lo is the mask's first maximum, and hi is lo plus the open
-    count. Neither allocates; an index array would be 8 bytes an open
-    sample, and an argmax from the far end copies the reversed mask.
-    Slit 2's mask dies on return, before the source loop. Every plane
-    transmission is built in blocks of ``propagation._BLOCK`` samples, so
-    no transmission leaves a freed grid-length temporary in the heap. The
-    source loop sets a default scan's peak memory on one CPU and on two:
-    the spectrum builds run inside the workspaces that the loop then uses.
+    The run is contiguous on the sorted grid, so lo is the mask's first
+    maximum and hi is lo plus the open count; neither allocates, where an
+    index array would take 8 bytes an open sample.
     """
     mask = transmission(x, cfg.second_slit)
     lo = int(np.argmax(mask))
@@ -302,9 +267,8 @@ def _mirror_symmetric(x, lo, hi, t1, t2, sources) -> bool:
 
     The grid and the sources are antisymmetric, slit 2's open run [lo, hi)
     sits symmetrically on the grid, and G1 and G2 transmit palindromes.
-    Then source -x_s's field at slit 2 is source x_s's reversed, because
-    a - b is exactly -(b - a), and the even kernels carry the mirror image
-    through every leg.
+    Then source -x_s's field at slit 2 is source x_s's reversed, since
+    a - b is exactly -(b - a), and the even kernels carry that mirror image.
     """
     return (
         lo == x.size - hi
@@ -316,10 +280,7 @@ def _mirror_symmetric(x, lo, hi, t1, t2, sources) -> bool:
 
 
 def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray, cpus=math.inf) -> np.ndarray:
-    """Mean throughput over point sources at each third-grating offset.
-
-    The scan runs on at most ``cpus`` threads, the calling thread included.
-    """
+    """Mean throughput over point sources at each offset, on at most ``cpus`` threads."""
     grid = beamline_grid(cfg)
     _require_sampling(cfg, grid)
     x = grid.x
@@ -330,11 +291,7 @@ def _fringe_totals(cfg: BeamlineConfig, offsets: np.ndarray, cpus=math.inf) -> n
 
 
 def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) -> np.ndarray:
-    """The G3 intensity of every point source on the grid ``x``, summed.
-
-    The sources run on at most ``cpus`` threads, the calling thread
-    included.
-    """
+    """The summed G3 intensity of every point source, on at most ``cpus`` threads."""
     n = x.size
     lam = de_broglie_wavelength(cfg.energy)
     # one helper per further CPU builds G2's transmission and then the
@@ -371,9 +328,7 @@ def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) ->
         mirrored = _mirror_symmetric(x, lo, hi, t1, t2, sources)
         carried = sources[: (sources.size + 1) // 2] if mirrored else sources
         # each round, the calling thread carries the first batch of sources
-        # and one helper per further CPU carries one of the next batches; the
-        # rows are added in source order, so the result does not depend on
-        # the number of workers or the batch size
+        # and one helper per further CPU carries one of the next batches
         size = _fft_len(n)
         workers = min(cpus, _worker_count(carried.size))
         rows = _batch_rows(carried.size, workers, size)
@@ -397,11 +352,9 @@ def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) ->
         def g3_intensity(space: np.ndarray, x_s: np.ndarray) -> np.ndarray:
             """The intensity at G3 of the sources at ``x_s``, one per row of ``space``.
 
-            Every leg runs in place on the rows of ``space``, each as long
-            as the grating gap's FFT. Each row's tail past n holds at least
-            n floats, since a row is as long as the 2n - 1 tap FFT: that is
-            the row's float scratch, and it holds the row's returned
-            intensity.
+            A row is as long as the grating gap's 2n - 1 tap FFT, so its
+            tail past n holds n floats: the row's scratch, which also holds
+            its returned intensity.
             """
             ws = space[: x_s.size * size].reshape(x_s.size, size)
             psi = ws[:, :n]
@@ -419,8 +372,7 @@ def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) ->
             # each leg leaves its outputs in psi. The scan reads them there,
             # not from the view that _carry returns: given that view as the
             # input of a ufunc that writes psi, numpy copies the whole batch
-            # into a temporary first (3.5 MB a leg on the default grid,
-            # which added 3.3 MB to field-readout's peak RSS)
+            # into a temporary first
             _carry(ws, lo, hi, first, n)
             arrived = _flux(psi, dx, scratch)
             if np.any(arrived <= 0.0):
@@ -490,10 +442,9 @@ def sweep_energy(
 ) -> list[tuple[float, float]]:
     """Fringe contrast at each beam energy, all other parameters fixed.
 
-    Every argument is checked before the first scan starts. The energies
-    run side by side, each scan on an equal share of the CPUs; if scans
-    fail, the first failing energy's error is raised once every running
-    scan has ended.
+    Every argument is checked before the first scan starts. If scans fail,
+    the first failing energy's error is raised once every running scan
+    has ended.
     """
     offsets = _offsets(cfg, n_offsets)
     energies = list(energies_ev)

@@ -583,14 +583,43 @@ def test_fringe_modulates_at_resonance():
     assert curve.throughput.max() / curve.throughput.min() > 1.2
 
 
-def test_mirror_symmetry_under_g2_offset_sign():
-    cfg = fast_config()
-    plus = replace(cfg, gratings=(cfg.gratings[0], translate_grating(cfg.gratings[1], 0.2 * D), cfg.gratings[2]))
-    minus = replace(cfg, gratings=(cfg.gratings[0], translate_grating(cfg.gratings[1], -0.2 * D), cfg.gratings[2]))
-    tp = scan_fringe(plus, 8).throughput
-    tm = scan_fringe(minus, 8).throughput
-    mirrored = np.concatenate(([tm[0]], tm[1:][::-1]))
-    assert np.max(np.abs(tp - mirrored)) <= 1e-9 * tp.mean()
+NARROW = BeamlineConfig(second_slit=ApertureSpec(2e-6))
+
+
+def fringe_64(cfg):
+    return _fringe_totals(cfg, np.arange(64) * (D / 64))
+
+
+@pytest.mark.parametrize(
+    "cfg, g1, g2",
+    [(NARROW, 0.0, 0.2), (NARROW, 0.1, -0.05), (NARROW, 0.3, -0.15), (BeamlineConfig(n_sources=4), 0.1, -0.05)],
+    ids=["narrow-g2-only", "narrow-0.1", "narrow-0.3", "default-0.1"],
+)
+def test_negating_the_g1_and_g2_offsets_reverses_the_fringe(cfg, g1, g2):
+    # mirroring x -> -x maps the beamline onto the one with both offsets
+    # negated, and G3 offset k onto -k mod 64. These offsets make the scan
+    # carry every source, so the full-carry path is checked against the
+    # symmetry that the mirror shortcut assumes
+    plus = fringe_64(offset_gratings(cfg, g1 * D, g2 * D, 0.0))
+    minus = fringe_64(offset_gratings(cfg, -g1 * D, -g2 * D, 0.0))
+    assert np.max(np.abs(plus - np.roll(minus[::-1], 1))) <= 1e-12 * plus.mean()
+
+
+def fringe_shift(base, moved):
+    # the shift s, in periods, with moved(x) = base(x - s), from the phase
+    # of the first harmonic
+    return -np.angle(np.fft.fft(moved)[1] / np.fft.fft(base)[1]) / (2 * np.pi)
+
+
+def test_g1_and_g2_offsets_move_the_fringe_by_the_three_grating_law():
+    # a G1 offset d1 and a G2 offset d2 move the fringe by 2 d2 - d1: the
+    # x1 - 2 x2 + x3 weighting of misalignment_factor. A 2 um slit lights
+    # only about 20 periods, so the law holds to about 2e-3 periods here
+    base = fringe_64(NARROW)
+    g1 = fringe_shift(base, fringe_64(offset_gratings(NARROW, 0.1 * D, 0.0, 0.0)))
+    g2 = fringe_shift(base, fringe_64(offset_gratings(NARROW, 0.0, 0.1 * D, 0.0)))
+    assert g1 == pytest.approx(-0.1, abs=1e-2)
+    assert g2 == pytest.approx(0.2, abs=1e-2)
 
 
 def test_fringe_symmetric_about_extremum_with_zero_phases():

@@ -213,13 +213,13 @@ def assert_even_spectrum_matches(spectrum, whole, tolerance):
 
 @pytest.mark.parametrize("n", [17, 19, 1001, 5457, 40_001, 65_600])
 def test_blockwise_spectrum_equals_the_whole_array_build(n):
-    # equal to rounding, not bit for bit: the build sums p = gcd(m, 4)
+    # equal to rounding, not bit for bit: the build sums p = gcd(m, 2)
     # interleaved inverse FFTs of length m / p, which round differently
     # from one of length m. n = 19 and 40,001 pad to odd lengths m = 77 and
-    # 160,083 (p = 1), n = 17 and 5457 to p = 2, n = 1001 and 65,600 to
-    # p = 4. Rows up to n = 5457 run one FFT call, so the spectrum is one
-    # kept row in natural order; n = 40,001 and 65,600 run their legs and
-    # their length-m / p sub-transforms as four-step FFTs
+    # 160,083 (p = 1), n = 17, 1001, 5457 and 65,600 to p = 2. Rows up to
+    # n = 5457 run one FFT call, so the spectrum is one kept row in natural
+    # order; n = 40,001 and 65,600 run their legs and their length-m / p
+    # sub-transforms as four-step FFTs, 65,600's on (405, 324)
     for lo, s in ((0, n), (n // 3, n // 2)):
         for dz in (3.06e-3, 0.05):
             built = transfer(n, 0.26e-9, dz, lo, s)
@@ -228,17 +228,17 @@ def test_blockwise_spectrum_equals_the_whole_array_build(n):
 
 
 def test_the_spectrum_build_runs_no_transform_of_the_padded_length(monkeypatch):
-    # on a grid whose padded length m is a multiple of 4, a build's inverse
-    # FFTs are a quarter of m long, and no transform has length m
+    # on a grid whose padded length m is even, a build's inverse FFTs are
+    # half of m long, and no transform has length m
     n = 1001
     m = fft.next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
-    assert m % 4 == 0
+    assert m % 2 == 0
     calls = transform_lengths(monkeypatch)
     for lo, s in ((0, n), (n // 3, n // 2)):
         transfer(n, 0.26e-9, 0.05, lo, s)
     lengths = [length for _, length in calls]
     assert lengths and max(lengths) < m
-    assert lengths.count(m // 4) == 2 * 4
+    assert lengths.count(m // 2) == 2 * 2
 
 
 @pytest.mark.parametrize("leg", ["slit 2 to G1", "gap"])
@@ -255,7 +255,7 @@ def test_a_workspace_build_holds_its_kept_half_and_twiddles(monkeypatch, leg):
     start, stop = _slit2_run(cfg, grid.x)
     dz, count = {"slit 2 to G1": (cfg.slit2_to_g1, max(n - start, stop)), "gap": (cfg.grating_gap, n)}[leg]
     m = _next_fast_len(int(math.ceil(_PAD_FACTOR * n)))
-    sub_tables = _twiddles(*_split(m // math.gcd(m, 4)))
+    sub_tables = _twiddles(*_split(m // math.gcd(m, 2)))
     lam = de_broglie_wavelength(cfg.energy)
     work = np.empty(_work_size(n), dtype=complex)
     calls = transform_lengths(monkeypatch)
@@ -458,6 +458,31 @@ def test_reciprocity_under_reflection():
     forward = carried_from_run(field, grid, LAM, 2e-3)
     swapped = carried_from_run(field[::-1], grid, LAM, 2e-3)
     assert np.linalg.norm(forward[::-1] - swapped) / np.linalg.norm(forward) < 1e-10
+
+
+# (n, dx, dz, lo, s): a grating gap that runs one FFT call, one that runs
+# a four-step FFT, and two leg-1 runs off the grid's center, the second
+# with K = hi > n - lo
+TRANSPOSE_LEGS = {
+    "one-call gap": (5457, 1e-9, 3.06e-3, 0, 5457),
+    "four-step gap": (219_607, 0.26e-9, 3.06e-3, 0, 219_607),
+    "leg 1, K = n - lo": (5457, 1e-9, 0.05, 1000, 2000),
+    "leg 1, K = hi": (5457, 1e-9, 0.05, 3000, 2000),
+}
+
+
+@pytest.mark.parametrize("leg", TRANSPOSE_LEGS)
+def test_a_leg_is_transpose_symmetric(leg):
+    # the taps are even, so the leg's matrix is symmetric: a . K(b) equals
+    # b . K(a), with no conjugate. This checks the kept half spectrum and
+    # its mirrored rows without a whole-array build
+    n, dx, dz, lo, s = TRANSPOSE_LEGS[leg]
+    grid = centered_grid(n, dx)
+    rng = np.random.default_rng(n + lo)
+    a, b = (rng.normal(size=s) + 1j * rng.normal(size=s) for _ in range(2))
+    ab = a @ carried_from_run(b, grid, LAM, dz, lo)[lo : lo + s]
+    ba = b @ carried_from_run(a, grid, LAM, dz, lo)[lo : lo + s]
+    assert abs(ab - ba) <= 1e-13 * abs(ab)
 
 
 def test_propagate_validation():
