@@ -10,10 +10,10 @@ from one fold of the summed intensity (``elements.comb_throughput``).
 A scan carries its sources in batches on the calling thread and one
 helper thread per further CPU. Each worker owns one workspace of rows as
 long as the grating legs' FFT, one source per row, and every leg runs in
-place on it. The set-up runs on the same threads, and each leg spectrum
-is built inside a worker's workspace. Every job goes through the
-operations it would on one thread and rows are summed in source order,
-so a scan's result is the same bits at any worker count and batch size.
+place on it. The set-up runs on the calling thread and builds both leg
+spectra in the first workspace. Every job goes through the operations
+it would on one thread and rows are summed in source order, so a scan's
+result is the same bits at any worker count and batch size.
 A sweep runs its energies side by side on one pool, each scan on an
 equal share of the CPUs, so it is the same bits at any CPU count too.
 
@@ -31,7 +31,6 @@ the third grating (see ``sensing``).
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import math
 import os
@@ -294,107 +293,92 @@ def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) ->
     """The summed G3 intensity of every point source, on at most ``cpus`` threads."""
     n = x.size
     lam = de_broglie_wavelength(cfg.energy)
-    # one helper per further CPU builds G2's transmission and then the
-    # grating gap's spectrum, and later carries sources. The pool starts a
-    # thread only when a job is submitted, so with one CPU none starts and
-    # each set-up job runs on the calling thread when its result is read.
-    # Reading a result raises a helper's error here, and leaving the with
-    # block joins every helper, after an error too
-    spare = min(cpus, _worker_count(cfg.n_sources)) - 1
-    with ThreadPoolExecutor(max(1, spare)) as helpers:
+    # each source's field is nonzero only where slit 2 is open, a
+    # contiguous run [lo, hi) of the grid on which slit 2 transmits
+    # exactly 1, so it is built there alone and carried to G1 from
+    # there; the phases come from the scan's x, so they equal those of
+    # the full grid. The G1 and G2 transmissions do not depend on the
+    # source, so a scan builds them once, after slit 2 is found open
+    lo, hi = _slit2_run(cfg, x)
+    t1 = transmission(x, cfg.gratings[0], cfg.phase_model, 1)
+    t2 = transmission(x, cfg.gratings[1], cfg.phase_model, 2)
+    # the legs are linear, so a non-finite value can only come in with
+    # an input: the chain's inputs are checked where they enter, not
+    # per leg
+    _require_finite(t1, "G1 transmission")
+    _require_finite(t2, "G2 transmission")
+    sources = _source_positions(cfg)
+    # a mirror-symmetric beamline carries sources 0 .. ceil(N / 2) - 1
+    # and adds each one's row again, reversed, for its partner
+    # N - 1 - k; the middle source of an odd N is its own partner
+    mirrored = _mirror_symmetric(x, lo, hi, t1, t2, sources)
+    carried = sources[: (sources.size + 1) // 2] if mirrored else sources
+    size = _fft_len(n)
+    workers = min(cpus, _worker_count(carried.size))
+    rows = _batch_rows(carried.size, workers, size)
+    workers = min(workers, math.ceil(carried.size / rows))
+    # a workspace also holds a spectrum build, so the two builds below
+    # allocate only their kept halves
+    spaces = [np.empty(max(rows * size, _work_size(n)), dtype=complex) for _ in range(workers)]
+    s = hi - lo
+    first = _transfer(n, dx, lam, cfg.slit2_to_g1, max(n - lo, hi), spaces[0])
+    gap = _transfer(n, dx, lam, cfg.grating_gap, n, spaces[0])
+    _require_finite(first.values, "slit 2 to G1 spectrum")
+    _require_finite(gap.values, "grating gap spectrum")
+    x_sub = x[lo:hi]
 
-        def start(fn, *args):
-            return helpers.submit(fn, *args).result if spare else partial(fn, *args)
+    def g3_intensity(space: np.ndarray, x_s: np.ndarray) -> np.ndarray:
+        """The intensity at G3 of the sources at ``x_s``, one per row of ``space``.
 
-        # each source's field is nonzero only where slit 2 is open, a
-        # contiguous run [lo, hi) of the grid on which slit 2 transmits
-        # exactly 1, so it is built there alone and carried to G1 from
-        # there; the phases come from the scan's x, so they equal those of
-        # the full grid. The G1 and G2 transmissions do not depend on the
-        # source, so a scan builds them once, after slit 2 is found open
-        lo, hi = _slit2_run(cfg, x)
-        t2 = start(transmission, x, cfg.gratings[1], cfg.phase_model, 2)
-        t1 = transmission(x, cfg.gratings[0], cfg.phase_model, 1)
-        t2 = t2()
-        # the legs are linear, so a non-finite value can only come in with
-        # an input: the chain's inputs are checked where they enter, not
-        # per leg
-        _require_finite(t1, "G1 transmission")
-        _require_finite(t2, "G2 transmission")
-        sources = _source_positions(cfg)
-        # a mirror-symmetric beamline carries sources 0 .. ceil(N / 2) - 1
-        # and adds each one's row again, reversed, for its partner
-        # N - 1 - k; the middle source of an odd N is its own partner
-        mirrored = _mirror_symmetric(x, lo, hi, t1, t2, sources)
-        carried = sources[: (sources.size + 1) // 2] if mirrored else sources
-        # each round, the calling thread carries the first batch of sources
-        # and one helper per further CPU carries one of the next batches
-        size = _fft_len(n)
-        workers = min(cpus, _worker_count(carried.size))
-        rows = _batch_rows(carried.size, workers, size)
-        workers = min(workers, math.ceil(carried.size / rows))
-        # each worker's workspace also holds a spectrum build, so the two
-        # builds below allocate only their kept halves; a helper that
-        # builds the gap's spectrum but carries no source gets one too
-        spaces = [
-            np.empty(max(rows * size, _work_size(n)), dtype=complex)
-            for _ in range(max(workers, 2 if spare else 1))
-        ]
-        s = hi - lo
-        gap = start(_transfer, n, dx, lam, cfg.grating_gap, n, spaces[-1])
-        first = _transfer(n, dx, lam, cfg.slit2_to_g1, max(n - lo, hi), spaces[0])
-        gap = gap()
-        del spaces[workers:]
-        _require_finite(first.values, "slit 2 to G1 spectrum")
-        _require_finite(gap.values, "grating gap spectrum")
-        x_sub = x[lo:hi]
+        A row is as long as the grating gap's 2n - 1 tap FFT, so its
+        tail past n holds n floats: the row's scratch, which also holds
+        its returned intensity.
+        """
+        ws = space[: x_s.size * size].reshape(x_s.size, size)
+        psi = ws[:, :n]
+        scratch = ws[:, n:].view(float)
+        # single-term direct kernel: unit-amplitude spherical wave from
+        # one point, written at its own place on the grid
+        amp = ws[:, lo:hi]
+        r = scratch[:, :s]
+        np.subtract(x_sub, x_s[:, None], out=r)
+        np.hypot(r, cfg.slit_separation, out=r)
+        np.multiply(2j * np.pi, r, out=amp)
+        np.divide(amp, lam, out=amp)
+        np.exp(amp, out=amp)
+        _require_finite(amp, "point-source field at slit 2")
+        # each leg leaves its outputs in psi. The scan reads them there,
+        # not from the view that _carry returns: given that view as the
+        # input of a ufunc that writes psi, numpy copies the whole batch
+        # into a temporary first
+        _carry(ws, lo, hi, first, n)
+        arrived = _flux(psi, dx, scratch)
+        if np.any(arrived <= 0.0):
+            raise ValueError("no flux reaches the first grating; check geometry")
+        passed = dx
+        for t in (t1, t2):
+            psi *= t
+            passed = passed * _flux(psi, dx, scratch)
+            _carry(ws, 0, n, gap, n)
+            arrived = arrived * _flux(psi, dx, scratch)
+        # a beamline that rescales each leg to its input flux, read per
+        # unit of flux at G1, scales the raw |r3|^2 by dx F(t1 r1)
+        # F(t2 r2) over F(r1) F(r2) F(r3), F the flux; a leg that
+        # receives none passes none
+        weight = np.divide(passed, arrived, out=np.zeros_like(arrived), where=arrived > 0.0)
+        # the last _flux squared r3 into scratch[:, :n], and nothing has
+        # written there since, so it already holds |r3|^2
+        g3 = scratch[:, :n]
+        g3 *= weight
+        return g3
 
-        def g3_intensity(space: np.ndarray, x_s: np.ndarray) -> np.ndarray:
-            """The intensity at G3 of the sources at ``x_s``, one per row of ``space``.
-
-            A row is as long as the grating gap's 2n - 1 tap FFT, so its
-            tail past n holds n floats: the row's scratch, which also holds
-            its returned intensity.
-            """
-            ws = space[: x_s.size * size].reshape(x_s.size, size)
-            psi = ws[:, :n]
-            scratch = ws[:, n:].view(float)
-            # single-term direct kernel: unit-amplitude spherical wave from
-            # one point, written at its own place on the grid
-            amp = ws[:, lo:hi]
-            r = scratch[:, :s]
-            np.subtract(x_sub, x_s[:, None], out=r)
-            np.hypot(r, cfg.slit_separation, out=r)
-            np.multiply(2j * np.pi, r, out=amp)
-            np.divide(amp, lam, out=amp)
-            np.exp(amp, out=amp)
-            _require_finite(amp, "point-source field at slit 2")
-            # each leg leaves its outputs in psi. The scan reads them there,
-            # not from the view that _carry returns: given that view as the
-            # input of a ufunc that writes psi, numpy copies the whole batch
-            # into a temporary first
-            _carry(ws, lo, hi, first, n)
-            arrived = _flux(psi, dx, scratch)
-            if np.any(arrived <= 0.0):
-                raise ValueError("no flux reaches the first grating; check geometry")
-            passed = dx
-            for t in (t1, t2):
-                psi *= t
-                passed = passed * _flux(psi, dx, scratch)
-                _carry(ws, 0, n, gap, n)
-                arrived = arrived * _flux(psi, dx, scratch)
-            # a beamline that rescales each leg to its input flux, read per
-            # unit of flux at G1, scales the raw |r3|^2 by dx F(t1 r1)
-            # F(t2 r2) over F(r1) F(r2) F(r3), F the flux; a leg that
-            # receives none passes none
-            weight = np.divide(passed, arrived, out=np.zeros_like(arrived), where=arrived > 0.0)
-            # the last _flux squared r3 into scratch[:, :n], and nothing has
-            # written there since, so it already holds |r3|^2
-            g3 = scratch[:, :n]
-            g3 *= weight
-            return g3
-
-        intensity = np.zeros(n)
+    intensity = np.zeros(n)
+    # each round, the calling thread carries the first batch of sources
+    # and one helper per further worker carries one of the next batches.
+    # The pool starts a thread only when a job is submitted, reading a
+    # result raises a helper's error here, and leaving the with block
+    # joins every helper, after an error too
+    with ThreadPoolExecutor(max(1, workers - 1)) as helpers:
         for k in range(0, carried.size, workers * rows):
             batches = [carried[j : j + rows] for j in range(k, min(k + workers * rows, carried.size), rows)]
             pending = [helpers.submit(g3_intensity, ws, x_s) for ws, x_s in zip(spaces[1:], batches[1:])]

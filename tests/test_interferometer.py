@@ -386,31 +386,41 @@ def test_a_helper_error_leaves_scan_fringe_with_no_thread_running(monkeypatch):
 
 
 def test_a_scan_builds_each_leg_spectrum_once(monkeypatch):
-    # with a second CPU, a helper builds G2's transmission and then the
-    # grating gap's spectrum while the calling thread builds G1's and the
-    # leg to G1
+    # with a second CPU, the calling thread still builds every mask and
+    # both leg spectra, and builds them before the first helper starts
     use_workers(monkeypatch, 2)
     cfg = fast_config(n_sources=4)
-    built = []
-    planes = []
+    events = []
     build = interferometer.transmission
+    start = threading.Thread.start
+
+    def on_caller():
+        return threading.current_thread() is threading.main_thread()
 
     def count(*args):
-        built.append((args[3], threading.current_thread() is threading.main_thread()))
+        events.append(("spectrum", args[3], on_caller()))
         return _transfer(*args)
 
     def spy(x, spec, phase=None, plane_index=0):
-        planes.append((plane_index, threading.current_thread() is threading.main_thread()))
+        events.append(("plane", plane_index, on_caller()))
         return build(x, spec, phase, plane_index)
+
+    def started(thread):
+        events.append(("thread",))
+        return start(thread)
 
     monkeypatch.setattr(interferometer, "_transfer", count)
     monkeypatch.setattr(interferometer, "transmission", spy)
+    monkeypatch.setattr(threading.Thread, "start", started)
     scan_fringe(cfg, 8)
-    assert sorted(built) == sorted([(cfg.slit2_to_g1, True), (cfg.grating_gap, False)])
-    assert sorted(planes) == [(0, True), (1, True), (2, False)]
+    spectra = [e[1:] for e in events if e[0] == "spectrum"]
+    assert sorted(spectra) == sorted([(cfg.slit2_to_g1, True), (cfg.grating_gap, True)])
+    assert sorted(e[1:] for e in events if e[0] == "plane") == [(0, True), (1, True), (2, True)]
+    threads = [i for i, e in enumerate(events) if e[0] == "thread"]
+    assert threads and all(i < threads[0] for i, e in enumerate(events) if e[0] == "spectrum")
 
 
-def test_a_spectrum_build_that_fails_on_the_helper_reaches_the_caller(monkeypatch):
+def test_a_failing_spectrum_build_starts_no_thread(monkeypatch):
     use_workers(monkeypatch, 2)
     cfg = fast_config(n_sources=4)
     gap_threads = []
@@ -421,12 +431,16 @@ def test_a_spectrum_build_that_fails_on_the_helper_reaches_the_caller(monkeypatc
             raise RuntimeError("gap spectrum failed")
         return _transfer(*args)
 
+    def refuse(thread):
+        raise AssertionError("a helper thread was started")
+
     monkeypatch.setattr(interferometer, "_transfer", fail_the_gap)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="gap spectrum failed"):
         scan_fringe(cfg, 8)
     assert threading.active_count() == threads
-    assert len(gap_threads) == 1 and gap_threads[0] is not threading.main_thread()
+    assert gap_threads == [threading.main_thread()]
 
 
 def test_a_closed_second_slit_is_refused_before_the_gratings_are_built(monkeypatch):
@@ -474,6 +488,24 @@ def test_the_g3_fold_starts_after_the_scan_frees_its_buffers(monkeypatch, worker
         tracemalloc.stop()
     assert len(alive) == 1
     assert alive[0] - before <= 2 * 8 * n + (64 << 10)
+
+
+def test_a_scan_that_carries_one_source_on_two_cpus_allocates_one_workspace(monkeypatch):
+    # a mirror-symmetric beamline carries one of its two sources, so a
+    # second CPU would get no source and needs no workspace; one
+    # workspace of this grid is about 1.3 MB
+    cfg = fast_config(n_sources=2, grid_points=40_001)
+    assert carried_sources(monkeypatch, cfg) == 1
+    peaks = []
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        tracemalloc.start()
+        try:
+            _fringe_totals(cfg, np.arange(8) * (D / 8))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + (64 << 10)
 
 
 def test_a_non_finite_mask_is_refused(monkeypatch):
