@@ -347,11 +347,7 @@ def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) ->
         np.divide(amp, lam, out=amp)
         np.exp(amp, out=amp)
         _require_finite(amp, "point-source field at slit 2")
-        # each leg leaves its outputs in psi. The scan reads them there,
-        # not from the view that _carry returns: given that view as the
-        # input of a ufunc that writes psi, numpy copies the whole batch
-        # into a temporary first
-        _carry(ws, lo, hi, first, n)
+        _carry(ws, lo, hi, first)
         arrived = _flux(psi, dx, scratch)
         if np.any(arrived <= 0.0):
             raise ValueError("no flux reaches the first grating; check geometry")
@@ -359,7 +355,7 @@ def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) ->
         for t in (t1, t2):
             psi *= t
             passed = passed * _flux(psi, dx, scratch)
-            _carry(ws, 0, n, gap, n)
+            _carry(ws, 0, n, gap)
             arrived = arrived * _flux(psi, dx, scratch)
         # a beamline that rescales each leg to its input flux, read per
         # unit of flux at G1, scales the raw |r3|^2 by dx F(t1 r1)
@@ -397,17 +393,14 @@ def _offsets(cfg: BeamlineConfig, n_offsets: int) -> np.ndarray:
     return np.arange(n_offsets) * (cfg.gratings[2].period / n_offsets)
 
 
-def _scan(cfg: BeamlineConfig, offsets: np.ndarray, cpus=math.inf) -> FringeCurve:
-    return FringeCurve(offsets=offsets, throughput=_fringe_totals(cfg, offsets, cpus), period=cfg.gratings[2].period)
-
-
 def scan_fringe(cfg: BeamlineConfig, n_offsets: int = 16) -> FringeCurve:
     """Throughput at n_offsets uniform third-grating offsets over [0, d).
 
     The sources are propagated once; every offset is read from the same
     folded G3 intensity, so more offsets cost only a binary search each.
     """
-    return _scan(cfg, _offsets(cfg, n_offsets))
+    offsets = _offsets(cfg, n_offsets)
+    return FringeCurve(offsets, _fringe_totals(cfg, offsets), cfg.gratings[2].period)
 
 
 def contrast(curve: FringeCurve) -> float:
@@ -437,7 +430,7 @@ def sweep_energy(
     cpus = _worker_count(math.inf) // workers
 
     def sweep_contrast(config):
-        return contrast(_scan(config, offsets, cpus))
+        return contrast(FringeCurve(offsets, _fringe_totals(config, offsets, cpus), config.gratings[2].period))
 
     # each scan owns its helpers, if it has any, so no pool worker waits
     # on this pool. map raises the first error in input order and cancels
@@ -460,7 +453,4 @@ def misalignment_factor(beam_height: float, misalignment: float, period: float) 
         raise ValueError("beam height and period must be positive")
     if misalignment < 0.0:
         raise ValueError("misalignment angle must be nonnegative")
-    u = math.pi * 2.0 * misalignment * beam_height / period
-    if u == 0.0:
-        return 1.0
-    return abs(math.sin(u) / u)
+    return abs(float(np.sinc(2.0 * misalignment * beam_height / period)))

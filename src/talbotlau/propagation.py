@@ -195,10 +195,8 @@ def _transfer(n, dx, wavelength, delta_z, count, work) -> _Spectrum:
     live[size - count + 1 :] = taps[count - 1 : 0 : -1]
     rows = live.reshape(shape)
     twiddles = _twiddles(n2, n1) if n2 > 1 else ()
-    if twiddles:
-        np.fft.fft(rows, axis=-2, out=rows)
-        _twist(rows, twiddles[0])
-    np.fft.fft(rows[: kept.shape[0]], axis=-1, out=kept)
+    _forward(rows, twiddles)
+    kept[:] = rows[: kept.shape[0]]
     kept.flags.writeable = False
     return _Spectrum(kept, shape, twiddles)
 
@@ -371,20 +369,18 @@ def _inverse(a, twiddles):
         np.fft.ifft(a, axis=-2, out=a)
 
 
-def _carry(buf, lo, hi, spectrum, n) -> np.ndarray:
+def _carry(buf, lo, hi, spectrum):
     """Carry one leg in place on every row of ``buf``, from its inputs at [lo, hi).
 
     Rows, the last axis, are at least ``spectrum.size`` long and are
     overwritten: each input is zero-filled to the FFT length, multiplied
     by the spectrum in ``_forward``'s order and brought back in natural
-    order by ``_inverse``. Returns the n outputs of every row.
+    order by ``_inverse``, so a row's output k lands at its index k.
     """
     work = buf[..., : spectrum.size]
     work[..., :lo] = 0.0
     work[..., hi:] = 0.0
-    # a view: a row's last axis is contiguous, so it splits without a copy,
-    # and every step writes over its input, so the outputs end up in
-    # buf[..., :n]
+    # a view: a row's last axis is contiguous, so it splits without a copy
     rows = work.reshape(work.shape[:-1] + spectrum.shape)
     _forward(rows, spectrum.twiddles)
     kept = spectrum.values
@@ -395,4 +391,3 @@ def _carry(buf, lo, hi, spectrum, n) -> np.ndarray:
         row[: kept.shape[0]] *= kept
         row[kept.shape[0] :] *= mirrored
     _inverse(rows, spectrum.twiddles)
-    return work[..., :n]

@@ -101,13 +101,7 @@ def _require_finite_scale(per_field: float):
 
 
 def _interp_periodic(curve: FringeCurve, x):
-    xs = curve.offsets
-    ys = curve.throughput
-    period = curve.period
-    u = np.mod(np.asarray(x, dtype=float) - xs[0], period) + xs[0]
-    xs_wrap = np.append(xs, xs[0] + period)
-    ys_wrap = np.append(ys, ys[0])
-    return np.interp(u, xs_wrap, ys_wrap)
+    return np.interp(x, curve.offsets, curve.throughput, period=curve.period)
 
 
 def predict_throughput(curve: FringeCurve, field: float, per_field: float) -> float:

@@ -6,14 +6,19 @@ the 1-D Fresnel prefactor 1 / sqrt(i lambda dz): O(N_src * N_tgt), the
 oracle on small grids. ``carried_from_run`` is the scan's paraxial leg
 applied to one field: ``_transfer`` and ``_carry`` in a one-row buffer.
 Both approximate one linear operator, the Fresnel propagator, and
-neither rescales its output. ``transmission_whole`` builds a plane's
-transmission in one pass over the whole array, the reference for
-``elements.transmission``'s block-by-block build.
+neither rescales its output. ``leg1_closed_form`` is the paraxial field
+at G1 of a point source behind slit 2, from the Fresnel integrals: the
+one leg-1 oracle cheap enough for the default grid.
+``transmission_whole`` builds a plane's transmission in one pass over the
+whole array, the reference for ``elements.transmission``'s block-by-block
+build.
 """
 
 import math
 
 import numpy as np
+
+from scipy.special import fresnel
 
 from talbotlau.elements import ApertureSpec, _comb_coordinates, _padded_half_width, _slit_random_phase
 from talbotlau.propagation import SamplingError, _carry, _transfer, _work_size, required_dx
@@ -62,7 +67,30 @@ def carried_from_run(amplitudes, grid, wavelength, delta_z, lo=0):
     buf = np.empty(_work_size(n), dtype=complex)
     transfer = _transfer(n, grid.dx, wavelength, delta_z, max(n - lo, hi), buf)
     buf[lo:hi] = amplitudes
-    return _carry(buf, lo, hi, transfer, n)
+    _carry(buf, lo, hi, transfer)
+    return buf[:n]
+
+
+def leg1_closed_form(grid, lo, hi, x_s, l1, l2, wavelength):
+    """Paraxial field on ``grid`` of a point source at ``x_s``, ``l1`` before
+    slit 2's open samples [lo, hi) and ``l2`` after them, up to one constant.
+
+    The two quadratic phases combine into exp(ik(x - x_s)^2 / 2(l1 + l2))
+    times a chirp of rate alpha = 1/l1 + 1/l2 about x0 = (x_s/l1 + x/l2) /
+    alpha, whose integral over the slit is F(t_b) - F(t_a), F = C + iS the
+    Fresnel integral and t = sqrt(k alpha / pi) (edge - x0). The slit's
+    edges are its outer sample cells' edges, x[lo] - dx/2 and x[hi - 1] +
+    dx/2. The constant left out is sqrt(pi / (k alpha)) / sqrt(i lambda
+    l2) times the axial phases.
+    """
+    x = grid.x
+    k = 2.0 * math.pi / wavelength
+    alpha = 1.0 / l1 + 1.0 / l2
+    x0 = (x_s / l1 + x / l2) / alpha
+    scale = math.sqrt(k * alpha / math.pi)
+    s_a, c_a = fresnel(scale * (x[lo] - 0.5 * grid.dx - x0))
+    s_b, c_b = fresnel(scale * (x[hi - 1] + 0.5 * grid.dx - x0))
+    return np.exp(0.5j * k * (x - x_s) ** 2 / (l1 + l2)) * ((c_b - c_a) + 1j * (s_b - s_a))
 
 
 def transmission_whole(x, element, phase=None, plane_index=0):

@@ -170,6 +170,38 @@ def test_sensitivity_command(tmp_path, fast_config_path):
     assert by_name["expected_step_snr"] == pytest.approx(4.5, abs=1.0)
 
 
+# the default-config CSVs of the two commands that read a fringe curve
+# through sensing's periodic interpolation, byte for byte: the other
+# tests of these commands check their output only to a tolerance
+SENSITIVITY_CSV = """quantity,value,unit
+count_rate,2.50000000e+05,s^-1
+fringe_contrast,6.00000000e-02,1
+field_slope,5.23354634e+10,s^-1 T^-1
+sensitivity,9.55375128e-09,T Hz^-1/2
+step_field,4.30000000e-08,T
+expected_step_snr,4.50084985e+00,1
+"""
+STEP_COUNTS = (
+    [251820, 252713, 252086, 252383, 252495, 252486, 252160, 252534, 252595, 251387]
+    + [249768, 249649, 249512, 249203, 250602, 250945, 250619, 250065, 249993, 249932]
+    + [251995, 251874, 251877, 251917, 252410, 251953, 251650, 252206, 251870, 251911]
+    + [249976, 249994, 250560, 250623, 250380, 249544, 249619, 250169, 250193, 249617]
+)
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("sensitivity", SENSITIVITY_CSV),
+        ("step", "t_s,counts\n" + "".join(f"{t},{c}\n" for t, c in enumerate(STEP_COUNTS))),
+    ],
+)
+def test_default_config_csv_keeps_its_bytes(tmp_path, command, expected):
+    out = tmp_path / f"{command}.csv"
+    assert run_cli([command, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode()
+
+
 def test_scale_command(tmp_path):
     out = tmp_path / "scale.csv"
     assert run_cli(["scale", "--out", str(out)]) == 0

@@ -34,10 +34,10 @@ from talbotlau import (
 )
 from talbotlau import constants as const
 from talbotlau import interferometer
-from talbotlau.interferometer import _fringe_totals, _source_positions
+from talbotlau.interferometer import _fringe_totals, _slit2_run, _source_positions
 from talbotlau.propagation import _transfer
 
-from kernels import carried_from_run, propagate_direct
+from kernels import carried_from_run, leg1_closed_form, propagate_direct
 
 D = 1e-7
 
@@ -635,6 +635,45 @@ def test_negating_the_g1_and_g2_offsets_reverses_the_fringe(cfg, g1, g2):
     plus = fringe_64(offset_gratings(cfg, g1 * D, g2 * D, 0.0))
     minus = fringe_64(offset_gratings(cfg, -g1 * D, -g2 * D, 0.0))
     assert np.max(np.abs(plus - np.roll(minus[::-1], 1))) <= 1e-12 * plus.mean()
+
+
+@pytest.mark.parametrize("grating", [0, 1, 2], ids=["g1", "g2", "g3"])
+def test_moving_one_grating_by_a_period_leaves_the_fringe(grating):
+    # each comb takes its offset modulo d: G1's and G2's transmissions
+    # keep their bits, and G3's fold reads offsets shifted by d
+    deltas = [0.0, 0.0, 0.0]
+    deltas[grating] = D
+    base = fringe_64(NARROW)
+    moved = fringe_64(offset_gratings(NARROW, *deltas))
+    if grating < 2:
+        assert np.array_equal(moved, base)
+    else:
+        assert np.max(np.abs(moved - base)) <= 1e-15 * base.mean()
+
+
+@pytest.mark.parametrize("cfg, bound", [(BeamlineConfig(), 2.5e-3), (NARROW, 3e-2)], ids=["default", "narrow"])
+@pytest.mark.parametrize("middle", [True, False], ids=["middle-source", "edge-source"])
+def test_leg_1_of_a_point_source_matches_the_closed_form(cfg, bound, middle):
+    # the scan's field of one source at slit 2, carried to G1, against the
+    # Fresnel integrals over slit 2's open cells, up to one fitted complex
+    # constant c. The bounds are the transfer-function leg's own error:
+    # 1.95e-3 and 2.44e-2 relative L2 were measured. |c| is the constant
+    # that leg1_closed_form leaves out, sqrt(pi / (k alpha)) / sqrt(lambda
+    # l2) = 0.6432675, matched within 3.5e-6
+    grid = beamline_grid(cfg)
+    x = grid.x
+    lam = de_broglie_wavelength(cfg.energy)
+    l1, l2 = cfg.slit_separation, cfg.slit2_to_g1
+    lo, hi = _slit2_run(cfg, x)
+    sources = _source_positions(cfg)
+    x_s = sources[sources.size // 2] if middle else sources[0]
+    amp = np.exp(2j * np.pi * np.hypot(x[lo:hi] - x_s, l1) / lam)
+    got = carried_from_run(amp, grid, lam, l2, lo)
+    want = leg1_closed_form(grid, lo, hi, x_s, l1, l2, lam)
+    c = np.vdot(want, got) / np.vdot(want, want)
+    assert np.linalg.norm(got - c * want) <= bound * np.linalg.norm(got)
+    k_alpha = 2.0 * math.pi / lam * (1.0 / l1 + 1.0 / l2)
+    assert abs(c) == pytest.approx(math.sqrt(math.pi / k_alpha) / math.sqrt(lam * l2), rel=1e-5)
 
 
 def fringe_shift(base, moved):
