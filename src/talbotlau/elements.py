@@ -14,6 +14,7 @@ building one leaves no grid-length temporary behind in the heap.
 from dataclasses import dataclass, replace
 
 import math
+import operator
 
 import numpy as np
 
@@ -71,7 +72,11 @@ class PhaseModel:
     ``image_charge_strength`` [rad m] sets the wall-edge phase via
     strength/range at the wall, decaying over ``image_charge_range`` [m]
     into the slit. ``random_phase_max`` [rad] enables one uniform random
-    phase per slit, derived deterministically from (seed, plane, slit).
+    phase per slit, derived deterministically from (seed, plane, slit): the
+    first ``uniform(0, random_phase_max)`` of numpy's PCG64 generator seeded
+    by ``SeedSequence(rng_seed, spawn_key=(plane, zigzag(slit)))``, with
+    zigzag(n) = 2n for n >= 0 and -2n - 1 below. The stream is reproduced
+    without importing ``numpy.random``.
     """
 
     image_charge_strength: float = 0.0
@@ -149,10 +154,71 @@ def _zigzag(n: int) -> int:
     return 2 * n if n >= 0 else -2 * n - 1
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
+
+
+def _words(n: int) -> list:
+    """The little-endian 32-bit words of a nonnegative int; 0 is one word."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
 def _slit_random_phase(seed: int, plane_index: int, slit_index: int, limit: float) -> float:
-    # keyed by (seed, plane, slit) so evaluation order cannot matter
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(plane_index, _zigzag(slit_index)))
-    return float(np.random.default_rng(ss).uniform(0.0, limit))
+    """numpy's ``default_rng(SeedSequence(seed, spawn_key=(plane_index,
+    _zigzag(slit_index)))).uniform(0.0, limit)``, bit for bit, without
+    importing ``numpy.random``.
+
+    Keyed by (seed, plane, slit) so evaluation order cannot matter.
+    """
+    seed, plane_index, slit_index = map(operator.index, (seed, plane_index, slit_index))
+    # SeedSequence: the entropy is padded to the pool size because a spawn
+    # key follows it, then everything is hashed into a 4-word pool
+    entropy = _words(seed)
+    entropy += [0] * (4 - len(entropy)) + _words(plane_index) + _words(_zigzag(slit_index))
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * 0x931E8875) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight 32-bit words, paired little-endian
+    hash_const = 0x8B51F9DD
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * 0x58F38DED) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state.append(value ^ (value >> 16))
+    s0, s1, s2, s3 = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    # PCG64 seeding, then one step and its XSL-RR output
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    pcg = (inc + (s0 << 64 | s1)) & _MASK128
+    pcg = (pcg * _PCG_MULT + inc) & _MASK128
+    pcg = (pcg * _PCG_MULT + inc) & _MASK128
+    xored, rot = ((pcg >> 64) ^ pcg) & _MASK64, pcg >> 122
+    out = (xored >> rot | xored << (-rot & 63)) & _MASK64
+    return 0.0 + float(limit) * ((out >> 11) * 2.0**-53)
 
 
 def _filled_by_block(xs: np.ndarray, dtype, fill) -> np.ndarray:

@@ -11,7 +11,8 @@ at G1 of a point source behind slit 2, from the Fresnel integrals: the
 one leg-1 oracle cheap enough for the default grid.
 ``transmission_whole`` builds a plane's transmission in one pass over the
 whole array, the reference for ``elements.transmission``'s block-by-block
-build.
+build. ``slit_random_phase_numpy`` is numpy's own stream for one slit's
+random phase, the reference for ``elements._slit_random_phase``.
 """
 
 import math
@@ -20,7 +21,7 @@ import numpy as np
 
 from scipy.special import fresnel
 
-from talbotlau.elements import ApertureSpec, _comb_coordinates, _padded_half_width, _slit_random_phase
+from talbotlau.elements import ApertureSpec, _comb_coordinates, _padded_half_width, _slit_random_phase, _zigzag
 from talbotlau.propagation import SamplingError, _carry, _transfer, _work_size, required_dx
 
 
@@ -119,3 +120,10 @@ def transmission_whole(x, element, phase=None, plane_index=0):
     out = np.zeros(xs.shape, dtype=complex)
     out[open_pts] = np.exp(1j * phi)
     return out
+
+
+def slit_random_phase_numpy(seed, plane_index, slit_index, limit):
+    """One slit's random phase drawn by numpy: a PCG64 generator seeded by
+    ``SeedSequence(seed, spawn_key=(plane_index, zigzag(slit_index)))``."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(plane_index, _zigzag(slit_index)))
+    return float(np.random.default_rng(ss).uniform(0.0, limit))

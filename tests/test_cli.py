@@ -308,30 +308,47 @@ def test_retired_override_flag_exits_nonzero(flag, value, capsys):
     assert flag in capsys.readouterr().err
 
 
-def test_a_fringe_run_imports_no_scipy(tmp_path):
-    # scipy is a test-only dependency: importing it cost a CLI process
-    # about 0.4 s of its start-up, so the package's FFTs are numpy.fft's
+def modules_after_run(tmp_path, workload, command):
+    """The modules loaded by one CLI run of ``command`` in a fresh process,
+    on ``workload``'s tiny benchmark config, and the CSV it wrote."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     config = tmp_path / "tiny.ini"
-    config.write_text(workloads.WORKLOADS["fringe-wide"].config_text(7, tiny=True), encoding="utf-8")
+    config.write_text(workloads.WORKLOADS[workload].config_text(7, tiny=True), encoding="utf-8")
     script = (
         "import sys\n"
         "from talbotlau import cli\n"
-        "assert cli.main(['fringe', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "assert cli.main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]]) == 0\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
     )
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), path])))
-    out = tmp_path / "fringe.csv"
+    out = tmp_path / f"{command}.csv"
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(config), str(out)],
+        [sys.executable, "-c", script, command, str(config), str(out)],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-    assert out.read_text(encoding="utf-8").startswith("offset_m,")
+    return proc.stdout.split(), out.read_text(encoding="utf-8")
+
+
+def test_a_fringe_run_imports_no_scipy(tmp_path):
+    # scipy is a test-only dependency: importing it cost a CLI process
+    # about 0.4 s of its start-up, so the package's FFTs are numpy.fft's
+    modules, csv_text = modules_after_run(tmp_path, "fringe-wide", "fringe")
+    assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+    assert csv_text.startswith("offset_m,")
+
+
+@pytest.mark.parametrize("command", ["sweep-field", "fringe"])
+def test_a_random_phase_run_imports_no_numpy_random(tmp_path, command):
+    # the per-slit phases are numpy's PCG64 stream computed in plain
+    # Python: numpy.random and the hashlib and OpenSSL modules it imports
+    # cost a process 5.7 MiB of resident memory
+    modules, csv_text = modules_after_run(tmp_path, "field-readout", command)
+    assert csv_text.count("\n") > 1
+    assert [m for m in modules if m == "numpy.random" or m.startswith("numpy.random.")] == []

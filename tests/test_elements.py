@@ -18,7 +18,7 @@ from talbotlau import (
 )
 from talbotlau.elements import _comb_coordinates, _slit_random_phase
 
-from kernels import transmission_whole
+from kernels import slit_random_phase_numpy, transmission_whole
 
 D = 1e-7
 
@@ -280,8 +280,6 @@ def test_a_default_grid_transmission_holds_block_sized_temporaries(plane):
         "hard G1": (cfg.gratings[0], None, 1),
         "slit 2": (cfg.second_slit,),
     }[plane]
-    # numpy's first random generator allocates once; that is not the build's
-    transmission(x[x.size // 2 - 32 : x.size // 2 + 32], *args)
     tracemalloc.start()
     try:
         out = transmission(x, *args)
@@ -337,6 +335,22 @@ def test_random_phase_constant_within_slit():
     angles = np.angle(out[in_slit0])
     assert np.ptp(angles) < 1e-12
     assert 0.0 <= angles[0] <= 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 + 5, 2**64 + 3])
+def test_slit_random_phase_is_numpys_stream(seed):
+    # every key word count: one- to three-word seeds, slits whose zigzag
+    # needs one or two words; int and np.int64 keys draw the same bits
+    slits = [*range(-3, 301), 2**31, -(2**31), 2**32]
+    wide = np.int64(seed) if seed < 2**63 else seed
+    for plane in (0, 1, 2):
+        for slit in slits:
+            for limit in (0.5, 1.3, math.pi):
+                expected = slit_random_phase_numpy(seed, plane, slit, limit)
+                for key in ((seed, plane, slit), (wide, np.int64(plane), np.int64(slit))):
+                    drawn = _slit_random_phase(*key, limit)
+                    assert type(drawn) is float
+                    assert np.float64(drawn).view(np.uint64) == np.float64(expected).view(np.uint64), (key, limit)
 
 
 def test_image_charge_phase_profile():
