@@ -11,10 +11,9 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, build_beamline, parse_config
+from .config import RunConfig, build_beamline, parse_config
 from .interferometer import beamline_grid, leg_required_dx, scan_fringe, sweep_energy
 from .kinematics import BeamEnergy, de_broglie_wavelength, resonant_energies, talbot_length
-from .propagation import SamplingError
 from .sensing import (
     cradle_field,
     deflection_per_field,
@@ -178,7 +177,8 @@ def main(argv=None) -> int:
                 cfg = parse_config(fh.read())
         header, rows = _DISPATCH[args.command](cfg)
         _write_csv(args.out, header, rows)
-    except (ConfigError, SamplingError, ValueError, OSError) as exc:
+    # ConfigError and SamplingError are ValueErrors
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -1,9 +1,12 @@
 """Run configuration: flat ``key = value`` files with ``[section]`` headers.
 
-Defaults and range checks belong to the domain types: a key is valid when
-its section and the beamline still build with that one key changed from
-the defaults. Unknown sections or keys, malformed numbers and
-out-of-range values are rejected with the offending key and line named.
+A key is valid when the beamline and the readout inputs the commands
+build still build with that one key changed from the defaults, so the
+range checks belong to the domain types and functions. The sections check
+only what none of them does: the gun range, the point counts,
+``n_offsets``, ``count_rate``, ``seconds``/``block_seconds`` and the sweep
+bound pairs. Unknown sections or keys, malformed numbers and out-of-range
+values are rejected with the offending key and line named.
 """
 
 import dataclasses
@@ -14,7 +17,7 @@ from dataclasses import dataclass, replace
 from .elements import ApertureSpec, GratingSpec, PhaseModel
 from .interferometer import BeamlineConfig
 from .kinematics import BeamEnergy
-from .sensing import CradleSpec
+from .sensing import CradleSpec, deflection_per_field, scaled_sensitivity, sinusoid_fringe
 
 __all__ = [
     "GUN_ENERGY_RANGE_EV",
@@ -68,10 +71,6 @@ class BeamlineSettings:
 class FieldSettings:
     region_length: float = 6.12e-3
 
-    def __post_init__(self):
-        if not self.region_length > 0.0:
-            raise ValueError("field region length must be positive")
-
 
 @dataclass(frozen=True)
 class SensingSettings:
@@ -83,8 +82,6 @@ class SensingSettings:
     block_seconds: int = 10
 
     def __post_init__(self):
-        if not 0.0 <= self.fringe_contrast < 1.0:
-            raise ValueError("fringe_contrast must lie in [0, 1)")
         if not self.count_rate > 0.0:
             raise ValueError("count_rate must be positive")
         if self.seconds < 1 or self.block_seconds < 1:
@@ -120,11 +117,6 @@ class ScaleSettings:
     concentrator_gain: float = 20.0
     area_ratio: float = 1e4
 
-    def __post_init__(self):
-        for f in dataclasses.fields(self):
-            if not getattr(self, f.name) > 0.0:
-                raise ValueError(f"{f.name} must be positive")
-
 
 @dataclass(frozen=True)
 class RunSettings:
@@ -146,31 +138,23 @@ _DEFAULTS = RunConfig()
 _SECTIONS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
-def _field_types(section):
-    return {
-        f.name: f.type if isinstance(f.type, str) else f.type.__name__
-        for f in dataclasses.fields(getattr(_DEFAULTS, section))
-    }
-
-
-def _convert(raw, type_name, default, where):
-    if type_name == "float":
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: malformed number {raw!r}") from None
-        if math.isnan(value):
-            raise ConfigError(f"{where}: NaN is not a valid value")
-        # only a key whose default is infinite (grating_extent) takes inf
-        if math.isinf(value) and math.isfinite(default):
-            raise ConfigError(f"{where}: value must be finite (got {raw})")
-        return value
-    if type_name == "int":
+def _convert(raw, default, where):
+    # every key is an int or a float, as its default is
+    if isinstance(default, int):
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"{where}: malformed integer {raw!r}") from None
-    return raw
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: malformed number {raw!r}") from None
+    if math.isnan(value):
+        raise ConfigError(f"{where}: NaN is not a valid value")
+    # only a key whose default is infinite (grating_extent) takes inf
+    if math.isinf(value) and math.isfinite(default):
+        raise ConfigError(f"{where}: value must be finite (got {raw})")
+    return value
 
 
 def _with(cfg: RunConfig, section: str, key: str, value) -> RunConfig:
@@ -180,15 +164,18 @@ def _with(cfg: RunConfig, section: str, key: str, value) -> RunConfig:
 def _override(cfg: RunConfig, section: str, key: str, value, where: str) -> RunConfig:
     """``cfg`` with one key set, after checking that key alone on the defaults.
 
-    The check builds the section and every domain object from the defaults
-    plus this key; a ``ValueError`` from any of them becomes a
-    ``ConfigError`` prefixed with ``where``.
+    The check builds the beamline and every command's readout inputs from
+    the defaults plus this key. A ``ValueError`` or ``ArithmeticError``
+    from any of them becomes a ``ConfigError`` prefixed with ``where``.
     """
     try:
         trial = _with(_DEFAULTS, section, key, value)
-        build_beamline(trial)
+        beamline = build_beamline(trial)
+        deflection_per_field(trial.field.region_length, beamline.energy)
+        sinusoid_fringe(beamline.gratings[0].period, trial.sensing.fringe_contrast)
+        scaled_sensitivity(*dataclasses.astuple(trial.scale))
         return _with(cfg, section, key, value)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{where}: {exc} (got {value})") from None
 
 
@@ -215,14 +202,13 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         if section is None:
             raise ConfigError(f"line {lineno}: key '{key}' appears before any [section] header")
-        types = _field_types(section)
-        if key not in types:
+        defaults = vars(getattr(_DEFAULTS, section))
+        if key not in defaults:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in section [{section}]")
         where = f"line {lineno}: key '{key}'"
         if (section, key) in lines:
             raise ConfigError(f"{where} in section [{section}] is already set on line {lines[section, key]}")
-        default = getattr(getattr(_DEFAULTS, section), key)
-        cfg = _override(cfg, section, key, _convert(raw_value.strip(), types[key], default, where), where)
+        cfg = _override(cfg, section, key, _convert(raw_value.strip(), defaults[key], where), where)
         lines[section, key] = lineno
     _cross_checks(cfg.sweep, lines)
     return cfg

@@ -151,20 +151,22 @@ def beamline_grid(cfg: BeamlineConfig) -> GridSpec:
             half = max(half, abs(e + (e - s) * z_after / cfg.slit_separation))
     half = max(half, 4.0 * cfg.gratings[0].period)
     span = 2.0 * half * cfg.window_factor
+    need = min(dx for _, dx in leg_required_dx(cfg, span))
+    # compared as products, as span / dx can overflow to inf or dx underflow
+    # to 0; a window no count up to the cap samples is the geometry's fault
+    unsampleable = not span <= _MAX_SAMPLES * need
     if cfg.grid_points:
         count = cfg.grid_points
         dx = span / (count - 1)
     else:
-        dx = min(1e-9, 0.8 * min(need for _, need in leg_required_dx(cfg, span)))
-        # compared as a product: on a huge geometry span / dx overflows to
-        # inf, or dx underflows to 0, before int() could see it
+        dx = min(1e-9, 0.8 * need)
         count = int(math.ceil(span / dx)) + 1 if span <= _MAX_SAMPLES * dx else math.inf
         if count % 2 == 0:
             count += 1
-    if count > _MAX_SAMPLES:
+    if count > _MAX_SAMPLES or unsampleable:
         fix = (
             "lower [beamline] grid_points"
-            if cfg.grid_points
+            if cfg.grid_points and not unsampleable
             else "the geometry (slit centers/widths) is likely misconfigured"
         )
         raise ValueError(f"beamline grid would need more than {_MAX_SAMPLES} samples; {fix}")
@@ -386,11 +388,11 @@ def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) ->
     return intensity
 
 
-def _offsets(cfg: BeamlineConfig, n_offsets: int) -> np.ndarray:
-    """n_offsets uniform third-grating offsets over [0, d)."""
+def _offsets(period: float, n_offsets: int) -> np.ndarray:
+    """n_offsets uniform offsets over [0, period)."""
     if n_offsets < 8:
         raise ValueError("n_offsets must be at least 8")
-    return np.arange(n_offsets) * (cfg.gratings[2].period / n_offsets)
+    return np.arange(n_offsets) * (period / n_offsets)
 
 
 def scan_fringe(cfg: BeamlineConfig, n_offsets: int = 16) -> FringeCurve:
@@ -399,7 +401,7 @@ def scan_fringe(cfg: BeamlineConfig, n_offsets: int = 16) -> FringeCurve:
     The sources are propagated once; every offset is read from the same
     folded G3 intensity, so more offsets cost only a binary search each.
     """
-    offsets = _offsets(cfg, n_offsets)
+    offsets = _offsets(cfg.gratings[2].period, n_offsets)
     return FringeCurve(offsets, _fringe_totals(cfg, offsets), cfg.gratings[2].period)
 
 
@@ -423,7 +425,7 @@ def sweep_energy(
     the first failing energy's error is raised once every running scan
     has ended.
     """
-    offsets = _offsets(cfg, n_offsets)
+    offsets = _offsets(cfg.gratings[2].period, n_offsets)
     energies = list(energies_ev)
     configs = [replace(cfg, energy=BeamEnergy(e_ev)) for e_ev in energies]
     workers = _worker_count(len(configs))

@@ -78,7 +78,7 @@ def resonant_energies(separation: float, period: float, n_max: int) -> list[tupl
 
     Solves separation = n * L_T(E) / 2, i.e. lambda_n = n d^2 / L, for each
     integer n in [1, n_max]. Returns (n, energy_ev) pairs; orders whose
-    wavelength exceeds 1 nm are skipped.
+    wavelength exceeds 1 nm, or underflows to 0, are skipped.
     """
     if not separation > 0.0:
         raise ValueError("grating separation must be positive")
@@ -89,7 +89,7 @@ def resonant_energies(separation: float, period: float, n_max: int) -> list[tupl
     out = []
     for n in range(1, n_max + 1):
         lam = n * period * period / separation
-        if lam > _MAX_WAVELENGTH:
+        if not 0.0 < lam <= _MAX_WAVELENGTH:
             continue
         out.append((n, _energy_for_wavelength(lam)))
     return out

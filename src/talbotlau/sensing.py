@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import constants as const
-from .interferometer import FringeCurve
+from .interferometer import FringeCurve, _offsets
 from .kinematics import BeamEnergy
 
 __all__ = [
@@ -147,17 +147,18 @@ def sensor_report(curve: FringeCurve, bias_offset: float, rate_scale: float, per
     )
 
 
-# offsets per period of ``sinusoid_fringe``
-_SINUSOID_OFFSETS = 256
-
-
 def sinusoid_fringe(period: float, contrast: float) -> FringeCurve:
     """Analytic unit-mean cosine fringe at 256 offsets over one period, for
     operating-point studies."""
     if not 0.0 <= contrast < 1.0:
         raise ValueError("contrast must lie in [0, 1)")
-    offsets = np.arange(_SINUSOID_OFFSETS) * (period / _SINUSOID_OFFSETS)
+    offsets = _offsets(period, 256)
     return FringeCurve(offsets, 1.0 + contrast * np.cos(2.0 * np.pi * offsets / period), period)
+
+
+def _field_on(seconds: int, block_seconds: int) -> np.ndarray:
+    """Per-second on/off schedule of the field step, starting on."""
+    return (np.arange(seconds) // block_seconds) % 2 == 0
 
 
 def simulate_step_response(
@@ -181,9 +182,7 @@ def simulate_step_response(
         raise ValueError("seconds and block_seconds must be at least 1")
     _require_finite_scale(per_field)
     shift = field_step * per_field
-    t = np.arange(seconds)
-    on = (t // block_seconds) % 2 == 0
-    offsets = bias_offset + np.where(on, shift, 0.0)
+    offsets = bias_offset + np.where(_field_on(seconds, block_seconds), shift, 0.0)
     rates = rate_scale * _interp_periodic(curve, offsets)
     rng = np.random.default_rng(seed)
     return rng.poisson(rates)
@@ -192,8 +191,7 @@ def simulate_step_response(
 def step_snr(counts: np.ndarray, block_seconds: int = 10) -> float:
     """Step amplitude over the one-second Poisson noise of a count series."""
     counts = np.asarray(counts, dtype=float)
-    t = np.arange(counts.size)
-    on = (t // block_seconds) % 2 == 0
+    on = _field_on(counts.size, block_seconds)
     if not np.any(on) or np.all(on):
         raise ValueError("count series must contain both on and off blocks")
     signal = abs(counts[on].mean() - counts[~on].mean())

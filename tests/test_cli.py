@@ -274,6 +274,16 @@ def test_sweep_energy_outside_the_gun_range_exits_naming_key_and_line(tmp_path, 
         ("[beamline]\ngrating_gap = 1e300\n", "validate", "beamline grid would need"),
         # a pinned count too large names the key to lower
         ("[beamline]\ngrid_points = 100000000\n", "validate", "lower [beamline] grid_points"),
+        # a window no count can sample is the geometry's fault, even with a
+        # pinned count: the required step underflows to 0, or the window is inf
+        ("[beamline]\nslit_separation = 1e-300\ngrid_points = 1001\n", "fringe", "likely misconfigured"),
+        ("[beamline]\nslit_separation = 1e-320\ngrid_points = 1001\n", "validate", "likely misconfigured"),
+        # the sinusoid fringe's offset step period / 256 underflows to 0
+        ("[beamline]\ngrating_period = 1e-322\n", "kinematics", "line 2: key 'grating_period'"),
+        # readout inputs that overflow or divide by zero are refused at parse
+        # time, whatever the command
+        ("[field]\nregion_length = 1e200\n", "fringe", "line 2: key 'region_length'"),
+        ("[beamline]\nenergy_ev = 1e-300\n", "scale", "line 2: key 'energy_ev'"),
     ],
 )
 def test_infinite_or_huge_input_exits_with_an_error_line(tmp_path, capsys, text, command, message):
@@ -282,6 +292,16 @@ def test_infinite_or_huge_input_exits_with_an_error_line(tmp_path, capsys, text,
     assert run_cli([command, "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_kinematics_skips_resonances_whose_wavelength_underflows(tmp_path):
+    # d^2 underflows to 0 for this period, so no order has an energy
+    path = tmp_path / "tiny_period.cfg"
+    path.write_text("[beamline]\ngrating_period = 1e-300\n")
+    out = tmp_path / "kin.csv"
+    assert run_cli(["kinematics", "--config", str(path), "--out", str(out)]) == 0
+    _, rows = read_csv(str(out))
+    assert [row[0] for row in rows] == ["kinetic_energy", "de_broglie_wavelength", "talbot_length"]
 
 
 def test_missing_config_file_exits_nonzero(capsys):

@@ -202,6 +202,22 @@ def test_region_length_must_be_positive():
     assert "region_length" in msg and "line 2" in msg
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[sensing]\nfringe_contrast = 1\n", "key 'fringe_contrast': contrast must lie in [0, 1)"),
+        ("[scale]\nbase_sensitivity = 0\n", "key 'base_sensitivity': base must be positive"),
+        ("[scale]\narea_ratio = -1\n", "key 'area_ratio': area_ratio must be positive"),
+    ],
+    ids=["fringe_contrast", "base_sensitivity", "area_ratio"],
+)
+def test_readout_inputs_are_checked_by_the_functions_that_build_them(text, message):
+    # no section repeats these checks: the parser builds each command's
+    # readout inputs, and their refusal names the key and line
+    with pytest.raises(ConfigError, match=re.escape(f"line 2: {message}")):
+        parse_config(text)
+
+
 def test_malformed_section_header():
     with pytest.raises(ConfigError):
         parse_config("[beamline\nenergy_ev = 1\n")

@@ -33,7 +33,7 @@ from talbotlau import (
     transmission,
 )
 from talbotlau import constants as const
-from talbotlau import interferometer
+from talbotlau import interferometer, kinematics
 from talbotlau.interferometer import _fringe_totals, _slit2_run, _source_positions
 from talbotlau.propagation import _transfer
 
@@ -691,6 +691,28 @@ def test_g1_and_g2_offsets_move_the_fringe_by_the_three_grating_law():
     g2 = fringe_shift(base, fringe_64(offset_gratings(NARROW, 0.0, 0.1 * D, 0.0)))
     assert g1 == pytest.approx(-0.1, abs=1e-2)
     assert g2 == pytest.approx(0.2, abs=1e-2)
+
+
+@pytest.mark.parametrize("energy_ev", [1e4, 5600.0], ids=["10keV", "5.6keV"])
+@pytest.mark.parametrize("s", [0.5, 2.0])
+def test_the_scan_is_invariant_under_fresnel_scaling(energy_ev, s):
+    # the paraxial beamline sees the wavelength and the distances only
+    # through lambda z and the ratios of distances: lambda -> s lambda with
+    # every distance divided by s keeps the grid and the fringe. What moves
+    # is the rounding of the ~1e11 rad point-source phase: 1.8e-7 and
+    # 1.0e-8 of the mean at 10 keV, 3.4e-7 and 5.0e-8 at 5.6 keV, measured
+    cfg = replace(NARROW, energy=BeamEnergy(energy_ev))
+    lam = de_broglie_wavelength(cfg.energy)
+    scaled = replace(
+        cfg,
+        energy=BeamEnergy(kinematics._energy_for_wavelength(s * lam)),
+        slit_separation=cfg.slit_separation / s,
+        slit2_to_g1=cfg.slit2_to_g1 / s,
+        grating_gap=cfg.grating_gap / s,
+    )
+    assert beamline_grid(scaled) == beamline_grid(cfg)
+    base = scan_fringe(cfg, 16).throughput
+    assert np.max(np.abs(scan_fringe(scaled, 16).throughput - base)) <= 5e-7 * base.mean()
 
 
 def test_fringe_symmetric_about_extremum_with_zero_phases():

@@ -79,6 +79,11 @@ def test_resonant_energies_skips_long_wavelengths():
     assert [n for n, _ in res] == [1]
 
 
+def test_resonant_energies_skips_wavelengths_that_underflow():
+    # d^2 underflows to 0 for d = 1e-300, and no energy has lambda = 0
+    assert resonant_energies(GAP, 1e-300, 8) == []
+
+
 def test_wavelength_strictly_decreasing():
     energies = np.linspace(1e3, 20e3, 100)
     lams = [de_broglie_wavelength(BeamEnergy(e)) for e in energies]
