@@ -75,10 +75,9 @@ def _cmd_sweep_field(cfg: RunConfig):
     beamline = build_beamline(cfg)
     curve = scan_fringe(beamline, s.n_offsets)
     per_field = deflection_per_field(cfg.field.region_length, beamline.energy)
-    rows = []
-    for current in np.linspace(s.current_min, s.current_max, s.current_points):
-        field = cradle_field(cfg.cradle, current)
-        rows.append((current, field, predict_throughput(curve, field, per_field)))
+    currents = np.linspace(s.current_min, s.current_max, s.current_points)
+    fields = cradle_field(cfg.cradle, currents)
+    rows = list(zip(currents, fields, predict_throughput(curve, fields, per_field)))
     return ("current_A", "B_T", "throughput"), rows
 
 
@@ -159,12 +158,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="talbotlau",
         description="Three-grating near-field interferometer simulator and magnetometry toolkit.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="configuration file (key = value with [section] headers)")
-    common.add_argument("--out", metavar="PATH", help="output CSV path (default: stdout)")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
-        sub.add_parser(name, parents=[common], help=f"run the {name} command")
+    parser.add_argument("command", choices=_DISPATCH, help="the experiment to run")
+    parser.add_argument("--config", metavar="PATH", help="configuration file (key = value with [section] headers)")
+    parser.add_argument("--out", metavar="PATH", help="output CSV path (default: stdout)")
     return parser
 
 

@@ -165,8 +165,8 @@ def _override(cfg: RunConfig, section: str, key: str, value, where: str) -> RunC
     """``cfg`` with one key set, after checking that key alone on the defaults.
 
     The check builds the beamline and every command's readout inputs from
-    the defaults plus this key. A ``ValueError`` or ``ArithmeticError``
-    from any of them becomes a ``ConfigError`` prefixed with ``where``.
+    the defaults plus this key. A ``ValueError`` from any of them becomes
+    a ``ConfigError`` prefixed with ``where``.
     """
     try:
         trial = _with(_DEFAULTS, section, key, value)
@@ -175,7 +175,7 @@ def _override(cfg: RunConfig, section: str, key: str, value, where: str) -> RunC
         sinusoid_fringe(beamline.gratings[0].period, trial.sensing.fringe_contrast)
         scaled_sensitivity(*dataclasses.astuple(trial.scale))
         return _with(cfg, section, key, value)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc} (got {value})") from None
 
 

@@ -36,21 +36,22 @@ class BeamEnergy:
     def __post_init__(self):
         if not self.kinetic_energy_ev > 0.0:
             raise ValueError("beam energy must be positive")
+        if not 0.0 < _momentum(self.joules) < math.inf:
+            raise ValueError("beam momentum must be finite and nonzero")
 
     @property
     def joules(self) -> float:
         return self.kinetic_energy_ev * const.EV
 
 
-def de_broglie_wavelength(energy: BeamEnergy) -> float:
-    """Matter wavelength [m] for a kinetic energy.
+def _momentum(e_j):
+    """Relativistic momentum sqrt(2 m E (1 + E / (2 m c^2))) [kg m/s] at kinetic energy E [J]."""
+    return math.sqrt(2.0 * const.ELECTRON_MASS * e_j * (1.0 + e_j / (2.0 * _REST_ENERGY)))
 
-    Uses lambda = h / sqrt(2 m E (1 + E / (2 m c^2))), i.e. h/p with the
-    relativistic momentum.
-    """
-    e_j = energy.joules
-    p = math.sqrt(2.0 * const.ELECTRON_MASS * e_j * (1.0 + e_j / (2.0 * _REST_ENERGY)))
-    return const.H / p
+
+def de_broglie_wavelength(energy: BeamEnergy) -> float:
+    """Matter wavelength [m] for a kinetic energy: h/p with the relativistic momentum."""
+    return const.H / _momentum(energy.joules)
 
 
 def talbot_length(period: float, wavelength: float) -> float:

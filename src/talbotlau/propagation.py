@@ -384,10 +384,7 @@ def _carry(buf, lo, hi, spectrum):
     rows = work.reshape(work.shape[:-1] + spectrum.shape)
     _forward(rows, spectrum.twiddles)
     kept = spectrum.values
+    rows[..., : kept.shape[0], :] *= kept
     # the dropped rows k2 > n2 // 2 are kept rows n2 - k2, reversed
-    mirrored = kept[(spectrum.shape[0] - 1) // 2 : 0 : -1, ::-1]
-    # one row at a time, as in _twist
-    for row in rows.reshape((-1,) + spectrum.shape):
-        row[: kept.shape[0]] *= kept
-        row[kept.shape[0] :] *= mirrored
+    rows[..., kept.shape[0] :, :] *= kept[(spectrum.shape[0] - 1) // 2 : 0 : -1, ::-1]
     _inverse(rows, spectrum.twiddles)

@@ -71,10 +71,17 @@ class SensorReport:
     sensitivity: float
 
 
-def cradle_field(cradle: CradleSpec, current: float) -> float:
-    """Center field of the cube-edge coil at ``current`` [A]: (4/sqrt(3)) mu0 I / (pi w) [T]."""
+def cradle_field(cradle: CradleSpec, current):
+    """Center field of the cube-edge coil at each ``current`` [A]: (4/sqrt(3)) mu0 I / (pi w) [T]."""
     nominal = (4.0 / math.sqrt(3.0)) * const.MU_0 * current / (math.pi * cradle.edge_length)
     return cradle.efficiency * nominal
+
+
+def _finite_nonzero(name, value):
+    """``value``, refused unless it is finite and nonzero."""
+    if value == 0.0 or not math.isfinite(value):
+        raise ValueError(f"{name} must be finite and nonzero, got {value}")
+    return value
 
 
 def deflection_per_field(region_length: float, energy: BeamEnergy) -> float:
@@ -86,8 +93,11 @@ def deflection_per_field(region_length: float, energy: BeamEnergy) -> float:
     """
     if not region_length > 0.0:
         raise ValueError("field region length must be positive")
+    # BeamEnergy keeps the relativistic momentum, and so this smaller one,
+    # finite and nonzero
     momentum = math.sqrt(2.0 * const.ELECTRON_MASS * energy.joules)
-    return -const.E_CHARGE * region_length**2 / (2.0 * momentum)
+    deflection = -const.E_CHARGE * (region_length * region_length) / (2.0 * momentum)
+    return _finite_nonzero("deflection per field", deflection)
 
 
 def field_for_deflection(displacement: float, region_length: float, energy: BeamEnergy) -> float:
@@ -104,13 +114,13 @@ def _interp_periodic(curve: FringeCurve, x):
     return np.interp(x, curve.offsets, curve.throughput, period=curve.period)
 
 
-def predict_throughput(curve: FringeCurve, field: float, per_field: float) -> float:
+def predict_throughput(curve: FringeCurve, field, per_field: float):
     """Fringe-curve readout at the offset ``field`` times ``per_field`` [m/T].
 
-    Linear interpolation with wrap-around at the curve's period.
+    ``field`` may be an array. Linear interpolation with wrap-around at the curve's period.
     """
     _require_finite_scale(per_field)
-    return float(_interp_periodic(curve, field * per_field))
+    return _interp_periodic(curve, field * per_field)
 
 
 def fringe_slope(curve: FringeCurve, offset: float) -> float:
@@ -214,4 +224,5 @@ def scaled_sensitivity(base: float, length_ratio: float, concentrator_gain: floa
     ):
         if not val > 0.0:
             raise ValueError(f"{name} must be positive")
-    return base / (length_ratio**2 * concentrator_gain * math.sqrt(area_ratio))
+    gain = length_ratio * length_ratio * concentrator_gain * math.sqrt(area_ratio)
+    return _finite_nonzero("scaled sensitivity", base / _finite_nonzero("sensitivity gain", gain))

@@ -284,6 +284,11 @@ def test_sweep_energy_outside_the_gun_range_exits_naming_key_and_line(tmp_path, 
         # time, whatever the command
         ("[field]\nregion_length = 1e200\n", "fringe", "line 2: key 'region_length'"),
         ("[beamline]\nenergy_ev = 1e-300\n", "scale", "line 2: key 'energy_ev'"),
+        ("[scale]\nlength_ratio = 1e200\n", "scale", "line 2: key 'length_ratio'"),
+        ("[scale]\nlength_ratio = 1e-200\n", "scale", "line 2: key 'length_ratio'"),
+        # the momentum overflows to inf, which would make h/p exactly 0
+        ("[beamline]\nenergy_ev = 1e300\n", "kinematics", "line 2: key 'energy_ev'"),
+        ("[beamline]\nenergy_ev = 1e300\n", "fringe", "line 2: key 'energy_ev'"),
     ],
 )
 def test_infinite_or_huge_input_exits_with_an_error_line(tmp_path, capsys, text, command, message):
@@ -292,6 +297,18 @@ def test_infinite_or_huge_input_exits_with_an_error_line(tmp_path, capsys, text,
     assert run_cli([command, "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    # the library's own words, not Python's
+    assert not any(words in err for words in ("out of range", "division", "Errno", "(34,"))
+
+
+def test_scale_refuses_a_projection_that_overflows(tmp_path, capsys):
+    # each key passes alone; only their quotient overflows
+    path = tmp_path / "pair.cfg"
+    path.write_text("[scale]\nbase_sensitivity = 1e300\nconcentrator_gain = 1e-300\n")
+    out = tmp_path / "scale.csv"
+    assert run_cli(["scale", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_kinematics_skips_resonances_whose_wavelength_underflows(tmp_path):
@@ -302,6 +319,13 @@ def test_kinematics_skips_resonances_whose_wavelength_underflows(tmp_path):
     assert run_cli(["kinematics", "--config", str(path), "--out", str(out)]) == 0
     _, rows = read_csv(str(out))
     assert [row[0] for row in rows] == ["kinetic_energy", "de_broglie_wavelength", "talbot_length"]
+
+
+def test_options_may_come_before_the_command(tmp_path):
+    first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+    assert run_cli(["--out", str(first), "kinematics"]) == 0
+    assert run_cli(["kinematics", "--out", str(last)]) == 0
+    assert first.read_bytes() == last.read_bytes()
 
 
 def test_missing_config_file_exits_nonzero(capsys):

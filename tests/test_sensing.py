@@ -19,6 +19,7 @@ from talbotlau import (
     sinusoid_fringe,
     step_snr,
 )
+from talbotlau.config import RunConfig
 
 D = 1e-7
 L = 6.12e-3
@@ -85,6 +86,20 @@ def test_field_sweep_reproduces_fringe_shape():
         offset = curve.offsets[k]
         b = offset / PER_FIELD
         assert predict_throughput(curve, b, PER_FIELD) == pytest.approx(curve.throughput[k], rel=1e-9)
+
+
+def test_array_readout_keeps_the_bits_of_one_call_per_current():
+    # sweep-field reads every current in one call to cradle_field and one
+    # to predict_throughput; each value is the scalar call's, bit for bit
+    cfg = RunConfig()
+    s = cfg.sweep
+    currents = np.linspace(s.current_min, s.current_max, s.current_points)
+    fields = cradle_field(cfg.cradle, currents)
+    per_field = deflection_per_field(cfg.field.region_length, BeamEnergy(cfg.beamline.energy_ev))
+    curve = sinusoid_fringe(cfg.beamline.grating_period, 0.3)
+    assert fields.tolist() == [cradle_field(cfg.cradle, current) for current in currents.tolist()]
+    readout = predict_throughput(curve, fields, per_field)
+    assert readout.tolist() == [predict_throughput(curve, field, per_field) for field in fields.tolist()]
 
 
 def test_shot_noise_scaling():
