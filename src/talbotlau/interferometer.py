@@ -10,8 +10,10 @@ from one fold of the summed intensity (``elements.comb_throughput``).
 A scan carries its sources in batches on the calling thread and one
 helper thread per further CPU. Each worker owns one workspace of rows as
 long as the grating legs' FFT, one source per row, and every leg runs in
-place on it. The set-up runs on the calling thread and builds both leg
-spectra in the first workspace. Every job goes through the operations
+place on it. The calling thread builds the masks, then slit 2 -> G1's
+spectrum in the first workspace, while with a second worker a helper
+builds the grating gap's in the last; with one worker the calling thread
+builds both, one after the other. Every job goes through the operations
 it would on one thread and rows are summed in source order, so a scan's
 result is the same bits at any worker count and batch size.
 A sweep runs its energies side by side on one pool, each scan on an
@@ -31,6 +33,7 @@ the third grating (see ``sensing``).
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import math
 import os
@@ -323,10 +326,6 @@ def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) ->
     # allocate only their kept halves
     spaces = [np.empty(max(rows * size, _work_size(n)), dtype=complex) for _ in range(workers)]
     s = hi - lo
-    first = _transfer(n, dx, lam, cfg.slit2_to_g1, max(n - lo, hi), spaces[0])
-    gap = _transfer(n, dx, lam, cfg.grating_gap, n, spaces[0])
-    _require_finite(first.values, "slit 2 to G1 spectrum")
-    _require_finite(gap.values, "grating gap spectrum")
     x_sub = x[lo:hi]
 
     def g3_intensity(space: np.ndarray, x_s: np.ndarray) -> np.ndarray:
@@ -342,12 +341,7 @@ def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) ->
         # single-term direct kernel: unit-amplitude spherical wave from
         # one point, written at its own place on the grid
         amp = ws[:, lo:hi]
-        r = scratch[:, :s]
-        np.subtract(x_sub, x_s[:, None], out=r)
-        np.hypot(r, cfg.slit_separation, out=r)
-        np.multiply(2j * np.pi, r, out=amp)
-        np.divide(amp, lam, out=amp)
-        np.exp(amp, out=amp)
+        _point_source_field(x_sub, x_s, cfg.slit_separation, lam, amp, scratch[:, :s])
         _require_finite(amp, "point-source field at slit 2")
         _carry(ws, lo, hi, first)
         arrived = _flux(psi, dx, scratch)
@@ -371,12 +365,20 @@ def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) ->
         return g3
 
     intensity = np.zeros(n)
-    # each round, the calling thread carries the first batch of sources
-    # and one helper per further worker carries one of the next batches.
-    # The pool starts a thread only when a job is submitted, reading a
-    # result raises a helper's error here, and leaving the with block
-    # joins every helper, after an error too
+    # the gap spectrum builds in the last workspace: on a helper while the
+    # calling thread builds slit 2 -> G1's in the first, or after it when
+    # one worker's workspace is both. Then, each round, the calling thread
+    # carries the first batch of sources and one helper per further worker
+    # carries one of the next batches. The pool starts a thread only when
+    # a job is submitted, reading a result raises a helper's error here,
+    # and leaving the with block joins every helper, after an error too
     with ThreadPoolExecutor(max(1, workers - 1)) as helpers:
+        build_gap = partial(_transfer, n, dx, lam, cfg.grating_gap, n, spaces[-1])
+        gap_job = helpers.submit(build_gap) if workers > 1 else None
+        first = _transfer(n, dx, lam, cfg.slit2_to_g1, max(n - lo, hi), spaces[0])
+        gap = gap_job.result() if gap_job else build_gap()
+        _require_finite(first.values, "slit 2 to G1 spectrum")
+        _require_finite(gap.values, "grating gap spectrum")
         for k in range(0, carried.size, workers * rows):
             batches = [carried[j : j + rows] for j in range(k, min(k + workers * rows, carried.size), rows)]
             pending = [helpers.submit(g3_intensity, ws, x_s) for ws, x_s in zip(spaces[1:], batches[1:])]
@@ -386,6 +388,31 @@ def _summed_g3_intensity(cfg: BeamlineConfig, x: np.ndarray, dx: float, cpus) ->
                 if mirrored and 2 * i + 1 != sources.size:
                     intensity += row[::-1]
     return intensity
+
+
+def _point_source_field(x_sub, x_s, distance, lam, amp, r):
+    """Unit-amplitude spherical waves exp(2 pi i r / lam) into the rows of ``amp``.
+
+    Row j holds the wave of the source at ``x_s[j]`` on the samples
+    ``x_sub``, ``distance`` downstream; ``r`` is a float scratch of
+    ``amp``'s shape. The phase b = (2 pi r) (1 / lam) has the bits that
+    numpy gives the imaginary part of 2 pi i r / lam, but at about 1e11
+    rad libm reduces it by its slow exact path. So each row's first phase
+    b0 is taken out: r = hypot(u, distance) lies in [distance, 2 distance]
+    while |u| <= sqrt(3) distance, so a row's phases lie within a factor 2
+    of b0, and b - b0 is exact (Sterbenz). Its cos and sin, a few hundred
+    rad at most on the default grid, take the fast path, and each row is
+    then turned by exp(i b0).
+    """
+    np.subtract(x_sub, x_s[:, None], out=r)
+    np.hypot(r, distance, out=r)
+    r *= 2.0 * np.pi
+    r *= 1.0 / lam
+    b0 = r[:, :1].copy()
+    r -= b0
+    np.cos(r, out=amp.real)
+    np.sin(r, out=amp.imag)
+    amp *= np.exp(1j * b0)
 
 
 def _offsets(period: float, n_offsets: int) -> np.ndarray:

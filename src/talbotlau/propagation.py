@@ -273,15 +273,15 @@ def _add_twisted(taps, natural, r, m):
 
     ``natural`` holds y[i * fine + j] at [i, j], so the twiddle of tap k
     is coarse[i] * fine[j], from two tables of about sqrt(m / p) values
-    rather than one exp a tap. It runs over blocks of at most
-    ``_BATCH_BYTES`` and a multiple of 8 rows.
+    rather than one exp a tap. It runs over blocks of at most ``_BLOCK``
+    values and a multiple of 8 rows.
     """
     count = taps.size
     fine = natural.shape[1]
     coarse = -(-count // fine)
     angle = 2.0 * math.pi / m
     fine_twiddles = np.exp(1j * angle * (r * np.arange(fine)))
-    per_block = min(coarse, 8 * max(1, _BATCH_BYTES // (8 * 16 * fine)))
+    per_block = min(coarse, 8 * max(1, _BLOCK // (8 * fine)))
     block = np.empty((per_block, fine), dtype=complex)
     for a in range(0, coarse, per_block):
         b = min(a + per_block, coarse)

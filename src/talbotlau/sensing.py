@@ -163,7 +163,13 @@ def sinusoid_fringe(period: float, contrast: float) -> FringeCurve:
     if not 0.0 <= contrast < 1.0:
         raise ValueError("contrast must lie in [0, 1)")
     offsets = _offsets(period, 256)
-    return FringeCurve(offsets, 1.0 + contrast * np.cos(2.0 * np.pi * offsets / period), period)
+    # 2 pi x overflows for a period near the float limit: refused here, by
+    # name, and not after numpy's overflow and cos(inf) warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = 2.0 * np.pi * offsets / period
+    if not np.all(np.isfinite(phase)):
+        raise ValueError("the fringe phase 2 pi x / period overflows")
+    return FringeCurve(offsets, 1.0 + contrast * np.cos(phase), period)
 
 
 def _field_on(seconds: int, block_seconds: int) -> np.ndarray:

@@ -3,8 +3,10 @@ import importlib.util
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -299,6 +301,19 @@ def test_infinite_or_huge_input_exits_with_an_error_line(tmp_path, capsys, text,
     assert err.startswith("error: ") and message in err
     # the library's own words, not Python's
     assert not any(words in err for words in ("out of range", "division", "Errno", "(34,"))
+
+
+def test_a_period_near_the_float_limit_prints_only_its_error_line(tmp_path, capfd):
+    # 2 pi x overflows in the sinusoid fringe; a numpy warning would be
+    # printed before the error line, so warnings are raised here instead
+    path = tmp_path / "period.cfg"
+    path.write_text("[beamline]\ngrating_period = 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["fringe", "--config", str(path)]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: line 2: key 'grating_period': [^\n]*\n", err)
 
 
 def test_scale_refuses_a_projection_that_overflows(tmp_path, capsys):

@@ -385,62 +385,73 @@ def test_a_helper_error_leaves_scan_fringe_with_no_thread_running(monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_a_scan_builds_each_leg_spectrum_once(monkeypatch):
-    # with a second CPU, the calling thread still builds every mask and
-    # both leg spectra, and builds them before the first helper starts
-    use_workers(monkeypatch, 2)
-    cfg = fast_config(n_sources=4)
-    events = []
-    build = interferometer.transmission
-    start = threading.Thread.start
+def on_caller():
+    return threading.current_thread() is threading.main_thread()
 
-    def on_caller():
-        return threading.current_thread() is threading.main_thread()
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_leg_spectrum_is_built_once_and_the_gap_on_a_helper_only_with_two_workers(monkeypatch, workers):
+    # with two workers a helper builds the gap spectrum in the workspace it
+    # then carries sources in, while the calling thread builds slit 2 ->
+    # G1's in its own; with one, both run on the calling thread and no
+    # thread starts. The masks are built on the calling thread either way
+    use_workers(monkeypatch, workers)
+    cfg = fast_config(n_sources=4)
+    builds, planes, carries = [], [], []
+    build = interferometer.transmission
+    carry = interferometer._carry
 
     def count(*args):
-        events.append(("spectrum", args[3], on_caller()))
+        builds.append((args[3], on_caller(), args[5]))
         return _transfer(*args)
 
     def spy(x, spec, phase=None, plane_index=0):
-        events.append(("plane", plane_index, on_caller()))
+        planes.append((plane_index, on_caller()))
         return build(x, spec, phase, plane_index)
 
-    def started(thread):
-        events.append(("thread",))
-        return start(thread)
-
-    monkeypatch.setattr(interferometer, "_transfer", count)
-    monkeypatch.setattr(interferometer, "transmission", spy)
-    monkeypatch.setattr(threading.Thread, "start", started)
-    scan_fringe(cfg, 8)
-    spectra = [e[1:] for e in events if e[0] == "spectrum"]
-    assert sorted(spectra) == sorted([(cfg.slit2_to_g1, True), (cfg.grating_gap, True)])
-    assert sorted(e[1:] for e in events if e[0] == "plane") == [(0, True), (1, True), (2, True)]
-    threads = [i for i, e in enumerate(events) if e[0] == "thread"]
-    assert threads and all(i < threads[0] for i, e in enumerate(events) if e[0] == "spectrum")
-
-
-def test_a_failing_spectrum_build_starts_no_thread(monkeypatch):
-    use_workers(monkeypatch, 2)
-    cfg = fast_config(n_sources=4)
-    gap_threads = []
-
-    def fail_the_gap(*args):
-        if args[3] == cfg.grating_gap:
-            gap_threads.append(threading.current_thread())
-            raise RuntimeError("gap spectrum failed")
-        return _transfer(*args)
+    def carried(buf, *args):
+        carries.append((on_caller(), buf))
+        return carry(buf, *args)
 
     def refuse(thread):
         raise AssertionError("a helper thread was started")
 
-    monkeypatch.setattr(interferometer, "_transfer", fail_the_gap)
-    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(interferometer, "_transfer", count)
+    monkeypatch.setattr(interferometer, "transmission", spy)
+    monkeypatch.setattr(interferometer, "_carry", carried)
+    if workers == 1:
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+    scan_fringe(cfg, 8)
+    assert sorted(planes) == [(0, True), (1, True), (2, True)]
+    assert sorted((dz, caller) for dz, caller, _ in builds) == sorted(
+        [(cfg.slit2_to_g1, True), (cfg.grating_gap, workers == 1)]
+    )
+    # each build's work buffer is the workspace its thread carries in
+    for dz, caller, work in builds:
+        bufs = [buf for on, buf in carries if on == caller]
+        assert bufs and all(np.shares_memory(work, buf) for buf in bufs)
+    assert {on for on, _ in carries} == {True, workers == 1}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("leg", ["slit2_to_g1", "grating_gap"])
+def test_a_failing_spectrum_build_on_any_worker_raises_its_own_error_and_leaves_no_thread(monkeypatch, workers, leg):
+    use_workers(monkeypatch, workers)
+    cfg = fast_config(n_sources=4)
+    failed_on = []
+
+    def fail_one(*args):
+        if args[3] == getattr(cfg, leg):
+            failed_on.append(on_caller())
+            raise RuntimeError(f"{leg} spectrum failed")
+        return _transfer(*args)
+
+    monkeypatch.setattr(interferometer, "_transfer", fail_one)
     threads = threading.active_count()
-    with pytest.raises(RuntimeError, match="gap spectrum failed"):
+    with pytest.raises(RuntimeError, match=f"^{leg} spectrum failed$"):
         scan_fringe(cfg, 8)
     assert threading.active_count() == threads
-    assert gap_threads == [threading.main_thread()]
+    assert failed_on == [workers == 1 or leg == "slit2_to_g1"]
 
 
 def test_a_closed_second_slit_is_refused_before_the_gratings_are_built(monkeypatch):
@@ -674,6 +685,37 @@ def test_leg_1_of_a_point_source_matches_the_closed_form(cfg, bound, middle):
     assert np.linalg.norm(got - c * want) <= bound * np.linalg.norm(got)
     k_alpha = 2.0 * math.pi / lam * (1.0 / l1 + 1.0 / l2)
     assert abs(c) == pytest.approx(math.sqrt(math.pi / k_alpha) / math.sqrt(lam * l2), rel=1e-5)
+
+
+@pytest.mark.parametrize("energy_ev", [1e4, 5.6e3])
+@pytest.mark.parametrize("cfg", [BeamlineConfig(), NARROW], ids=["default", "narrow"])
+def test_the_point_source_field_takes_its_phase_in_two_exact_parts(cfg, energy_ev):
+    # b = (2 pi r)(1 / lam) has the bits of the complex 2 pi i r / lam;
+    # taking each row's first phase b0 out is exact, and cos and sin of
+    # the remainder turned by exp(i b0) give exp(i b) within 1e-15, also
+    # against math.cos and math.sin, which reduce b exactly
+    cfg = replace(cfg, energy=BeamEnergy(energy_ev))
+    x = beamline_grid(cfg).x
+    lam = de_broglie_wavelength(cfg.energy)
+    lo, hi = _slit2_run(cfg, x)
+    x_sub = x[lo:hi]
+    sources = _source_positions(cfg)
+    pick = np.random.default_rng(7)
+    checked = 0
+    for x_s in np.array_split(sources, math.ceil(sources.size / 4)):
+        r = np.hypot(x_sub - x_s[:, None], cfg.slit_separation)
+        b = (2.0 * np.pi * r) * (1.0 / lam)
+        assert np.array_equal(b, ((2j * np.pi * r) / lam).imag)
+        b0 = b[:, :1]
+        assert np.array_equal((b - b0) + b0, b)
+        field = np.empty(r.shape, dtype=complex)
+        interferometer._point_source_field(x_sub, x_s, cfg.slit_separation, lam, field, np.empty(r.shape))
+        assert np.max(np.abs(field - np.exp(1j * b))) <= 1e-15
+        for j, k in zip(pick.integers(0, x_s.size, 25), pick.integers(0, x_sub.size, 25)):
+            want = complex(math.cos(b[j, k]), math.sin(b[j, k]))
+            assert abs(field[j, k] - want) <= 1e-15
+            checked += 1
+    assert checked == 200
 
 
 def gaussian_harmonics(x, d, w, f, j_max, lam, z):
